@@ -4,8 +4,7 @@ weak-field analytics, time-domain population dynamics, and the continuum
 optical-lattice model."""
 
 from .continuum import (ContinuumBands, ContinuumPotential, TightBindingFit,
-                        band_structure, continuum_bloch_bands, fit_tight_binding,
-                        hermitian_eigen_small)
+                        band_structure, continuum_bloch_bands, fit_tight_binding)
 from .dynamics import (BandProjector, ChainState, LorentzianPeak,
                        PopulationTrace, RampProtocol, TransferResult,
                        band_projectors, bloch_transfer_experiment,
@@ -13,18 +12,17 @@ from .dynamics import (BandProjector, ChainState, LorentzianPeak,
                        mean_upper_population, propagate, resonance_scan)
 from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
                      NonConvergedError, OutOfValidityError, StarkLadderError)
-from .model import (BlochBandSample, ChainHamiltonian, LatticeParams,
-                    band_mean_energy, bloch_dispersion, build_chain,
-                    fold_interval, reduce_zone)
-from .spectra_exact import (AvoidedCrossing, LadderSpectrum, Monodromy,
+from .model import (BlochBandSample, ChainHamiltonian, LadderSpectrum,
+                    LatticeParams, band_mean_energy, bloch_dispersion,
+                    build_chain, fold_interval, reduce_zone)
+from .spectra_exact import (AvoidedCrossing, Monodromy,
                             eigenvalues_symmetric_tridiagonal,
                             find_avoided_crossings, floquet_branch_offsets,
                             floquet_offset_sweep, monodromy,
                             ws_spectrum_floquet, ws_spectrum_truncated)
 from .strong_field import (AveragedCoupling, WuYangPhaseSet, averaged_coupling,
-                           bessel_j, osc_integral, pi_coefficients,
-                           spectrum_bm, spectrum_expansion, spectrum_wu_yang,
-                           wu_yang_propagator)
+                           osc_integral, pi_coefficients, spectrum_bm,
+                           spectrum_expansion, spectrum_wu_yang, wu_yang_propagator)
 from .weak_field import (AdiabaticLadder, GapEstimate, adiabatic_constants,
                          adiabatic_spectrum, d_coefficient, gap_estimate,
                          instantaneous_eigen)

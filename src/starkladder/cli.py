@@ -105,6 +105,8 @@ _BRANCH_NAME = {1: "plus", -1: "minus"}
 def _spectrum_rows(task):
     params, inv_f, method, n_range, options = task
     p = params.with_field(1.0 / inv_f)
+    # without --order each method keeps its own default
+    order = {} if options.get("order") is None else {"order": options["order"]}
     if method == "floquet":
         spectrum = spectra_exact.ws_spectrum_floquet(p, n_range)
     elif method == "truncated":
@@ -117,13 +119,11 @@ def _spectrum_rows(task):
     elif method == "wu-yang":
         spectrum = strong_field.spectrum_wu_yang(p, n_range)
     elif method == "expansion":
-        spectrum = strong_field.spectrum_expansion(p, n_range,
-                                                   order=options.get("order", 3))
+        spectrum = strong_field.spectrum_expansion(p, n_range, **order)
     elif method == "bm":
         spectrum = strong_field.spectrum_bm(p, n_range)
     elif method == "adiabatic":
-        spectrum = weak_field.adiabatic_spectrum(p, n_range,
-                                                 order=options.get("order", 1))
+        spectrum = weak_field.adiabatic_spectrum(p, n_range, **order)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown method {method}")
     rows = []

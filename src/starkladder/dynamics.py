@@ -21,7 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import least_squares
 
 from .errors import EdgeContaminationError, NonConvergedError
-from .model import ChainHamiltonian, LatticeParams, build_chain
+from .model import LatticeParams, _two_level_eigen, build_chain
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
@@ -92,14 +92,14 @@ class RampProtocol:
 # ---------------------------------------------------------------------------
 
 def _bloch_eigenvectors(params: LatticeParams, kappa):
-    """Lower/upper eigenvectors of the 2x2 Bloch Hamiltonian at each kappa."""
+    """Lower/upper eigenvectors of the 2x2 Bloch Hamiltonian at each kappa.
+
+    In the chain's (A, B) cell basis they are sigma_x times the conjugate of
+    the generating-function eigenvectors at theta = 2 kappa.
+    """
     h = params.j1 + params.j2 * np.exp(2j * np.asarray(kappa))
-    r = np.sqrt(params.delta**2 + np.abs(h) ** 2)
-    top = params.delta + r
-    norm = np.sqrt(top**2 + np.abs(h) ** 2)
-    lower = np.stack([top / norm, -h / norm])
-    upper = np.stack([np.conj(h) / norm, top / norm])
-    return lower, upper
+    _, y_minus, y_plus = _two_level_eigen(params.delta, h)
+    return y_minus[::-1].conj(), y_plus[::-1].conj()
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from .errors import DegeneracyError
+
 
 @dataclass(frozen=True)
 class LatticeParams:
@@ -110,6 +112,70 @@ def fold_interval(values, width):
     return folded if folded.ndim else float(folded)
 
 
+@dataclass
+class LadderSpectrum:
+    """A set of Wannier-Stark levels tagged with ladder branch and index.
+
+    ``branches`` holds +1/-1 for the two ladders; ``indices`` the integer n
+    so that within one branch consecutive levels differ by 2F.
+    """
+
+    energies: np.ndarray
+    branches: np.ndarray
+    indices: np.ndarray
+    field: float
+    method: str = ""
+    converged: np.ndarray | None = None
+
+    def __post_init__(self):
+        order = np.argsort(self.energies, kind="stable")
+        self.energies = np.asarray(self.energies, dtype=float)[order]
+        self.branches = np.asarray(self.branches, dtype=int)[order]
+        self.indices = np.asarray(self.indices, dtype=int)[order]
+        if self.converged is not None:
+            self.converged = np.asarray(self.converged, dtype=bool)[order]
+
+    @classmethod
+    def from_offsets(cls, minus: float, plus: float, field: float, n_range,
+                     method: str) -> "LadderSpectrum":
+        """Both ladders E = offset + 2F n over ``n_range`` from their offsets."""
+        ns = np.asarray(list(n_range), dtype=int)
+        energies = np.concatenate([minus + 2.0 * field * ns, plus + 2.0 * field * ns])
+        branches = np.concatenate([np.full(ns.size, -1), np.full(ns.size, 1)])
+        return cls(energies, branches, np.concatenate([ns, ns]), field=field,
+                   method=method)
+
+    @property
+    def levels(self):
+        """Levels as (energy, 'plus'|'minus', n) tuples, ascending in energy."""
+        names = {1: "plus", -1: "minus"}
+        return [
+            (float(e), names[int(b)], int(n))
+            for e, b, n in zip(self.energies, self.branches, self.indices)
+        ]
+
+    def fundamental(self, merged: bool = False) -> np.ndarray:
+        """Energies folded to (-F, F], or to (-F/2, F/2] for merged-ladder display."""
+        width = self.field if merged else 2.0 * self.field
+        return fold_interval(self.energies, width)
+
+    def select(self, branch: int) -> np.ndarray:
+        return self.energies[self.branches == branch]
+
+    def branch_offsets(self) -> tuple[float, float]:
+        """Fundamental-domain representative (minus, plus) of each ladder."""
+        offsets = []
+        for b in (-1, 1):
+            folded = fold_interval(self.select(b), 2.0 * self.field)
+            if folded.size == 0:
+                offsets.append(np.nan)
+            else:
+                ref = folded[0]
+                folded = ref + fold_interval(folded - ref, 2.0 * self.field)
+                offsets.append(fold_interval(np.median(folded), 2.0 * self.field))
+        return float(offsets[0]), float(offsets[1])
+
+
 def reduce_zone(kappa):
     """Fold quasimomenta into the reduced Brillouin zone [-pi/2, pi/2)."""
     kappa = np.asarray(kappa, dtype=float)
@@ -139,12 +205,7 @@ def band_mean_energy(params: LatticeParams) -> float:
     C = (1/pi) * integral of E_+(kappa) over [-pi/2, pi/2); the lower band's
     mean is exactly -C.  Adaptive quadrature, absolute tolerance 1e-12.
     """
-
-    def integrand(kappa: float) -> float:
-        return bloch_dispersion(params, kappa)[1]
-
-    value, _ = quad(integrand, -np.pi / 2, np.pi / 2, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return value / np.pi
+    return _tilted_band_mean(params.with_field(0.0))
 
 
 def build_chain(params: LatticeParams, n_sites: int) -> ChainHamiltonian:
@@ -184,19 +245,37 @@ def _tilted_band_mean(params: LatticeParams) -> float:
     return value / (2.0 * np.pi)
 
 
-def _bloch_zak_plus(params: LatticeParams, grid: int = 4096) -> float:
-    """Zak phase (units of 2pi) of the upper band of the untilted lattice.
+def _two_level_eigen(dz, h):
+    """Eigensystem of the 2x2 Bloch matrix [[dz, conj(h)], [h, -dz]].
 
-    Discrete Wilson loop of the upper eigenvector of the generating-function
-    matrix at f = 0 over theta in [0, 2pi); exactly quantized to 0 or 1/2
-    (mod 1) when delta = 0.
+    Returns (r, y_minus, y_plus): eigenvalues are -+r with
+    r = sqrt(dz^2 + |h|^2), and the normalized eigenvectors, stacked along
+    axis 0 and vectorized over h, sit in the gauge smooth wherever
+    dz + r > 0.  Where h = 0 and dz <= 0 (which includes the degeneracy
+    r = 0) the vectors are nan; callers that can reach r = 0 test it.
+    """
+    r = np.sqrt(dz**2 + np.abs(h) ** 2)
+    top = dz + r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.sqrt(top**2 + np.abs(h) ** 2)
+        y_plus = np.stack([top / norm, h / norm])
+        y_minus = np.stack([-np.conj(h) / norm, top / norm])
+    return r, y_minus, y_plus
+
+
+def _zak_wilson_loop(params: LatticeParams, branch: int, grid: int = 4096) -> float:
+    """Zak phase (units of 2pi) of one band of the untilted lattice.
+
+    Discrete Wilson loop of the field-free eigenvector of the
+    generating-function matrix (upper band for branch +1, lower for -1) over
+    theta in [0, 2pi); exactly quantized to 0 or 1/2 (mod 1) when delta = 0.
     """
     theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     h = params.j1 + params.j2 * np.exp(1j * theta)
-    r = np.sqrt(params.delta**2 + np.abs(h) ** 2)
-    top = params.delta + r
-    norm = np.sqrt(top**2 + np.abs(h) ** 2)
-    y = np.stack([top / norm, h / norm])
-    y_next = np.roll(y, -1, axis=1)
-    overlaps = np.sum(y.conj() * y_next, axis=0)
+    r, y_minus, y_plus = _two_level_eigen(params.delta, h)
+    scale = params.j1 + params.j2 + abs(params.delta)
+    if np.any(r <= 1e-13 * max(scale, 1e-300)):
+        raise DegeneracyError("Berry loop passes through an exact degeneracy")
+    y = y_plus if branch == 1 else y_minus
+    overlaps = np.sum(y.conj() * np.roll(y, -1, axis=1), axis=0)
     return -float(np.sum(np.angle(overlaps))) / (2.0 * np.pi)

@@ -1,55 +1,40 @@
 """Exact Wannier-Stark spectra via two independent routes.
 
-Route one truncates the tilted chain and diagonalizes the real symmetric
-tridiagonal matrix with Sturm-sequence bisection.  Route two integrates the
-2x2 generating-function ODE over one period and quantizes the eigenphases of
-the resulting monodromy matrix.  Both produce the same ladders; the truncated
-route carries per-level convergence flags, the monodromy route is free of
-truncation error and is the workhorse for field sweeps and avoided-crossing
-searches.
+Route one truncates the tilted chain and takes the eigenvalues of the real
+symmetric tridiagonal matrix inside an energy window (LAPACK bisection via
+scipy).  Route two integrates the 2x2 generating-function ODE over one period
+and quantizes the eigenphases of the resulting monodromy matrix.  Both produce
+the same ladders; the truncated route carries per-level convergence flags,
+the monodromy route is free of truncation error and is the workhorse for
+field sweeps and avoided-crossing searches.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import NonConvergedError
-from .model import ChainHamiltonian, LatticeParams, build_chain, fold_interval
+from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams, _tilted_band_mean,
+                    _zak_wilson_loop, build_chain, fold_interval)
+from .strong_field import averaged_coupling
 
 _PHASE_TOL = 1e-11
 
 
 # ---------------------------------------------------------------------------
-# symmetric tridiagonal eigenvalues (Sturm bisection)
+# symmetric tridiagonal eigenvalues
 # ---------------------------------------------------------------------------
-
-def _sturm_count(diag: np.ndarray, off_sq: np.ndarray, shifts: np.ndarray, pivmin: float):
-    """Number of eigenvalues below each shift (LDL^T negative-pivot count).
-
-    Pivots smaller than ``pivmin`` in magnitude are clamped to -pivmin before
-    counting, so exact-zero pivots count as negative.
-    """
-    q = diag[0] - shifts
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0).astype(np.int64)
-    for i in range(1, diag.size):
-        q = (diag[i] - shifts) - off_sq[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0
-    return count
-
 
 def eigenvalues_symmetric_tridiagonal(matrix, off_diag=None, window=None) -> np.ndarray:
     """All eigenvalues (ascending) of a real symmetric tridiagonal matrix.
 
-    Accepts a ChainHamiltonian or a (diagonal, off_diagonal) pair.  Bisection
-    on the Sturm count with Gershgorin bracketing; each eigenvalue is located
-    to an absolute error below 1e-12 times the spectral radius.  ``window``
+    Accepts a ChainHamiltonian or a (diagonal, off_diagonal) pair.  LAPACK
+    bisection through ``scipy.linalg.eigvalsh_tridiagonal``; ``window``
     restricts the output to eigenvalues inside the closed interval.
     """
     if isinstance(matrix, ChainHamiltonian):
@@ -62,104 +47,19 @@ def eigenvalues_symmetric_tridiagonal(matrix, off_diag=None, window=None) -> np.
         raise ValueError("matrix must have size >= 1")
     if off.size != max(n - 1, 0):
         raise ValueError("off-diagonal must have length n - 1")
-
-    off_sq = off * off
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off) if n > 1 else 0.0
-    radius[1:] += np.abs(off) if n > 1 else 0.0
-    lower = float(np.min(diag - radius))
-    upper = float(np.max(diag + radius))
-    spectral_radius = max(abs(lower), abs(upper), 1e-30)
-    pivmin = max(float(off_sq.max(initial=0.0)), 1.0) * 1e-290
-
-    if window is not None:
-        w_lo, w_hi = float(window[0]), float(window[1])
-        if w_hi < w_lo:
-            raise ValueError("window must be an increasing interval")
-        lo_bound = max(lower, np.nextafter(w_lo, -np.inf))
-        hi_bound = min(upper, np.nextafter(w_hi, np.inf))
-        if hi_bound <= lo_bound:
-            return np.zeros(0)
-        k_lo = int(_sturm_count(diag, off_sq, np.array([lo_bound]), pivmin)[0])
-        k_hi = int(_sturm_count(diag, off_sq, np.array([hi_bound]), pivmin)[0])
-    else:
-        lo_bound, hi_bound = lower, upper
-        k_lo, k_hi = 0, n
-    if k_hi <= k_lo:
-        return np.zeros(0)
-
-    indices = np.arange(k_lo, k_hi)
-    lo = np.full(indices.size, lo_bound)
-    hi = np.full(indices.size, hi_bound)
-    tol = 0.25e-12 * spectral_radius
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        counts = _sturm_count(diag, off_sq, mid, pivmin)
-        above = counts > indices
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if np.max(hi - lo) < tol:
-            break
-    return 0.5 * (lo + hi)
+    if window is None:
+        return eigvalsh_tridiagonal(diag, off)
+    w_lo, w_hi = float(window[0]), float(window[1])
+    if w_hi < w_lo:
+        raise ValueError("window must be an increasing interval")
+    # scipy selects the half-open (lo, hi]; one ulp down closes it
+    return eigvalsh_tridiagonal(diag, off, select="v",
+                                select_range=(np.nextafter(w_lo, -np.inf), w_hi))
 
 
 # ---------------------------------------------------------------------------
-# ladder containers
+# result containers
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LadderSpectrum:
-    """A set of Wannier-Stark levels tagged with ladder branch and index.
-
-    ``branches`` holds +1/-1 for the two ladders; ``indices`` the integer n
-    so that within one branch consecutive levels differ by 2F.
-    """
-
-    energies: np.ndarray
-    branches: np.ndarray
-    indices: np.ndarray
-    field: float
-    method: str = ""
-    converged: np.ndarray | None = None
-
-    def __post_init__(self):
-        order = np.argsort(self.energies, kind="stable")
-        self.energies = np.asarray(self.energies, dtype=float)[order]
-        self.branches = np.asarray(self.branches, dtype=int)[order]
-        self.indices = np.asarray(self.indices, dtype=int)[order]
-        if self.converged is not None:
-            self.converged = np.asarray(self.converged, dtype=bool)[order]
-
-    @property
-    def levels(self):
-        """Levels as (energy, 'plus'|'minus', n) tuples, ascending in energy."""
-        names = {1: "plus", -1: "minus"}
-        return [
-            (float(e), names[int(b)], int(n))
-            for e, b, n in zip(self.energies, self.branches, self.indices)
-        ]
-
-    def fundamental(self, merged: bool = False) -> np.ndarray:
-        """Energies folded to (-F, F], or to (-F/2, F/2] for merged-ladder display."""
-        width = self.field if merged else 2.0 * self.field
-        return fold_interval(self.energies, width)
-
-    def select(self, branch: int) -> np.ndarray:
-        return self.energies[self.branches == branch]
-
-    def branch_offsets(self) -> tuple[float, float]:
-        """Fundamental-domain representative (minus, plus) of each ladder."""
-        offsets = []
-        for b in (-1, 1):
-            folded = fold_interval(self.select(b), 2.0 * self.field)
-            if folded.size == 0:
-                offsets.append(np.nan)
-            else:
-                ref = folded[0]
-                folded = ref + fold_interval(folded - ref, 2.0 * self.field)
-                offsets.append(fold_interval(np.median(folded), 2.0 * self.field))
-        return float(offsets[0]), float(offsets[1])
-
 
 @dataclass(frozen=True)
 class Monodromy:
@@ -376,15 +276,11 @@ def _anchor_offset(params: LatticeParams) -> float:
     F(1/2 + f_bar) is the better continuation.  Labels near the switchover
     are intrinsically ambiguous (the branches hybridize there).
     """
-    from .model import _bloch_zak_plus, _tilted_band_mean
-
     gap_scale = math.sqrt(params.delta**2 + (params.j1 - params.j2) ** 2)
     if params.f >= gap_scale:
-        from .strong_field import averaged_coupling
-
         offset = params.f * (0.5 + averaged_coupling(params).f_bar)
     else:
-        offset = _tilted_band_mean(params) + 2.0 * params.f * _bloch_zak_plus(params)
+        offset = _tilted_band_mean(params) + 2.0 * params.f * _zak_wilson_loop(params, 1)
     return fold_interval(offset, 2.0 * params.f)
 
 
@@ -419,11 +315,7 @@ def ws_spectrum_floquet(params: LatticeParams, n_range=range(-8, 9),
     """
     mono = monodromy(params, tol=tol)
     o_minus, o_plus = floquet_branch_offsets(params, mono.eigenphase)
-    ns = np.asarray(list(n_range), dtype=int)
-    energies = np.concatenate([o_minus + 2.0 * params.f * ns, o_plus + 2.0 * params.f * ns])
-    branches = np.concatenate([np.full(ns.size, -1), np.full(ns.size, 1)])
-    indices = np.concatenate([ns, ns])
-    return LadderSpectrum(energies, branches, indices, field=params.f, method="floquet")
+    return LadderSpectrum.from_offsets(o_minus, o_plus, params.f, n_range, "floquet")
 
 
 def default_chain_size(params: LatticeParams) -> int:

@@ -3,8 +3,9 @@
 Two routes to the merged-ladder corrections: the second-order iterative
 propagator of the driven two-level mapping (lattice with j1 = j2), and the
 first-order averaged coupling which also covers j1 != j2.  Both need only
-Bessel functions and the oscillatory integral I(t, z) = int_0^t sin(z sin x) dx,
-implemented here from scratch with dual (series/quadrature) evaluation.
+the Bessel functions J0 and J1 (from scipy.special) and the oscillatory
+integral I(t, z) = int_0^t sin(z sin x) dx, which scipy lacks and which is
+evaluated here by Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -14,60 +15,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 from scipy.integrate import cumulative_simpson
 
 from .errors import NonConvergedError, OutOfValidityError
-from .model import LatticeParams
-from .spectra_exact import LadderSpectrum
-
-_SERIES_CUTOFF = 12.0
-_MAX_ARG = 700.0
+from .model import LadderSpectrum, LatticeParams
 
 
 @lru_cache(maxsize=64)
 def _gauss_nodes(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
-
-
-def _bessel_series(order: int, z: float) -> float:
-    half = 0.5 * z
-    term = 1.0 if order == 0 else half
-    terms = [term]
-    m = 0
-    while True:
-        m += 1
-        term *= -(half * half) / (m * (m + order))
-        terms.append(term)
-        if m > half and abs(term) < 1e-20:
-            break
-    return math.fsum(terms)
-
-
-def _bessel_integral(order: int, z: float) -> float:
-    n = 72 + int(0.75 * abs(z))
-    x, w = _gauss_nodes(n)
-    theta = 0.5 * math.pi * (x + 1.0)
-    vals = np.cos(order * theta - z * np.sin(theta))
-    return float(np.dot(w, vals)) * 0.5
-
-def bessel_j(order: int, z: float) -> float:
-    """Bessel function of the first kind, orders 0 and 1, |z| < 700.
-
-    Power series below |z| = 12, the integral representation
-    (1/pi) int_0^pi cos(n t - z sin t) dt above; absolute error < 1e-12.
-    """
-    if order not in (0, 1):
-        raise ValueError("only orders 0 and 1 are implemented")
-    if not abs(z) < _MAX_ARG:
-        raise ValueError(f"|z| must be below {_MAX_ARG}")
-    sign = 1.0
-    if z < 0 and order == 1:
-        sign = -1.0
-    z = abs(z)
-    if z <= _SERIES_CUTOFF:
-        return sign * _bessel_series(order, z)
-    return sign * _bessel_integral(order, z)
 
 
 def osc_integral(t: float, z: float) -> float:
@@ -111,7 +69,7 @@ class WuYangPhaseSet:
         if t <= 0.0 or epsilon == 0.0:
             return cls(0.0, 0.0, 0.0, 0.0, epsilon, omega, max(t, 0.0))
 
-        big_a = 2.0 * math.pi * epsilon * bessel_j(0, 2.0 * omega)
+        big_a = 2.0 * math.pi * epsilon * float(special.j0(2.0 * omega))
         prev = None
         n = max(256, 64 * (1 + int(omega)))
         for _ in range(14):
@@ -188,7 +146,7 @@ def spectrum_wu_yang(params: LatticeParams, n_range=range(-8, 9),
             f"arcsin argument {arg:.6f} outside [-1, 1]; expansion invalid here"
         )
     shift = params.f / math.pi * math.asin(arg)
-    return _two_ladder(params, shift, n_range, method="wu-yang")
+    return _two_ladder(params, shift, n_range, "wu-yang")
 
 
 def pi_coefficients(params: LatticeParams) -> tuple[float, float]:
@@ -200,7 +158,7 @@ def pi_coefficients(params: LatticeParams) -> tuple[float, float]:
     j = _require_equal_hoppings(params)
     params.require_field()
     zeta = 4.0 * j / params.f
-    pi1 = params.f * bessel_j(0, zeta)
+    pi1 = params.f * float(special.j0(zeta))
 
     half_total = 0.5 * osc_integral(math.pi, zeta)
     n = 96 + int(1.2 * zeta)
@@ -227,7 +185,7 @@ def spectrum_expansion(params: LatticeParams, n_range=range(-8, 9),
     shift = eps * pi1
     if order == 3:
         shift += eps**3 * pi3
-    return _two_ladder(params, shift, n_range, method=f"expansion-{order}")
+    return _two_ladder(params, shift, n_range, f"expansion-{order}")
 
 
 @dataclass(frozen=True)
@@ -246,23 +204,18 @@ def averaged_coupling(params: LatticeParams) -> AveragedCoupling:
     """
     params.require_field()
     z = 2.0 * (params.j1 + params.j2) / params.f
-    f_bar = (params.delta / params.f) * bessel_j(0, z) \
-        + ((params.j1 - params.j2) / params.f) * bessel_j(1, z)
+    f_bar = (params.delta / params.f) * float(special.j0(z)) \
+        + ((params.j1 - params.j2) / params.f) * float(special.j1(z))
     return AveragedCoupling(f_bar=f_bar, params=params)
 
 
 def spectrum_bm(params: LatticeParams, n_range=range(-8, 9)) -> LadderSpectrum:
     """Averaged spectrum E_{n,+-} = F(2n +- 1/2 +- f_bar)."""
     shift = params.f * averaged_coupling(params).f_bar
-    return _two_ladder(params, shift, n_range, method="bm")
+    return _two_ladder(params, shift, n_range, "bm")
 
 
 def _two_ladder(params: LatticeParams, shift: float, n_range, method: str) -> LadderSpectrum:
-    ns = np.asarray(list(n_range), dtype=int)
-    f = params.f
-    plus = f * (2.0 * ns + 0.5) + shift
-    minus = f * (2.0 * ns - 0.5) - shift
-    energies = np.concatenate([minus, plus])
-    branches = np.concatenate([np.full(ns.size, -1), np.full(ns.size, 1)])
-    indices = np.concatenate([ns, ns])
-    return LadderSpectrum(energies, branches, indices, field=f, method=method)
+    """Merged-ladder pair E_{n,+-} = F(2n +- 1/2) +- shift."""
+    half = 0.5 * params.f + shift
+    return LadderSpectrum.from_offsets(-half, half, params.f, n_range, method)

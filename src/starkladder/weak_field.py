@@ -19,8 +19,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DegeneracyError, NonConvergedError
-from .model import LatticeParams, _bloch_zak_plus, _tilted_band_mean, fold_interval
-from .spectra_exact import LadderSpectrum
+from .model import (LadderSpectrum, LatticeParams, _tilted_band_mean, _two_level_eigen,
+                    _zak_wilson_loop, fold_interval)
 
 
 @dataclass(frozen=True)
@@ -55,41 +55,19 @@ def instantaneous_eigen(params: LatticeParams, theta: float):
         raise ValueError("f must be non-negative")
     dz = params.delta + 0.5 * params.f
     h = params.j1 + params.j2 * np.exp(1j * theta)
-    r = math.hypot(dz, abs(h))
+    r, y_minus, y_plus = _two_level_eigen(dz, h)
     scale = params.j1 + params.j2 + abs(dz)
     if r <= 1e-13 * max(scale, 1e-300):
         raise DegeneracyError("instantaneous spectrum is degenerate at this theta")
-    top = dz + r
-    norm = math.sqrt(top * top + abs(h) ** 2)
-    y_plus = np.array([top / norm, h / norm])
-    y_minus = np.array([-np.conj(h) / norm, top / norm])
-    return -r, r, y_minus, y_plus
-
-
-def _wilson_zak(params: LatticeParams, branch: int, grid: int) -> float:
-    """Discrete Berry product of the field-free Bloch eigenvectors."""
-    theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    h = params.j1 + params.j2 * np.exp(1j * theta)
-    r = np.sqrt(params.delta**2 + np.abs(h) ** 2)
-    scale = params.j1 + params.j2 + abs(params.delta)
-    if np.any(r <= 1e-13 * max(scale, 1e-300)):
-        raise DegeneracyError("Berry loop passes through an exact degeneracy")
-    top = params.delta + r
-    norm = np.sqrt(top**2 + np.abs(h) ** 2)
-    if branch == 1:
-        y = np.stack([top / norm, h / norm])
-    else:
-        y = np.stack([-np.conj(h) / norm, top / norm])
-    overlaps = np.sum(y.conj() * np.roll(y, -1, axis=1), axis=0)
-    return -float(np.sum(np.angle(overlaps))) / (2.0 * np.pi)
+    return -float(r), float(r), y_minus, y_plus
 
 
 def _zak_phase(params: LatticeParams, branch: int, tol: float = 1e-8) -> float:
     grid = 1024
-    prev = _wilson_zak(params, branch, grid)
+    prev = _zak_wilson_loop(params, branch, grid)
     for _ in range(12):
         grid *= 2
-        value = _wilson_zak(params, branch, grid)
+        value = _zak_wilson_loop(params, branch, grid)
         if abs(value - prev) < 0.5 * tol:
             return fold_interval(value, 1.0)
         prev = value
@@ -142,15 +120,11 @@ def adiabatic_spectrum(params: LatticeParams, n_range=range(-8, 9),
         raise ValueError("the F^2 correction is only available for delta = 0")
     plus, minus = adiabatic_constants(params)
     correction = d_coefficient(params) * params.f**2 if order == 2 else 0.0
-    ns = np.asarray(list(n_range), dtype=int)
-    f = params.f
-    e_plus = plus.c_const + 2.0 * f * (ns + plus.zak) + correction
-    e_minus = minus.c_const + 2.0 * f * (ns + minus.zak) - correction
-    energies = np.concatenate([e_minus, e_plus])
-    branches = np.concatenate([np.full(ns.size, -1), np.full(ns.size, 1)])
-    indices = np.concatenate([ns, ns])
-    return LadderSpectrum(energies, branches, indices, field=f,
-                          method=f"adiabatic-{order}")
+    two_f = 2.0 * params.f
+    return LadderSpectrum.from_offsets(
+        minus.c_const + two_f * minus.zak - correction,
+        plus.c_const + two_f * plus.zak + correction,
+        params.f, n_range, f"adiabatic-{order}")
 
 
 def gap_estimate(params: LatticeParams) -> GapEstimate:

@@ -63,6 +63,17 @@ def test_spectrum_single_field_truncated(tmp_path):
     assert np.max(np.abs(steps - np.rint(steps))) < 1e-9
 
 
+@pytest.mark.parametrize("method,default", [("expansion", "3"), ("adiabatic", "1")])
+def test_spectrum_without_order_uses_method_default(tmp_path, method, default):
+    base = ["spectrum", "--method", method, "--j1", "0.76", "--j2", "0.76",
+            "--delta", "0.2", "--f", "0.5", "--n-range=-1:1", "--workers", "1"]
+    implicit = tmp_path / "implicit.csv"
+    explicit = tmp_path / "explicit.csv"
+    assert run_cli(base + ["--out", str(implicit)]) == 0
+    assert run_cli(base + ["--order", default, "--out", str(explicit)]) == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("j1 = 1.0\nj2 = 0.9  # overridden below\ndelta = 0.0\n"

@@ -8,34 +8,6 @@ from starkladder import continuum as ct
 PAPER_POTENTIAL = ct.ContinuumPotential(v0=-0.117, v1=-0.15, v2=0.3)
 
 
-class TestJacobiEigen:
-    def test_identity(self):
-        assert np.allclose(ct.hermitian_eigen_small(np.eye(5)), np.ones(5))
-
-    def test_pauli_y(self):
-        m = np.array([[0.0, 1j], [-1j, 0.0]])
-        assert np.allclose(ct.hermitian_eigen_small(m), [-1.0, 1.0], atol=1e-14)
-
-    def test_trace_determinant_and_residuals(self):
-        rng = np.random.default_rng(21)
-        a = rng.normal(size=(21, 21)) + 1j * rng.normal(size=(21, 21))
-        a = a + a.conj().T
-        values, vectors = ct.hermitian_eigen_small(a, vectors=True)
-        assert values.sum() == pytest.approx(np.trace(a).real, abs=1e-10 * 21)
-        sign, logdet = np.linalg.slogdet(a)
-        assert np.sum(np.log(np.abs(values))) == pytest.approx(logdet, abs=1e-9)
-        assert np.prod(np.sign(values)) == pytest.approx(sign.real, abs=1e-9)
-        for i in range(21):
-            residual = a @ vectors[:, i] - values[i] * vectors[:, i]
-            assert np.linalg.norm(residual) < 1e-10
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            ct.hermitian_eigen_small(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        with pytest.raises(ValueError):
-            ct.hermitian_eigen_small(np.eye(102))
-
-
 class TestBlochBands:
     def test_free_particle_parabolas(self):
         pot = ct.ContinuumPotential()

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import starkladder
 from starkladder.model import (LatticeParams, band_mean_energy, bloch_dispersion,
                                build_chain, fold_interval, reduce_zone)
 from starkladder.spectra_exact import eigenvalues_symmetric_tridiagonal
@@ -140,3 +144,19 @@ def test_fold_interval_boundaries():
     assert fold_interval(0.05, 0.04) == pytest.approx(0.01)
     vals = fold_interval(np.array([1.0945]), 0.04)
     assert -0.02 < vals[0] <= 0.02
+
+
+def test_analytic_modules_do_not_import_the_exact_solvers():
+    # load the submodules under a bare package so __init__ cannot pull
+    # spectra_exact in; only the modules' own imports count
+    script = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('starkladder')\n"
+        f"pkg.__path__ = [{str(Path(starkladder.__file__).parent)!r}]\n"
+        "sys.modules['starkladder'] = pkg\n"
+        "import starkladder.strong_field, starkladder.weak_field\n"
+        "print('starkladder.spectra_exact' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -11,37 +11,6 @@ from starkladder import strong_field as sf
 
 # 1e6-point Riemann sum of int_0^pi sin(4 sin x) dx
 OSC_PI_4 = 0.4241607919949325
-J0_FIRST_ROOT = 2.404825557695773
-
-
-class TestBessel:
-    def test_values_at_zero(self):
-        assert sf.bessel_j(0, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert sf.bessel_j(1, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_first_root_of_j0(self):
-        assert abs(sf.bessel_j(0, J0_FIRST_ROOT)) < 1e-10
-
-    def test_series_and_integral_agree_on_overlap(self):
-        for z in np.linspace(8.0, 12.0, 17):
-            assert abs(sf._bessel_series(0, z) - sf._bessel_integral(0, z)) < 1e-11
-            assert abs(sf._bessel_series(1, z) - sf._bessel_integral(1, z)) < 1e-11
-
-    @pytest.mark.parametrize("order", [0, 1])
-    def test_against_scipy_over_wide_range(self, order):
-        fn = special.j0 if order == 0 else special.j1
-        for z in np.concatenate([np.linspace(0, 12, 25), np.linspace(12, 600, 25)]):
-            assert abs(sf.bessel_j(order, float(z)) - fn(z)) < 1e-12
-
-    def test_parity_in_z(self):
-        assert sf.bessel_j(0, -3.7) == pytest.approx(sf.bessel_j(0, 3.7), abs=1e-15)
-        assert sf.bessel_j(1, -3.7) == pytest.approx(-sf.bessel_j(1, 3.7), abs=1e-15)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            sf.bessel_j(2, 1.0)
-        with pytest.raises(ValueError):
-            sf.bessel_j(0, 700.0)
 
 
 class TestOscIntegral:
@@ -53,6 +22,12 @@ class TestOscIntegral:
 
     def test_riemann_oracle(self):
         assert sf.osc_integral(math.pi, 4.0) == pytest.approx(OSC_PI_4, abs=1e-10)
+
+    def test_struve_closed_form_at_full_period(self):
+        # I(pi, z) = pi H0(z); the quadrature node count grows with z
+        for z in np.linspace(0.0, 400.0, 801):
+            exact = math.pi * special.struve(0, z)
+            assert abs(sf.osc_integral(math.pi, float(z)) - exact) < 1e-12
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -146,7 +121,7 @@ class TestSpectra:
         f = 1.6
         base = LatticeParams(0.76, 0.76, 0.0, f)
         pi1, pi3 = sf.pi_coefficients(base)
-        assert pi1 == pytest.approx(f * sf.bessel_j(0, 4 * 0.76 / f), abs=1e-14)
+        assert pi1 == pytest.approx(f * special.j0(4 * 0.76 / f), abs=1e-14)
         eps_grid = np.array([0.01, 0.02, 0.03, 0.04, 0.05])
         shifts = []
         for eps in eps_grid:
@@ -187,7 +162,7 @@ class TestAveragedCoupling:
         # carries +(j1 - j2)/F * J1(2(j1+j2)/F)
         p = LatticeParams(1.0, 0.6, 0.0, 1.0)
         assert sf.averaged_coupling(p).f_bar == pytest.approx(
-            0.4 * sf.bessel_j(1, 3.2), abs=1e-14)
+            0.4 * special.j1(3.2), abs=1e-14)
 
     def test_bm_equals_first_order_expansion_for_equal_hoppings(self):
         p = LatticeParams(0.76, 0.76, 0.33, 2.2)

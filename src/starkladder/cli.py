@@ -232,6 +232,9 @@ def _continuum_potential(ns: argparse.Namespace) -> continuum.ContinuumPotential
 
 
 def _cmd_continuum_bands(ns: argparse.Namespace) -> None:
+    if not 1 <= ns.n_bands <= ns.cutoff:
+        raise ConfigError(f"--n-bands must lie in [1, --cutoff = {ns.cutoff}], "
+                          f"got {ns.n_bands}")
     pot = _continuum_potential(ns)
     ks = np.linspace(-np.pi, np.pi, ns.k_points, endpoint=False)
     tasks = [(pot, float(k), ns.cutoff, ns.n_bands) for k in ks]

@@ -80,6 +80,8 @@ def continuum_bloch_bands(pot: ContinuumPotential, k: float, cutoff: int = 41,
     compares against a basis enlarged by five reciprocal vectors on each
     side; converged means the returned bands moved by less than 1e-10.
     """
+    if not 1 <= n_bands <= cutoff:
+        raise ValueError(f"n_bands must lie in [1, cutoff = {cutoff}], got {n_bands}")
     lowest = (0, n_bands - 1)
     values = eigvals_banded(_bloch_matrix(pot, k, cutoff), select="i",
                             select_range=lowest)

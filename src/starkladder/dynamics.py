@@ -191,54 +191,40 @@ def _check_edges(psi: np.ndarray, t: float) -> None:
         )
 
 
+def _rotate_bonds(left, right, c, s):
+    """Exact bond exponential [[c, -is], [-is, c]] on each (left, right) pair."""
+    new_left = c * left - 1j * s * right
+    right *= c
+    right -= 1j * s * left
+    left[:] = new_left
+
+
 def _chunk_kernel(psi, phases, ratios, c_intra, s_intra, c_inter, s_inter,
                   n_steps):
     """Advance the split-step composition over one linear-field chunk.
 
-    ``phases`` holds, per composition stage, the half-step diagonal phase
-    vector at the chunk start; within the chunk the midpoint field moves
-    linearly, so each step multiplies the stage phase by its constant
-    ``ratios`` vector instead of re-exponentiating.  Bond rotations use the
-    exact 2x2 exponential, so the whole step is unitary to roundoff.
+    Each composition stage is a symmetric sandwich of whole-array updates:
+    half-step tilt phases, half-step intra-cell rotations on the bonds
+    (psi[0::2], psi[1::2]), a full-step inter-cell rotation on the bonds
+    (psi[1:-1:2], psi[2::2]), then the mirrored halves.  ``phases`` holds,
+    per stage, the half-step diagonal phase vector at the chunk start;
+    within the chunk the midpoint field moves linearly, so each step
+    multiplies the stage phase by its constant ``ratios`` vector instead of
+    re-exponentiating.  Bond rotations use the exact 2x2 exponential, so the
+    whole step is unitary to roundoff.
     """
     n = psi.shape[0]
-    n_stage = phases.shape[0]
+    intra = (psi[0:n - 1:2], psi[1:n:2])
+    inter = (psi[1:n - 1:2], psi[2:n:2])
     for _ in range(n_steps):
-        for si in range(n_stage):
-            for i in range(n):
-                psi[i] *= phases[si, i]
-            c = c_intra[si]
-            s = s_intra[si]
-            for b in range(0, n - 1, 2):
-                a = psi[b]
-                d = psi[b + 1]
-                psi[b] = c * a - 1j * s * d
-                psi[b + 1] = c * d - 1j * s * a
-            c2 = c_inter[si]
-            s2 = s_inter[si]
-            for b in range(1, n - 1, 2):
-                a = psi[b]
-                d = psi[b + 1]
-                psi[b] = c2 * a - 1j * s2 * d
-                psi[b + 1] = c2 * d - 1j * s2 * a
-            c = c_intra[si]
-            s = s_intra[si]
-            for b in range(0, n - 1, 2):
-                a = psi[b]
-                d = psi[b + 1]
-                psi[b] = c * a - 1j * s * d
-                psi[b + 1] = c * d - 1j * s * a
-            for i in range(n):
-                psi[i] *= phases[si, i]
-                phases[si, i] *= ratios[si, i]
+        for si in range(phases.shape[0]):
+            psi *= phases[si]
+            _rotate_bonds(*intra, c_intra[si], s_intra[si])
+            _rotate_bonds(*inter, c_inter[si], s_inter[si])
+            _rotate_bonds(*intra, c_intra[si], s_intra[si])
+            psi *= phases[si]
+            phases[si] *= ratios[si]
 
-
-try:
-    from numba import njit as _njit
-
-    _chunk_kernel_fast = _njit(cache=True)(_chunk_kernel)
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _chunk_kernel_fast = _chunk_kernel
 
 _SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 _STAGE_WEIGHTS = {
@@ -282,8 +268,8 @@ class _SplitStepper:
         s_intra = np.sin(self.j_intra * 0.5 * w)
         c_inter = np.cos(self.j_inter * w)
         s_inter = np.sin(self.j_inter * w)
-        _chunk_kernel_fast(psi, phases, ratios, c_intra, s_intra,
-                           c_inter, s_inter, n_steps)
+        _chunk_kernel(psi, phases, ratios, c_intra, s_intra,
+                      c_inter, s_inter, n_steps)
 
 
 def _schedule(params: LatticeParams, field) -> RampProtocol:

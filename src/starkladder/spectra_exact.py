@@ -3,7 +3,9 @@
 Route one truncates the tilted chain and takes the eigenvalues of the real
 symmetric tridiagonal matrix inside an energy window (LAPACK bisection via
 scipy).  Route two integrates the 2x2 generating-function ODE over one period
-and quantizes the eigenphases of the resulting monodromy matrix.  Both produce
+with a fourth-order Magnus scheme, whose steps are exact SU(2) exponentials
+multiplied as a pairwise product with fields as a batch axis, and quantizes
+the eigenphases of the resulting unitary monodromy matrix.  Both produce
 the same ladders; the truncated route carries per-level convergence flags,
 the monodromy route is free of truncation error and is the workhorse for
 field sweeps and avoided-crossing searches.
@@ -88,97 +90,53 @@ class AvoidedCrossing:
 # monodromy integration
 # ---------------------------------------------------------------------------
 
-def _rk4_scalar_kernel(j1: float, j2: float, delta: float, f: float, n_steps: int):
-    """Fixed-step RK4 for the 2x2 period propagator, plain complex arithmetic."""
+# fields x steps of SU(2) step matrices held at once by the Magnus kernel
+_BLOCK_MATRICES = 8192
+_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+
+
+def _su2_mul(a1, b1, a2, b2):
+    """Product of SU(2) matrices stored as (a, b) with U = [[a, b], [-b*, a*]]."""
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
+    """Period propagators for an array of fields, fourth-order Magnus.
+
+    Writes H(theta) = (1/2F)[[F/2 + delta, g], [g*, -(F/2 + delta)]] with
+    g = j1 + j2 exp(-i theta) as a . sigma.  With a and b the Pauli vectors at
+    the two Gauss points of a step of length h, the step exponent is -i v . sigma
+    with v = (h/2)(a + b) + (sqrt(3)/6) h^2 (b x a) (Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470, 151 (2009)), and the step matrix
+    cos|v| - i sin|v| v^ . sigma is unitary by construction.  Step matrices
+    are multiplied pairwise (later steps on the left) in blocks of about
+    ``_BLOCK_MATRICES``; ``n_steps`` is a power of two, so every block is.
+    Returns (a, b) arrays with U = [[a, b], [-b*, a*]].
+    """
     h = 2.0 * math.pi / n_steps
-    c = -0.5j / f
-    a11 = c * (0.5 * f + delta)
-    u11, u12, u21, u22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-    for k in range(n_steps):
-        theta = k * h
-        out = (u11, u12, u21, u22)
-        acc = (0.0j, 0.0j, 0.0j, 0.0j)
-        for stage in range(4):
-            if stage == 0:
-                e_m = cmath.exp(-1j * theta)
-                weight, advance = 1.0, 0.5
-            elif stage == 3:
-                e_m = cmath.exp(-1j * (theta + h))
-                weight, advance = 1.0, 0.0
-            else:
-                e_m = cmath.exp(-1j * (theta + 0.5 * h))
-                weight, advance = 2.0, 0.5 if stage == 1 else 1.0
-            g = j1 + j2 * e_m
-            a12 = c * g
-            a21 = c * g.conjugate()
-            d1 = a11 * out[0] + a12 * out[2]
-            d2 = a11 * out[1] + a12 * out[3]
-            d3 = a21 * out[0] - a11 * out[2]
-            d4 = a21 * out[1] - a11 * out[3]
-            acc = (acc[0] + weight * d1, acc[1] + weight * d2,
-                   acc[2] + weight * d3, acc[3] + weight * d4)
-            if stage < 3:
-                out = (u11 + advance * h * d1, u12 + advance * h * d2,
-                       u21 + advance * h * d3, u22 + advance * h * d4)
-        u11 += h / 6.0 * acc[0]
-        u12 += h / 6.0 * acc[1]
-        u21 += h / 6.0 * acc[2]
-        u22 += h / 6.0 * acc[3]
-    return u11, u12, u21, u22
-
-
-try:  # the JIT shaves two orders of magnitude off crossing refinement
-    from numba import njit as _njit
-
-    _rk4_scalar_fast = _njit(cache=True)(_rk4_scalar_kernel)
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _rk4_scalar_fast = _rk4_scalar_kernel
-
-
-def _rk4_scalar(j1: float, j2: float, delta: float, f: float, n_steps: int):
-    u11, u12, u21, u22 = _rk4_scalar_fast(j1, j2, delta, f, n_steps)
-    return np.array([[u11, u12], [u21, u22]], dtype=complex)
-
-
-def _rk4_batch(j1: float, j2: float, delta: float, f_arr: np.ndarray, n_steps: int):
-    """Same integrator vectorized over an array of field values."""
-    h = 2.0 * math.pi / n_steps
-    c = -0.5j / f_arr
-    a11 = c * (0.5 * f_arr + delta)
-    m = f_arr.size
-    u11 = np.ones(m, dtype=complex)
-    u12 = np.zeros(m, dtype=complex)
-    u21 = np.zeros(m, dtype=complex)
-    u22 = np.ones(m, dtype=complex)
-
-    def deriv(e_m, v11, v12, v21, v22):
-        g = j1 + j2 * e_m
-        a12 = c * g
-        a21 = c * np.conj(g)
-        return (
-            a11 * v11 + a12 * v21,
-            a11 * v12 + a12 * v22,
-            a21 * v11 - a11 * v21,
-            a21 * v12 - a11 * v22,
-        )
-
-    for k in range(n_steps):
-        theta = k * h
-        e0 = cmath.exp(-1j * theta)
-        e1 = cmath.exp(-1j * (theta + 0.5 * h))
-        e2 = cmath.exp(-1j * (theta + h))
-        k1 = deriv(e0, u11, u12, u21, u22)
-        k2 = deriv(e1, u11 + 0.5 * h * k1[0], u12 + 0.5 * h * k1[1],
-                   u21 + 0.5 * h * k1[2], u22 + 0.5 * h * k1[3])
-        k3 = deriv(e1, u11 + 0.5 * h * k2[0], u12 + 0.5 * h * k2[1],
-                   u21 + 0.5 * h * k2[2], u22 + 0.5 * h * k2[3])
-        k4 = deriv(e2, u11 + h * k3[0], u12 + h * k3[1],
-                   u21 + h * k3[2], u22 + h * k3[3])
-        u11 = u11 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        u12 = u12 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        u21 = u21 + h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        u22 = u22 + h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-    return u11, u12, u21, u22
+    scale = 0.5 / f[:, None]
+    z = scale * (0.5 * f[:, None] + params.delta)
+    a_tot = np.ones(f.size, dtype=complex)
+    b_tot = np.zeros(f.size, dtype=complex)
+    comm = _GAUSS_OFFSET * h * h
+    per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // f.size).bit_length() - 1))
+    for start in range(0, n_steps, per_block):
+        theta = h * np.arange(start, start + per_block)
+        g1 = params.j1 + params.j2 * np.exp(-1j * (theta + h * (0.5 - _GAUSS_OFFSET)))
+        g2 = params.j1 + params.j2 * np.exp(-1j * (theta + h * (0.5 + _GAUSS_OFFSET)))
+        ax, ay = scale * g1.real, -scale * g1.imag
+        bx, by = scale * g2.real, -scale * g2.imag
+        vx = 0.5 * h * (ax + bx) + comm * z * (by - ay)
+        vy = 0.5 * h * (ay + by) + comm * z * (ax - bx)
+        vz = h * z + comm * (bx * ay - by * ax)
+        norm = np.sqrt(vx * vx + vy * vy + vz * vz)
+        sinc = np.sinc(norm / math.pi)
+        a = np.cos(norm) - 1j * sinc * vz
+        b = -sinc * (vy + 1j * vx)
+        while a.shape[1] > 1:
+            a, b = _su2_mul(a[:, 1::2], b[:, 1::2], a[:, ::2], b[:, ::2])
+        a_tot, b_tot = _su2_mul(a[:, 0], b[:, 0], a_tot, b_tot)
+    return a_tot, b_tot
 
 
 def _generator_scale(params: LatticeParams) -> float:
@@ -192,40 +150,52 @@ def _estimate_steps(params: LatticeParams, tol: float) -> int:
     return max(256, 1 << (n - 1).bit_length())
 
 
-def _unitary_project(u: np.ndarray) -> np.ndarray:
-    """Polar projection onto the nearest unitary (Heron iteration, 2x2)."""
-    x = u.astype(complex)
-    for _ in range(4):
-        det = x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
-        inv = np.array([[x[1, 1], -x[0, 1]], [-x[1, 0], x[0, 0]]]) / det
-        x = 0.5 * (x + inv.conj().T)
-    return x
+def _converged_propagators(params: LatticeParams, f_values: np.ndarray, tol: float):
+    """Period propagators (a, b) and step counts for an array of fields.
+
+    Fields are bucketed by their estimated step count so easy fields do not
+    pay for hard ones; each bucket doubles its step count until every entry
+    of every pending field is stable to ``tol``.
+    """
+    a_out = np.empty(f_values.size, dtype=complex)
+    b_out = np.empty(f_values.size, dtype=complex)
+    steps = np.empty(f_values.size, dtype=int)
+    est = np.array([_estimate_steps(params.with_field(f), tol) for f in f_values])
+    for n_est in np.unique(est):
+        pending = np.flatnonzero(est == n_est)
+        n = int(n_est) // 2
+        prev = _magnus_propagators(params, f_values[pending], n)
+        for _ in range(18):
+            n *= 2
+            a, b = _magnus_propagators(params, f_values[pending], n)
+            done = np.maximum(np.abs(a - prev[0]), np.abs(b - prev[1])) < tol
+            a_out[pending[done]], b_out[pending[done]] = a[done], b[done]
+            steps[pending[done]] = n
+            pending = pending[~done]
+            if pending.size == 0:
+                break
+            prev = a[~done], b[~done]
+        else:
+            raise NonConvergedError("monodromy integration did not stabilize")
+    return a_out, b_out, steps
 
 
 def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
     """Time-ordered period propagator of the tilted-lattice generating ODE.
 
     Integrates dU/dtheta = -i/(2F) G0(theta) U over one period at trial
-    energy E = 0, doubling the fixed RK4 step count until every entry is
-    stable to ``tol``, then re-projects onto the unitary group.
+    energy E = 0 with the fourth-order Magnus kernel (a batch of one field),
+    doubling the step count until every entry is stable to ``tol``.  Each
+    step is an exact SU(2) exponential, so U is unitary to roundoff without
+    any projection.
     """
     params.require_field()
-    n = _estimate_steps(params, tol) // 2
-    u_prev = _rk4_scalar(params.j1, params.j2, params.delta, params.f, n)
-    for _ in range(18):
-        n *= 2
-        u = _rk4_scalar(params.j1, params.j2, params.delta, params.f, n)
-        if np.max(np.abs(u - u_prev)) < tol:
-            break
-        u_prev = u
-    else:
-        raise NonConvergedError("monodromy integration did not stabilize")
-    u = _unitary_project(u)
-    trace = u[0, 0] + u[1, 1]
-    x = min(1.0, max(-1.0, trace.real / 2.0))
-    phi = math.acos(x)
+    a, b, steps = _converged_propagators(params, np.array([params.f]), tol)
+    u = np.array([[a[0], b[0]], [-np.conj(b[0]), np.conj(a[0])]])
+    phi = math.acos(min(1.0, max(-1.0, a[0].real)))
     lam = cmath.exp(1j * phi)
-    return Monodromy(matrix=u, eigenvalues=(lam, lam.conjugate()), integration_steps=n)
+    return Monodromy(matrix=u, eigenvalues=(lam, lam.conjugate()),
+                     integration_steps=int(steps[0]))
 
 
 def _eigenphase_batch(params: LatticeParams, f_values: np.ndarray, tol: float = _PHASE_TOL):
@@ -233,35 +203,8 @@ def _eigenphase_batch(params: LatticeParams, f_values: np.ndarray, tol: float = 
     f_values = np.asarray(f_values, dtype=float)
     if np.any(f_values <= 0):
         raise ValueError("all fields must be positive")
-    phi = np.empty(f_values.size)
-    todo = np.arange(f_values.size)
-    # bucket by required step count so easy fields do not pay for hard ones
-    est = np.array([
-        _estimate_steps(params.with_field(f), tol) for f in f_values
-    ])
-    for n_est in np.unique(est):
-        sel = todo[est == n_est]
-        f_sel = f_values[sel]
-        n = int(n_est) // 2
-        prev = _rk4_batch(params.j1, params.j2, params.delta, f_sel, n)
-        pending = np.arange(f_sel.size)
-        half_tr = np.empty(f_sel.size, dtype=complex)
-        for _ in range(18):
-            n *= 2
-            cur = _rk4_batch(params.j1, params.j2, params.delta, f_sel[pending], n)
-            diffs = np.max(
-                np.abs(np.stack(cur) - np.stack(prev)), axis=0
-            )
-            done = diffs < tol
-            half_tr[pending[done]] = 0.5 * (cur[0][done] + cur[3][done])
-            pending = pending[~done]
-            if pending.size == 0:
-                break
-            prev = tuple(c[~done] for c in cur)
-        else:
-            raise NonConvergedError("monodromy sweep did not stabilize")
-        phi[sel] = np.arccos(np.clip(half_tr.real, -1.0, 1.0))
-    return phi
+    a, _, _ = _converged_propagators(params, f_values, tol)
+    return np.arccos(np.clip(a.real, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,16 @@ def test_continuum_bands_and_fit(tmp_path):
     assert j2 < j1 and delta < 1e-6
 
 
+@pytest.mark.parametrize("n_bands", ["25", "0"])
+def test_continuum_bands_rejects_n_bands_outside_cutoff(tmp_path, capsys, n_bands):
+    code = run_cli(["continuum-bands", "--v1", "-0.15", "--v2", "0.3",
+                    "--cutoff", "21", "--n-bands", n_bands,
+                    "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--n-bands" in err and "--cutoff" in err
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     code = run_cli(["spectrum", "--method", "floquet", "--j1", "1", "--j2", "0.6",
                     "--inv-f", "9:8:10", "--out", str(tmp_path / "x.csv")])

@@ -57,6 +57,11 @@ class TestBlochBands:
         with pytest.raises(ValueError):
             ct.continuum_bloch_bands(PAPER_POTENTIAL, 0.0, cutoff=20)
 
+    @pytest.mark.parametrize("n_bands", [0, 22])
+    def test_band_count_validation(self, n_bands):
+        with pytest.raises(ValueError, match="n_bands"):
+            ct.continuum_bloch_bands(PAPER_POTENTIAL, 0.0, cutoff=21, n_bands=n_bands)
+
 
 class TestTightBindingFit:
     def synthetic_bands(self, j1, j2, delta, offset=0.13, nk=64):

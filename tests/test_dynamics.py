@@ -168,6 +168,82 @@ class TestPropagate:
             dyn.propagate(state, params, None, np.array([2.0, 1.0]))
 
 
+def chunk_kernel_loop(psi, phases, ratios, c_intra, s_intra, c_inter, s_inter,
+                      n_steps):
+    """Site-by-site reference for dyn._chunk_kernel, same stage order."""
+    n = psi.shape[0]
+
+    def rotate(first, c, s):
+        for b in range(first, n - 1, 2):
+            a, d = psi[b], psi[b + 1]
+            psi[b], psi[b + 1] = c * a - 1j * s * d, c * d - 1j * s * a
+
+    for _ in range(n_steps):
+        for si in range(phases.shape[0]):
+            psi *= phases[si]
+            rotate(0, c_intra[si], s_intra[si])
+            rotate(1, c_inter[si], s_inter[si])
+            rotate(0, c_intra[si], s_intra[si])
+            psi *= phases[si]
+            phases[si] *= ratios[si]
+
+
+class TestSplitStepOrder:
+    """Fixed-step convergence of one split-step chunk, no refinement loop."""
+
+    params = LatticeParams(1.0, 0.6, 0.0, 0.2)
+    span = 4.0
+    steps = (0.2, 0.1, 0.05)
+
+    def initial(self):
+        return dyn.lower_band_state(self.params, 256, 0.3, 8.0).amplitudes
+
+    def run(self, order, dt, slope=0.0, params=None, psi=None):
+        params = self.params if params is None else params
+        psi = (self.initial() if psi is None else psi).copy()
+        stepper = dyn._SplitStepper(params, psi.size, order)
+        stepper.run_chunk(psi, 0.0, self.span, params.f, slope, dt)
+        return psi
+
+    def test_kernel_matches_site_loop(self):
+        rng = np.random.default_rng(7)
+        n, stages = 16, 5
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (stages, n)))
+        ratios = np.exp(0.01j * rng.normal(size=(stages, n)))
+        angles = rng.uniform(0, np.pi, (2, stages))
+        bonds = (np.cos(angles[0]), np.sin(angles[0]), np.cos(angles[1]), np.sin(angles[1]))
+        fast, slow = psi.copy(), psi.copy()
+        fast_phases, slow_phases = phases.copy(), phases.copy()
+        dyn._chunk_kernel(fast, fast_phases, ratios, *bonds, 3)
+        chunk_kernel_loop(slow, slow_phases, ratios, *bonds, 3)
+        assert np.max(np.abs(fast - slow)) < 1e-13
+        assert np.max(np.abs(fast_phases - slow_phases)) < 1e-14
+
+    @pytest.mark.parametrize("order,bound", [(2, 3.5), (4, 12.0)])
+    def test_constant_field_against_spectral(self, order, bound):
+        exact = spectral_propagate(self.params, self.initial(), self.span)
+        errors = [np.max(np.abs(self.run(order, dt) - exact)) for dt in self.steps]
+        assert errors[0] / errors[1] >= bound
+        assert errors[1] / errors[2] >= bound
+
+    @pytest.mark.parametrize("order,bound", [(2, 3.5), (4, 12.0)])
+    def test_ramped_field_self_convergence(self, order, bound):
+        coarse, mid, fine = (self.run(order, dt, slope=0.01) for dt in self.steps)
+        assert np.max(np.abs(coarse - mid)) / np.max(np.abs(mid - fine)) >= bound
+
+    def test_hopping_free_ramp_phases_are_exact(self):
+        # without hopping the stage phases integrate the linear ramp exactly
+        params = LatticeParams(0.0, 0.0, 0.2, 0.2)
+        psi0 = self.initial()
+        out = self.run(4, 0.2, slope=0.01, params=params, psi=psi0)
+        positions = build_chain(params.with_field(0.0), psi0.size).positions
+        stagger = np.tile([-params.delta, params.delta], psi0.size // 2)
+        tilt = params.f * self.span + 0.5 * 0.01 * self.span**2
+        exact = np.exp(-1j * (tilt * positions + stagger * self.span)) * psi0
+        assert np.max(np.abs(out - exact)) < 1e-12
+
+
 class TestRampProtocol:
     def test_linear_inv_f_endpoints(self):
         ramp = dyn.RampProtocol.linear_inv_f(9.4, 8.7, 100.0)

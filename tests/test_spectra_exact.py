@@ -55,30 +55,36 @@ class TestSturm:
         assert np.max(np.abs(resid - np.rint(resid))) * 0.5 < 1e-12 * 130
 
 
-def expm2(a):
-    """Exact exponential of a 2x2 matrix via its traceless decomposition."""
-    c = 0.5 * (a[0, 0] + a[1, 1])
-    b = a - c * np.eye(2)
-    s = cmath.sqrt(b[0, 0] ** 2 + b[0, 1] * b[1, 0])
-    if abs(s) < 1e-30:
-        body = np.eye(2) + b
-    else:
-        body = cmath.cosh(s) * np.eye(2) + (cmath.sinh(s) / s) * b
-    return cmath.exp(c) * body
+# Pinned reference resolution: the midpoint rule is second order, and this
+# count keeps it well inside 1e-9 without depending on the solver under test.
+MIDPOINT_STEPS = 655360
 
 
-def midpoint_monodromy(params, n_steps):
-    """Independent integrator: product of exact midpoint exponentials."""
+def midpoint_monodromy(params, n_steps=MIDPOINT_STEPS):
+    """Independent integrator: product of exact midpoint exponentials.
+
+    Each step exponential exp(-i h H(theta_mid)) of the traceless Hermitian
+    generator is cos(w) - i sin(w)/w * h H with w = h |H|, evaluated with numpy
+    for all steps at once; the product is accumulated by sequential
+    left-multiplication in plain complex arithmetic.
+    """
     h = 2.0 * math.pi / n_steps
-    u = np.eye(2, dtype=complex)
-    c = -0.5j / params.f
-    for k in range(n_steps):
-        theta = (k + 0.5) * h
-        g12 = params.j1 + params.j2 * cmath.exp(-1j * theta)
-        a = h * c * np.array([[0.5 * params.f + params.delta, g12],
-                              [g12.conjugate(), -(0.5 * params.f + params.delta)]])
-        u = expm2(a) @ u
-    return u
+    theta = (np.arange(n_steps) + 0.5) * h
+    g12 = params.j1 + params.j2 * np.exp(-1j * theta)
+    d = 0.5 * params.f + params.delta
+    scale = h / (2.0 * params.f)
+    w = scale * np.sqrt(d * d + np.abs(g12) ** 2)
+    sin_ratio = np.sin(w) / w * scale
+    cos_w = np.cos(w)
+    e11 = (cos_w - 1j * sin_ratio * d).tolist()
+    e12 = (-1j * sin_ratio * g12).tolist()
+    e21 = (-1j * sin_ratio * np.conj(g12)).tolist()
+    e22 = (cos_w + 1j * sin_ratio * d).tolist()
+    u11, u12, u21, u22 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
+    for a11, a12, a21, a22 in zip(e11, e12, e21, e22):
+        u11, u12, u21, u22 = (a11 * u11 + a12 * u21, a11 * u12 + a12 * u22,
+                              a21 * u11 + a22 * u21, a21 * u12 + a22 * u22)
+    return np.array([[u11, u12], [u21, u22]])
 
 
 class TestMonodromy:
@@ -107,8 +113,19 @@ class TestMonodromy:
     def test_against_independent_midpoint_integrator(self):
         params = LatticeParams(1.0, 0.6, 0.0, 0.1)
         mono = se.monodromy(params)
-        ref = midpoint_monodromy(params, 10 * mono.integration_steps)
+        ref = midpoint_monodromy(params)
         assert np.max(np.abs(mono.matrix - ref)) < 1e-9
+
+    def test_unitary_and_batch_consistent_across_memory_blocks(self):
+        # 1/F = 20 needs 65536 steps, several blocks of the Magnus kernel
+        params = LatticeParams(1.0, 0.6, 0.0, 0.05)
+        mono = se.monodromy(params)
+        assert mono.integration_steps > se._BLOCK_MATRICES
+        u = mono.matrix
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-13
+        batch = se._eigenphase_batch(params, [params.f])
+        assert abs(mono.eigenphase - batch[0]) < 1e-14
+        assert np.max(np.abs(u - midpoint_monodromy(params))) < 1e-9
 
     def test_field_required(self):
         with pytest.raises(ValueError):

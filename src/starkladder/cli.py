@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,6 +73,12 @@ def _lattice(ns: argparse.Namespace, f: float = 0.0) -> LatticeParams:
         return LatticeParams(ns.j1, ns.j2, ns.delta, f)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _positive(value: float, flag: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be positive and finite, got {value:g}")
+    return value
 
 
 def _workers(ns: argparse.Namespace) -> int:
@@ -168,7 +173,10 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
     if (ns.f is None) == (ns.inv_f is None):
         raise ConfigError("choose exactly one of --f or --inv-f")
-    inv_fs = np.array([1.0 / ns.f]) if ns.f is not None else _parse_sweep(ns.inv_f)
+    if ns.f is not None:
+        inv_fs = np.array([1.0 / _positive(ns.f, "--f")])
+    else:
+        inv_fs = _parse_sweep(ns.inv_f)
     n_range = _parse_range(ns.n_range)
     options = {"order": ns.order, "n_sites": ns.n_sites}
     if ns.window is not None:
@@ -202,6 +210,8 @@ def _cmd_gap_estimate(ns: argparse.Namespace) -> None:
 def _cmd_resonances(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
     sweep = _parse_sweep(ns.inv_f)
+    if ns.kappa_grid < 1:
+        raise ConfigError(f"--kappa-grid must be at least 1, got {ns.kappa_grid}")
     options = {"periods": ns.periods, "kappa_grid": ns.kappa_grid,
                "sigma_cells": ns.sigma_cells, "n_sites": ns.n_sites}
     tasks = [(params, float(z), options) for z in sweep]
@@ -210,7 +220,8 @@ def _cmd_resonances(ns: argparse.Namespace) -> None:
 
 
 def _cmd_transfer(ns: argparse.Namespace) -> None:
-    params = _lattice(ns, f=1.0 / ns.inv_f_start)
+    _positive(ns.inv_f_stop, "--inv-f-stop")
+    params = _lattice(ns, f=1.0 / _positive(ns.inv_f_start, "--inv-f-start"))
     duration = ns.periods * math.pi * ns.inv_f_start
     result = dynamics.bloch_transfer_experiment(
         params, inv_f_start=ns.inv_f_start, inv_f_stop=ns.inv_f_stop,
@@ -257,21 +268,6 @@ def _cmd_tb_fit(ns: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated invocation: subcommand plus its option namespace."""
-
-    subcommand: str
-    namespace: argparse.Namespace
-
-    @classmethod
-    def from_argv(cls, argv: list[str]) -> "RunConfig":
-        argv = _merge_config_file(list(argv))
-        parser = build_parser()
-        ns = parser.parse_args(argv)
-        return cls(subcommand=ns.subcommand, namespace=ns)
-
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -436,21 +432,13 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit status."""
-    _DISPATCH[config.subcommand](config.namespace)
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = RunConfig.from_argv(argv)
-        return run(config)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        ns = build_parser().parse_args(_merge_config_file(argv))
+        _DISPATCH[ns.subcommand](ns)
+        return 0
+    except (ConfigError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except (NonConvergedError, OutOfValidityError, DegeneracyError) as exc:

@@ -58,8 +58,8 @@ class RampProtocol:
             raise ValueError("need matching times/fields with at least two samples")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(self.fields <= 0):
-            raise ValueError("the field must stay positive along the ramp")
+        if not np.all(np.isfinite(self.fields) & (self.fields > 0)):
+            raise ValueError("the field must stay positive and finite along the ramp")
 
     @property
     def duration(self) -> float:
@@ -406,6 +406,8 @@ def mean_upper_population(params: LatticeParams, f: float | None = None,
     params = params.with_field(float(f))
     if params.delta == 0.0 and abs(params.j1 - params.j2) < 1e-15:
         raise ValueError("band populations need a gapped band structure")
+    if kappa_grid < 1:
+        raise ValueError("kappa_grid must be at least 1")
     if n_sites is None:
         n_sites = _chain_size_for_population(params, params.f, sigma_cells)
 

@@ -3,22 +3,23 @@
 Route one truncates the tilted chain and takes the eigenvalues of the real
 symmetric tridiagonal matrix inside an energy window (LAPACK bisection via
 scipy).  Route two integrates the 2x2 generating-function ODE over one period
-with a fourth-order Magnus scheme, whose steps are exact SU(2) exponentials
-multiplied as a pairwise product with fields as a batch axis, and quantizes
-the eigenphases of the resulting unitary monodromy matrix.  Both produce
+with a fourth-order Magnus scheme (exact SU(2) steps, pairwise product, fields
+as a batch axis) and quantizes the eigenphase of the unitary monodromy, read
+by one formula that stays accurate where the crossing gaps close.  Both give
 the same ladders; the truncated route carries per-level convergence flags,
 the monodromy route is free of truncation error and is the workhorse for
-field sweeps and avoided-crossing searches.
+field sweeps and avoided-crossing searches, which scipy's bounded Brent
+minimizer refines.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.optimize import minimize_scalar
 
 from .errors import NonConvergedError
 from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams, _tilted_band_mean,
@@ -155,8 +156,11 @@ def _converged_propagators(params: LatticeParams, f_values: np.ndarray, tol: flo
 
     Fields are bucketed by their estimated step count so easy fields do not
     pay for hard ones; each bucket doubles its step count until every entry
-    of every pending field is stable to ``tol``.
+    of every pending field is stable to ``tol``.  A doubling that cuts the
+    largest pending change less than 4x (fourth order gives 16x) raises.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     a_out = np.empty(f_values.size, dtype=complex)
     b_out = np.empty(f_values.size, dtype=complex)
     steps = np.empty(f_values.size, dtype=int)
@@ -165,19 +169,32 @@ def _converged_propagators(params: LatticeParams, f_values: np.ndarray, tol: flo
         pending = np.flatnonzero(est == n_est)
         n = int(n_est) // 2
         prev = _magnus_propagators(params, f_values[pending], n)
-        for _ in range(18):
+        last = np.inf
+        while True:
             n *= 2
             a, b = _magnus_propagators(params, f_values[pending], n)
-            done = np.maximum(np.abs(a - prev[0]), np.abs(b - prev[1])) < tol
+            change = np.maximum(np.abs(a - prev[0]), np.abs(b - prev[1]))
+            done = change < tol
             a_out[pending[done]], b_out[pending[done]] = a[done], b[done]
             steps[pending[done]] = n
             pending = pending[~done]
             if pending.size == 0:
                 break
-            prev = a[~done], b[~done]
-        else:
-            raise NonConvergedError("monodromy integration did not stabilize")
+            worst = float(change[~done].max())
+            if not worst <= 0.25 * last:
+                raise NonConvergedError(f"monodromy entries still change by {worst:.2g} "
+                                        f"at {n} steps (tol = {tol:g}); roundoff-limited")
+            prev, last = (a[~done], b[~done]), worst
     return a_out, b_out, steps
+
+
+def _eigenphase(a, b):
+    """Principal eigenphase in [0, pi] of U = [[a, b], [-b*, a*]] in SU(2).
+
+    The eigenvalues are Re a +- i sqrt(Im a^2 + |b|^2); atan2 keeps full
+    accuracy at phi -> 0 and pi, where an inverse cosine loses half the digits.
+    """
+    return np.arctan2(np.sqrt(a.imag ** 2 + np.abs(b) ** 2), a.real)
 
 
 def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
@@ -192,8 +209,8 @@ def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
     params.require_field()
     a, b, steps = _converged_propagators(params, np.array([params.f]), tol)
     u = np.array([[a[0], b[0]], [-np.conj(b[0]), np.conj(a[0])]])
-    phi = math.acos(min(1.0, max(-1.0, a[0].real)))
-    lam = cmath.exp(1j * phi)
+    phi = float(_eigenphase(a[0], b[0]))
+    lam = complex(math.cos(phi), math.sin(phi))
     return Monodromy(matrix=u, eigenvalues=(lam, lam.conjugate()),
                      integration_steps=int(steps[0]))
 
@@ -203,8 +220,8 @@ def _eigenphase_batch(params: LatticeParams, f_values: np.ndarray, tol: float = 
     f_values = np.asarray(f_values, dtype=float)
     if np.any(f_values <= 0):
         raise ValueError("all fields must be positive")
-    a, _, _ = _converged_propagators(params, f_values, tol)
-    return np.arccos(np.clip(a.real, -1.0, 1.0))
+    a, b, _ = _converged_propagators(params, f_values, tol)
+    return _eigenphase(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +336,11 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
                           method="truncated", converged=converged)
 
 
-def _gap_at(params: LatticeParams, inv_f: float, tol: float = _PHASE_TOL) -> float:
-    """Minimal inter-ladder splitting at field 1/inv_f (energy units)."""
-    p = params.with_field(1.0 / inv_f)
-    phi = monodromy(p, tol=tol).eigenphase
-    return 2.0 * p.f / math.pi * min(phi, math.pi - phi)
+def _gaps(params: LatticeParams, inv_f) -> np.ndarray:
+    """Minimal inter-ladder splittings (energy units) at fields 1/inv_f."""
+    z = np.asarray(inv_f, dtype=float)
+    phi = _eigenphase_batch(params, 1.0 / z)
+    return (2.0 / (math.pi * z)) * np.minimum(phi, math.pi - phi)
 
 
 def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, float],
@@ -331,8 +348,9 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
     """Locate minima of the inter-ladder splitting over a 1/F interval.
 
     Scans ``resolution`` points, keeps interior local minima of the gap and
-    refines each by golden-section search to a relative 1e-6 in 1/F.
-    Splittings below 1e-12 * F are reported as exact crossings (gap 0).
+    refines each between its neighbours by scipy's bounded Brent search to a
+    relative 1e-6 in 1/F.  Splittings below 1e-12 * F are reported as exact
+    crossings (gap 0).
     """
     z_lo, z_hi = float(inv_f_interval[0]), float(inv_f_interval[1])
     if not (0.0 < z_lo < z_hi):
@@ -341,32 +359,22 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
         raise ValueError("resolution must be at least 100 samples")
 
     z = np.linspace(z_lo, z_hi, resolution)
-    phi = _eigenphase_batch(params, 1.0 / z)
-    gaps = (2.0 / (z * math.pi)) * np.minimum(phi, math.pi - phi)
+    gaps = _gaps(params, z)
 
     crossings = []
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     for i in range(1, resolution - 1):
         if not (gaps[i] < gaps[i - 1] and gaps[i] <= gaps[i + 1]):
             continue
-        a, b = z[i - 1], z[i + 1]
-        x1 = b - inv_phi * (b - a)
-        x2 = a + inv_phi * (b - a)
-        f1, f2 = _gap_at(params, x1), _gap_at(params, x2)
-        while (b - a) > 1e-6 * z[i]:
-            if f1 < f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - inv_phi * (b - a)
-                f1 = _gap_at(params, x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + inv_phi * (b - a)
-                f2 = _gap_at(params, x2)
-        z_star = 0.5 * (a + b)
-        gap = _gap_at(params, z_star)
+        res = minimize_scalar(lambda x: float(_gaps(params, [x])[0]),
+                              bounds=(z[i - 1], z[i + 1]), method="bounded",
+                              options={"xatol": 1e-6 * z[i]})
+        if not res.success:
+            raise NonConvergedError(
+                f"crossing refinement near 1/F = {z[i]:g} failed: {res.message}")
+        z_star, gap = float(res.x), float(res.fun)
         if gap < 1e-12 / z_star:
             gap = 0.0
-        crossings.append(AvoidedCrossing(inv_f_star=float(z_star), gap=float(gap)))
+        crossings.append(AvoidedCrossing(inv_f_star=z_star, gap=gap))
     return crossings
 
 

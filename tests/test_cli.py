@@ -176,6 +176,19 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["spectrum", "--method", "floquet", "--f", "0"], "--f"),
+    (["transfer", "--inv-f-start", "0"], "--inv-f-start"),
+    (["transfer", "--inv-f-stop", "0"], "--inv-f-stop"),
+    (["resonances", "--inv-f", "3.0:3.3:3", "--kappa-grid", "0"], "--kappa-grid"),
+])
+def test_flags_that_divide_must_be_positive(tmp_path, capsys, args, flag):
+    code = run_cli(args + ["--j1", "1", "--j2", "0.6", "--delta", "0.2",
+                           "--workers", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_exit_code_requires_one_field_spec(tmp_path, capsys):
     code = run_cli(["spectrum", "--method", "floquet", "--j1", "1", "--j2", "0.6",
                     "--out", str(tmp_path / "x.csv")])

@@ -257,6 +257,11 @@ class TestRampProtocol:
         with pytest.raises(ValueError):
             dyn.RampProtocol(np.array([0.0, 0.0]), np.array([0.1, 0.1]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_field_must_stay_finite(self, bad):
+        with pytest.raises(ValueError):
+            dyn.RampProtocol(np.array([0.0, 1.0]), np.array([0.1, bad]))
+
 
 class TestMeanUpperPopulation:
     def test_baseline_small_between_crossings(self):
@@ -319,6 +324,10 @@ class TestMeanUpperPopulation:
     def test_gapless_rejected(self):
         with pytest.raises(ValueError):
             dyn.mean_upper_population(LatticeParams(0.7, 0.7, 0.0, 0.1))
+
+    def test_empty_kappa_grid_rejected(self):
+        with pytest.raises(ValueError, match="kappa_grid"):
+            dyn.mean_upper_population(LatticeParams(0.76, 0.76, 0.4, 0.25), kappa_grid=0)
 
 
 class TestLorentzianFit:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from starkladder.errors import NonConvergedError
 from starkladder.model import LatticeParams, band_mean_energy, build_chain, fold_interval
 from starkladder import spectra_exact as se
 from starkladder import strong_field as sf
@@ -131,6 +132,38 @@ class TestMonodromy:
         with pytest.raises(ValueError):
             se.monodromy(LatticeParams(1.0, 0.6, 0.0, 0.0))
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6, 1e-3])
+    def test_eigenphase_accurate_near_pi(self, eps):
+        # hopping-free: U = diag(exp(-i pi (1/2 + delta/F)), c.c.), so the
+        # principal eigenphase is pi (1 - eps/2) at delta = (F/2)(1 - eps)
+        params = LatticeParams(0.0, 0.0, 0.5 * (1.0 - eps), 1.0)
+        exact = math.pi * (1.0 - 0.5 * eps)
+        assert abs(se.monodromy(params).eigenphase - exact) < 1e-14
+        assert abs(se._eigenphase_batch(params, [1.0])[0] - exact) < 1e-14
+
+    def test_tolerance_must_be_positive(self):
+        for tol in (0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError):
+                se.monodromy(LatticeParams(1.0, 0.6, 0.0, 0.1), tol=tol)
+
+    def test_step_doubling_fails_fast_below_roundoff(self, monkeypatch):
+        # at 1/F = 20 the entries cannot settle to 1e-13: past the estimate
+        # each doubling adds roundoff instead of removing truncation error
+        kernel = se._magnus_propagators
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            if len(calls) > 6:
+                pytest.fail(f"step doubling kept going: {calls}")
+            return kernel(*args)
+
+        monkeypatch.setattr(se, "_magnus_propagators", counted)
+        with pytest.raises(NonConvergedError) as info:
+            se.monodromy(LatticeParams(1.0, 0.6, 0.0, 1.0 / 20.0), tol=1e-13)
+        message = str(info.value)
+        assert f"{calls[-1]} steps" in message and "tol = 1e-13" in message
+
 
 class TestFloquetLadder:
     def test_trivial_single_ladder(self):
@@ -228,8 +261,9 @@ class TestCrossings:
         p = LatticeParams(1.0, 0.6, 0.0, 0.1)
         found = se.find_avoided_crossings(p, (8.5, 9.5), resolution=120)
         assert len(found) == 1
-        assert found[0].inv_f_star == pytest.approx(9.0, abs=0.3)
-        assert found[0].gap > 0
+        # reference: monodromy entries to 1e-13, confirmed by a truncated chain
+        assert found[0].inv_f_star == pytest.approx(9.095668764648863, rel=1e-6)
+        assert found[0].gap == pytest.approx(0.016336402549214608, rel=1e-8)
 
     def test_single_ladder_has_no_crossings(self):
         p = LatticeParams(0.76, 0.76, 0.0, 0.1)
@@ -238,9 +272,14 @@ class TestCrossings:
     def test_gap_symmetric_under_branch_exchange(self):
         p = LatticeParams(0.76, 0.76, 0.4, 0.1)
         z = 3.1578
-        gap = se._gap_at(p, z)
-        swapped = se._gap_at(LatticeParams(p.j2, p.j1, p.delta, p.f), z)
+        gap = se._gaps(p, [z])[0]
+        swapped = se._gaps(LatticeParams(p.j2, p.j1, p.delta, p.f), [z])[0]
         assert gap == pytest.approx(swapped, rel=1e-9)
+
+    def test_exact_atomic_crossing_has_zero_gap(self):
+        # j1 = j2 = 0, delta = F/2: the two atomic ladders coincide exactly
+        p = LatticeParams(0.0, 0.0, 0.5, 1.0)
+        assert se._gaps(p, [1.0])[0] < 1e-12 * p.f
 
     def test_input_validation(self):
         p = LatticeParams(1.0, 0.6, 0.0, 0.1)

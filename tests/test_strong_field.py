@@ -29,6 +29,13 @@ class TestOscIntegral:
             exact = math.pi * special.struve(0, z)
             assert abs(sf.osc_integral(math.pi, float(z)) - exact) < 1e-12
 
+    def test_node_cache_holds_over_a_sweep(self):
+        # node counts are powers of two, so a sweep reuses a handful of rules
+        sf._gauss_nodes.cache_clear()
+        for z in np.linspace(0.0, 400.0, 801):
+            sf.osc_integral(math.pi, float(z))
+        assert sf._gauss_nodes.cache_info().misses <= 4
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sf.osc_integral(4.0, 1.0)

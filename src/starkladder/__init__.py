@@ -9,17 +9,17 @@ from .dynamics import (BandProjector, ChainState, LorentzianPeak,
                        PopulationTrace, RampProtocol, TransferResult,
                        band_projectors, bloch_transfer_experiment,
                        lorentzian_fit, lower_band_state, mean_quasimomentum,
-                       mean_upper_population, propagate, resonance_scan)
+                       mean_upper_population, propagate)
 from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
                      NonConvergedError, OutOfValidityError, StarkLadderError)
-from .model import (BlochBandSample, ChainHamiltonian, LadderSpectrum,
-                    LatticeParams, band_mean_energy, bloch_dispersion,
-                    build_chain, fold_interval, reduce_zone)
+from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams,
+                    band_mean_energy, bloch_dispersion, build_chain,
+                    fold_interval, reduce_zone)
 from .spectra_exact import (AvoidedCrossing, Monodromy,
                             eigenvalues_symmetric_tridiagonal,
                             find_avoided_crossings, floquet_branch_offsets,
-                            floquet_offset_sweep, monodromy,
-                            ws_spectrum_floquet, ws_spectrum_truncated)
+                            monodromy, ws_spectrum_floquet,
+                            ws_spectrum_truncated)
 from .strong_field import (AveragedCoupling, WuYangPhaseSet, averaged_coupling,
                            osc_integral, pi_coefficients, spectrum_bm,
                            spectrum_expansion, spectrum_wu_yang, wu_yang_propagator)

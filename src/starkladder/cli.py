@@ -68,6 +68,17 @@ def _parse_range(spec: str) -> range:
     return range(lo, hi + 1)
 
 
+def _parse_window(spec: str) -> tuple[float, float]:
+    try:
+        lo_s, hi_s = spec.split(":")
+        lo, hi = float(lo_s), float(hi_s)
+    except ValueError as exc:
+        raise ConfigError(f"--window must look like lo:hi, got {spec!r}") from exc
+    if not lo <= hi:
+        raise ConfigError(f"--window must satisfy lo <= hi, got {spec!r}")
+    return lo, hi
+
+
 def _lattice(ns: argparse.Namespace, f: float = 0.0) -> LatticeParams:
     try:
         return LatticeParams(ns.j1, ns.j2, ns.delta, f)
@@ -180,8 +191,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
     n_range = _parse_range(ns.n_range)
     options = {"order": ns.order, "n_sites": ns.n_sites}
     if ns.window is not None:
-        lo, hi = ns.window.split(":")
-        options["window"] = (float(lo), float(hi))
+        options["window"] = _parse_window(ns.window)
     tasks = [(params, float(z), ns.method, n_range, options) for z in inv_fs]
     chunks = _parallel_map(_spectrum_rows, tasks, _workers(ns))
     _write_csv(ns.out, ["inv_f", "energy", "scaled_energy", "branch", "n", "method"],

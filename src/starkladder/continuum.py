@@ -113,7 +113,6 @@ class TightBindingFit:
     delta: float
     offset: float
     residual: float
-    delta_sign: int
     poor_fit: bool
 
 
@@ -157,6 +156,6 @@ def fit_tight_binding(bands: ContinuumBands) -> TightBindingFit:
     bandwidth = float(upper.max() - lower.min())
     return TightBindingFit(
         j1=float(j1), j2=float(j2), delta=0.0, offset=float(offset),
-        residual=residual, delta_sign=0,
+        residual=residual,
         poor_fit=bool(residual > 0.1 * bandwidth),
     )

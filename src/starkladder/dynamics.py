@@ -73,12 +73,6 @@ class RampProtocol:
         return cls(np.array([0.0, duration]), np.array([f, f]))
 
     @classmethod
-    def linear_f(cls, f_start: float, f_stop: float, duration: float,
-                 samples: int = 2) -> "RampProtocol":
-        t = np.linspace(0.0, duration, samples)
-        return cls(t, np.linspace(f_start, f_stop, samples))
-
-    @classmethod
     def linear_inv_f(cls, inv_f_start: float, inv_f_stop: float, duration: float,
                      samples: int = 257) -> "RampProtocol":
         """Ramp linear in 1/F, tabulated densely so F(t) interpolation is faithful."""
@@ -110,9 +104,7 @@ class BandProjector:
     cell-space FFT, so the dense matrix is only materialized on request.
     """
 
-    band: str
     n_sites: int
-    kappa: np.ndarray
     vectors: np.ndarray  # shape (2, n_cells)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -151,10 +143,7 @@ def band_projectors(params: LatticeParams, n_sites: int):
     n_cells = n_sites // 2
     kappa = -np.pi / 2 + np.pi * np.arange(n_cells) / n_cells
     lower, upper = _bloch_eigenvectors(params, kappa)
-    return (
-        BandProjector(band="lower", n_sites=n_sites, kappa=kappa, vectors=lower),
-        BandProjector(band="upper", n_sites=n_sites, kappa=kappa, vectors=upper),
-    )
+    return BandProjector(n_sites, lower), BandProjector(n_sites, upper)
 
 
 def lower_band_state(params: LatticeParams, n_sites: int, kappa: float,
@@ -363,8 +352,6 @@ class PopulationTrace:
     times: np.ndarray
     p_upper: np.ndarray
     p_upper_mean: float
-    params: LatticeParams
-    field: float
 
 
 def _chain_size_for_population(params: LatticeParams, f: float,
@@ -439,17 +426,7 @@ def mean_upper_population(params: LatticeParams, f: float | None = None,
             trace += np.real(np.sum(ew.conj() * (m_upper @ ew), axis=0))
     mean_total /= kappa_grid
     trace = trace / kappa_grid if times.size else trace
-    return PopulationTrace(times=times, p_upper=trace, p_upper_mean=mean_total,
-                           params=params, field=params.f)
-
-
-def resonance_scan(params: LatticeParams, inv_f_values, **kwargs) -> np.ndarray:
-    """Mean upper-band population over a sweep of 1/F values."""
-    kwargs.setdefault("n_time_samples", 0)
-    return np.array([
-        mean_upper_population(params, 1.0 / z, **kwargs).p_upper_mean
-        for z in np.asarray(inv_f_values, dtype=float)
-    ])
+    return PopulationTrace(times=times, p_upper=trace, p_upper_mean=mean_total)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +492,6 @@ class TransferResult:
     """Full trajectory of the ramped Bloch-oscillation transfer protocol."""
 
     times: np.ndarray
-    times_tj: np.ndarray
     density: np.ndarray
     mean_kappa: np.ndarray
     p_upper: np.ndarray
@@ -547,7 +523,7 @@ def bloch_transfer_experiment(params: LatticeParams | None = None,
 
     The packet starts as a lower-band Gaussian; the transfer fraction is the
     final upper-band population.  Ramps shorter than 50 Bloch periods are
-    flagged non-adiabatic.  Time is also reported in units T_J = 2 pi / j1.
+    flagged non-adiabatic.
     """
     if params is None:
         params = LatticeParams(1.0, 0.6, 0.0, 1.0 / inv_f_start)
@@ -566,9 +542,8 @@ def bloch_transfer_experiment(params: LatticeParams | None = None,
     p_upper = np.array([p_up.population(s.amplitudes) for s in states])
     p_lower = 1.0 - p_upper
     kappa = np.array([mean_quasimomentum(s.amplitudes) for s in states])
-    t_j = 2.0 * math.pi / params.j1
     return TransferResult(
-        times=t_grid, times_tj=t_grid / t_j, density=density, mean_kappa=kappa,
+        times=t_grid, density=density, mean_kappa=kappa,
         p_upper=p_upper, p_lower=p_lower, transfer_fraction=float(p_upper[-1]),
         ramp=ramp, non_adiabatic=bool(non_adiabatic),
     )

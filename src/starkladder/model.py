@@ -16,10 +16,11 @@ by every solver in the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import ellipe, elliprf, elliprj
 
 from .errors import DegeneracyError
 
@@ -67,15 +68,6 @@ class LatticeParams:
 
     def with_field(self, f: float) -> "LatticeParams":
         return LatticeParams(self.j1, self.j2, self.delta, f)
-
-
-@dataclass(frozen=True)
-class BlochBandSample:
-    """Band energies at one quasimomentum of the reduced zone [-pi/2, pi/2)."""
-
-    kappa: float
-    e_minus: float
-    e_plus: float
 
 
 @dataclass(frozen=True)
@@ -203,7 +195,7 @@ def band_mean_energy(params: LatticeParams) -> float:
     """Mean energy C of the upper Bloch band over the reduced zone.
 
     C = (1/pi) * integral of E_+(kappa) over [-pi/2, pi/2); the lower band's
-    mean is exactly -C.  Adaptive quadrature, absolute tolerance 1e-12.
+    mean is exactly -C.  Closed form, see ``_tilted_band_mean``.
     """
     return _tilted_band_mean(params.with_field(0.0))
 
@@ -232,17 +224,17 @@ def _tilted_band_mean(params: LatticeParams) -> float:
     """Mean of the upper instantaneous eigenvalue sqrt((delta+F/2)^2 + |h|^2).
 
     Reduces to band_mean_energy at f = 0; used as the branch anchor of the
-    Floquet ladders and as the adiabatic constant C_+.
+    Floquet ladders and as the adiabatic constant C_+.  With
+    a = (delta + F/2)^2 + j1^2 + j2^2 and b = 2 j1 j2 the eigenvalue is
+    sqrt(a + b cos theta), whose mean over theta is the complete elliptic
+    integral (2/pi) sqrt(a + b) E(2b/(a + b)).
     """
     dz = params.delta + 0.5 * params.f
-    rad = dz * dz + params.j1**2 + params.j2**2
-    cross = 2.0 * params.j1 * params.j2
-
-    def integrand(theta: float) -> float:
-        return np.sqrt(rad + cross * np.cos(theta))
-
-    value, _ = quad(integrand, 0.0, 2.0 * np.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return value / (2.0 * np.pi)
+    apb = dz * dz + (params.j1 + params.j2) ** 2
+    if apb == 0.0:
+        return 0.0
+    m = min(1.0, 4.0 * params.j1 * params.j2 / apb)  # rounding can exceed 1
+    return 2.0 / math.pi * math.sqrt(apb) * float(ellipe(m))
 
 
 def _two_level_eigen(dz, h):
@@ -263,19 +255,40 @@ def _two_level_eigen(dz, h):
     return r, y_minus, y_plus
 
 
-def _zak_wilson_loop(params: LatticeParams, branch: int, grid: int = 4096) -> float:
-    """Zak phase (units of 2pi) of one band of the untilted lattice.
+def _zak_plus(params: LatticeParams) -> float:
+    """Zak phase Z_+ (units of 2pi, folded to (-1/2, 1/2]) of the upper band.
 
-    Discrete Wilson loop of the field-free eigenvector of the
-    generating-function matrix (upper band for branch +1, lower for -1) over
-    theta in [0, 2pi); exactly quantized to 0 or 1/2 (mod 1) when delta = 0.
+    The lower band's is -Z_+ (mod 1); the field is ignored.  For the
+    eigenvector (delta + r, h) of [[delta, conj(h)], [h, -delta]] with
+    h = j1 + j2 e^{i theta} and r = sqrt(delta^2 + |h|^2), the Berry
+    connection j2 (j2 + j1 cos theta) / (2 r (r + delta)) splits into half the
+    winding rate of h and -delta (|h|^2 + j2^2 - j1^2) / (4 r |h|^2), so
+    Z_+ = -(2 pi W - delta I)/(4 pi).  W = 1, sign(delta)/2, 0 for j2 >, =, < j1
+    (the middle value is the common limit of both sides).  With A = j1^2 + j2^2,
+    a = delta^2 + A, b = 2 j1 j2, m = 2b/(a + b) and n = 2b/(A + b), the
+    integral I = int (|h|^2 + j2^2 - j1^2) / (2 r |h|^2) dtheta is
+
+        I = (2/sqrt(a + b)) [R_F(0, 1-m, 1) + (j2^2 - j1^2)/(A + b) Pi(n|m)],
+        Pi(n|m) = R_F(0, 1-m, 1) + (n/3) R_J(0, 1-m, 1, 1-n)
+
+    (Carlson's symmetric forms; the Pi term vanishes at j1 = j2).  At delta = 0
+    Z_+ is exactly 0 or 1/2.  Raises DegeneracyError when the bands touch.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    h = params.j1 + params.j2 * np.exp(1j * theta)
-    r, y_minus, y_plus = _two_level_eigen(params.delta, h)
     scale = params.j1 + params.j2 + abs(params.delta)
-    if np.any(r <= 1e-13 * max(scale, 1e-300)):
+    if math.hypot(params.delta, params.j1 - params.j2) <= 1e-13 * max(scale, 1e-300):
         raise DegeneracyError("Berry loop passes through an exact degeneracy")
-    y = y_plus if branch == 1 else y_minus
-    overlaps = np.sum(y.conj() * np.roll(y, -1, axis=1), axis=0)
-    return -float(np.sum(np.angle(overlaps))) / (2.0 * np.pi)
+    # Z_+ is scale-free; unit scale keeps the squares below from underflowing
+    j1, j2, delta = params.j1 / scale, params.j2 / scale, params.delta / scale
+    pair = j1 + j2  # A + b = (j1 + j2)^2
+    apb = delta * delta + pair * pair
+    one_m = (delta * delta + (j1 - j2) ** 2) / apb
+    bracket = float(elliprf(0.0, one_m, 1.0))
+    if j1 == j2:
+        winding = 0.5 * math.copysign(1.0, delta)
+    else:
+        winding = float(j2 > j1)
+        n = 4.0 * (j1 / pair) * (j2 / pair)
+        pi_nm = bracket + n / 3.0 * float(elliprj(0.0, one_m, 1.0, ((j1 - j2) / pair) ** 2))
+        bracket += (j2 - j1) / pair * pi_nm
+    integral = 2.0 / math.sqrt(apb) * bracket
+    return fold_interval(-(2.0 * math.pi * winding - delta * integral) / (4.0 * math.pi), 1.0)

@@ -23,7 +23,7 @@ from scipy.optimize import minimize_scalar
 
 from .errors import NonConvergedError
 from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams, _tilted_band_mean,
-                    _zak_wilson_loop, build_chain, fold_interval)
+                    _zak_plus, build_chain, fold_interval)
 from .strong_field import averaged_coupling
 
 _PHASE_TOL = 1e-11
@@ -215,12 +215,12 @@ def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
                      integration_steps=int(steps[0]))
 
 
-def _eigenphase_batch(params: LatticeParams, f_values: np.ndarray, tol: float = _PHASE_TOL):
+def _eigenphase_batch(params: LatticeParams, f_values: np.ndarray):
     """Principal monodromy eigenphase in [0, pi] for an array of fields."""
     f_values = np.asarray(f_values, dtype=float)
     if np.any(f_values <= 0):
         raise ValueError("all fields must be positive")
-    a, b, _ = _converged_propagators(params, f_values, tol)
+    a, b, _ = _converged_propagators(params, f_values, _PHASE_TOL)
     return _eigenphase(a, b)
 
 
@@ -240,7 +240,7 @@ def _anchor_offset(params: LatticeParams) -> float:
     if params.f >= gap_scale:
         offset = params.f * (0.5 + averaged_coupling(params).f_bar)
     else:
-        offset = _tilted_band_mean(params) + 2.0 * params.f * _zak_wilson_loop(params, 1)
+        offset = _tilted_band_mean(params) + 2.0 * params.f * _zak_plus(params)
     return fold_interval(offset, 2.0 * params.f)
 
 
@@ -376,16 +376,3 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
             gap = 0.0
         crossings.append(AvoidedCrossing(inv_f_star=z_star, gap=gap))
     return crossings
-
-
-def floquet_offset_sweep(params: LatticeParams, inv_f_values,
-                         tol: float = _PHASE_TOL):
-    """(minus, plus) ladder offsets for a sweep of 1/F values, batched."""
-    inv_f_values = np.asarray(inv_f_values, dtype=float)
-    phi = _eigenphase_batch(params, 1.0 / inv_f_values, tol=tol)
-    minus = np.empty(inv_f_values.size)
-    plus = np.empty(inv_f_values.size)
-    for i, (z, p) in enumerate(zip(inv_f_values, phi)):
-        m, pl = floquet_branch_offsets(params.with_field(1.0 / z), float(p))
-        minus[i], plus[i] = m, pl
-    return minus, plus

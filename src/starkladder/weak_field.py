@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import ellipe, ellipkm1, elliprd, elliprf
 
-from .errors import DegeneracyError, NonConvergedError
+from .errors import DegeneracyError
 from .model import (LadderSpectrum, LatticeParams, _tilted_band_mean, _two_level_eigen,
-                    _zak_wilson_loop, fold_interval)
+                    _zak_plus, fold_interval)
 
 
 @dataclass(frozen=True)
@@ -62,52 +62,39 @@ def instantaneous_eigen(params: LatticeParams, theta: float):
     return -float(r), float(r), y_minus, y_plus
 
 
-def _zak_phase(params: LatticeParams, branch: int, tol: float = 1e-8) -> float:
-    grid = 1024
-    prev = _zak_wilson_loop(params, branch, grid)
-    for _ in range(12):
-        grid *= 2
-        value = _zak_wilson_loop(params, branch, grid)
-        if abs(value - prev) < 0.5 * tol:
-            return fold_interval(value, 1.0)
-        prev = value
-    raise NonConvergedError("Zak phase grid refinement did not stabilize")
-
-
 def adiabatic_constants(params: LatticeParams) -> tuple[AdiabaticLadder, AdiabaticLadder]:
     """Ladder constants (plus, minus): mean energies C_+- and Zak offsets c_+-.
 
-    C_+ comes from quadrature of the shifted instantaneous eigenvalue (its
-    mirror C_- = -C_+ exactly); c_+- from the gauge-invariant Berry product,
-    refined until stable to 1e-8.
+    C_+ is the mean of the shifted instantaneous eigenvalue (its mirror
+    C_- = -C_+ exactly) and c_+ = -c_- the field-free Zak phase, both
+    complete elliptic integrals in closed form.  Raises DegeneracyError when
+    the field-free bands touch (delta = 0, j1 = j2).
     """
     params.require_field()
     c_plus = _tilted_band_mean(params)
-    zak_plus = _zak_phase(params, 1)
-    zak_minus = _zak_phase(params, -1)
+    zak_plus = _zak_plus(params)
     return (
         AdiabaticLadder(c_const=c_plus, zak=zak_plus, branch=1),
-        AdiabaticLadder(c_const=-c_plus, zak=zak_minus, branch=-1),
+        AdiabaticLadder(c_const=-c_plus, zak=fold_interval(-zak_plus, 1.0), branch=-1),
     )
 
 
 def d_coefficient(params: LatticeParams) -> float:
     """Second-order (F^2) coefficient of the SSH adiabatic ladder.
 
-    D = (j1+j2)^2 (j1-j2)^2 / 32 * (1/2pi) *
-        int [(j1+j2)^2 cos^2(t/2) + (j1-j2)^2 sin^2(t/2)]^{-5/2} dt.
+    D = s d / 32 * (1/2pi) int_0^2pi [s cos^2(t/2) + d sin^2(t/2)]^{-5/2} dt
+    with s = (j1+j2)^2 and d = (j1-j2)^2.  With p = d/s the integral is a
+    complete elliptic one,
+    D = d s^{-3/2} / (16 pi) * [2(1 + p) E(1 - p) - p K(1 - p)] / (3 p^2),
+    and K(1 - p) comes from ``ellipkm1(p)`` so p -> 0 keeps its digits.
     """
     s = (params.j1 + params.j2) ** 2
     d = (params.j1 - params.j2) ** 2
     if s * d == 0.0:
         return 0.0
-
-    def integrand(theta: float) -> float:
-        half = 0.5 * theta
-        return (s * math.cos(half) ** 2 + d * math.sin(half) ** 2) ** -2.5
-
-    value, _ = quad(integrand, 0.0, 2.0 * math.pi, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return s * d / 32.0 * value / (2.0 * math.pi)
+    p = d / s
+    bracket = (2.0 * (1.0 + p) * ellipe(1.0 - p) - p * ellipkm1(p)) / (3.0 * p * p)
+    return float(d * s**-1.5 / (16.0 * math.pi) * bracket)
 
 
 def adiabatic_spectrum(params: LatticeParams, n_range=range(-8, 9),
@@ -127,12 +114,38 @@ def adiabatic_spectrum(params: LatticeParams, n_range=range(-8, 9),
         params.f, n_range, f"adiabatic-{order}")
 
 
+def _gap_action(j1: float, j2: float) -> float:
+    """Tunnelling action S of the delta = 0 gap law, in closed form.
+
+    The interband transition amplitude per Bloch period is
+    exp(-Im int (E_+ - E_-) dt) along the path to the complex degeneracy of
+    E^2(theta) = j1^2 + j2^2 + 2 j1 j2 cos theta, which sits at
+    theta = pi + i theta0 with cosh(theta0) = 1/q, q = 2 j1 j2/(j1^2 + j2^2).
+    With theta = 2Ft and E(pi + i t)^2 = (j1^2 + j2^2)(1 - q cosh t) the
+    exponent is S/F with
+
+        S = sqrt(j1^2 + j2^2) int_0^theta0 sqrt(1 - q cosh t) dt.
+
+    Substituting sinh(t/2) = sinh(theta0/2) sin(phi) turns the integral into
+    sqrt(2q) c [R_F(0, 1+n, 1) - R_D(0, 1+n, 1)/3] with c = 1/q - 1 and
+    n = c/2 (Carlson's symmetric forms), so
+
+        S = (j1 - j2)^2 / sqrt(j1 j2) [R_F(0, 1+n, 1) - R_D(0, 1+n, 1)/3],
+        n = (j1 - j2)^2 / (4 j1 j2),
+
+    which avoids the cancellation in 1 - q and is 0 at j1 = j2.
+    """
+    n = (j1 - j2) ** 2 / (4.0 * j1 * j2)
+    carlson = elliprf(0.0, 1.0 + n, 1.0) - elliprd(0.0, 1.0 + n, 1.0) / 3.0
+    return float((j1 - j2) ** 2 / math.sqrt(j1 * j2) * carlson)
+
+
 def gap_estimate(params: LatticeParams) -> GapEstimate:
     """Exponential estimate of the avoided-crossing gap for the delta = 0 lattice.
 
-    Delta E / F = (2/pi) exp(-(1/F) * int_0^theta0 sqrt(1 - q cosh t) dt)
-    with q = 2 j1 j2/(j1^2 + j2^2); the endpoint square-root singularity is
-    removed by the substitution t = theta0 - u^2.
+    Delta E / F = (2/pi) exp(-S/F) with the tunnelling action S of
+    ``_gap_action``; the turning point is cosh(theta0) = 1/q with
+    q = 2 j1 j2/(j1^2 + j2^2).
     """
     if params.delta != 0.0:
         raise ValueError("the gap formula is derived for delta = 0 only")
@@ -141,12 +154,5 @@ def gap_estimate(params: LatticeParams) -> GapEstimate:
     params.require_field()
     q = 2.0 * params.j1 * params.j2 / (params.j1**2 + params.j2**2)
     theta0 = math.acosh(1.0 / q) if q < 1.0 else 0.0
-    if theta0 == 0.0:
-        return GapEstimate(theta0=0.0, ratio=2.0 / math.pi)
-
-    def integrand(u: float) -> float:
-        return 2.0 * u * math.sqrt(max(0.0, 1.0 - q * math.cosh(theta0 - u * u)))
-
-    action, _ = quad(integrand, 0.0, math.sqrt(theta0),
-                     epsabs=1e-12, epsrel=1e-12, limit=200)
+    action = _gap_action(params.j1, params.j2)
     return GapEstimate(theta0=theta0, ratio=2.0 / math.pi * math.exp(-action / params.f))

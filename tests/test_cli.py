@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import starkladder
 from starkladder.cli import build_parser, main
 
 SUBCOMMANDS = ["bands", "spectrum", "crossings", "gap-estimate", "resonances",
@@ -187,6 +191,33 @@ def test_flags_that_divide_must_be_positive(tmp_path, capsys, args, flag):
                            "--workers", "1", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["1", "a:b", "2:-2", "nan:nan"])
+def test_malformed_window_names_the_flag(tmp_path, capsys, window):
+    code = run_cli(["spectrum", "--method", "truncated", "--j1", "1", "--j2", "0.6",
+                    "--f", "0.5", "--window", window, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "--window" in capsys.readouterr().err
+
+
+def test_adiabatic_at_band_touching_is_numerical_error(tmp_path, capsys):
+    code = run_cli(["spectrum", "--method", "adiabatic", "--j1", "0.76", "--j2", "0.76",
+                    "--f", "0.1", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: numerical:")
+
+
+def test_adiabatic_near_band_touching_raises_no_warning(tmp_path):
+    # warnings are errors here, so a quadrature warning would fail the run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(starkladder.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "starkladder.cli", "spectrum",
+         "--method", "adiabatic", "--order", "2", "--j1", "1", "--j2", "0.9999",
+         "--f", "0.1", "--workers", "1", "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 def test_exit_code_requires_one_field_spec(tmp_path, capsys):

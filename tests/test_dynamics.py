@@ -348,7 +348,9 @@ class TestLorentzianFit:
         params = LatticeParams(0.76, 0.76, 0.4, 0.1)
         z_star, gap = 8.78080, 1.73568e-02
         zs = np.linspace(z_star - 0.35, z_star + 0.35, 41)
-        scan = dyn.resonance_scan(params, zs, n_bloch_periods=60.0)
+        scan = np.array([dyn.mean_upper_population(params, 1 / z, n_bloch_periods=60.0,
+                                                   n_time_samples=0).p_upper_mean
+                         for z in zs])
         fit = dyn.lorentzian_fit(zs, scan)
         slope = 2.0 * _tilted_band_mean(params.with_field(1 / z_star)) / z_star
         assert fit.width == pytest.approx(2.0 * gap / slope, rel=0.3)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import starkladder
-from starkladder.model import (LatticeParams, band_mean_energy, bloch_dispersion,
-                               build_chain, fold_interval, reduce_zone)
+from starkladder.model import (LatticeParams, _tilted_band_mean, band_mean_energy,
+                               bloch_dispersion, build_chain, fold_interval, reduce_zone)
 from starkladder.spectra_exact import eigenvalues_symmetric_tridiagonal
 
 # independent high-precision substitution for (0.76, 0.76, 0.4) at kappa = 0
@@ -66,6 +66,18 @@ def test_band_mean_plain_lattice_closed_form(j):
 
 def test_band_mean_flat_bands():
     assert band_mean_energy(LatticeParams(0.0, 0.0, 0.3)) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_tilted_band_mean_at_zero_radius():
+    # j1 = j2 = 0 and delta = -F/2: the eigenvalue vanishes for every theta
+    assert _tilted_band_mean(LatticeParams(0.0, 0.0, -0.25, 0.5)) == 0.0
+
+
+def test_band_mean_where_elliptic_parameter_rounds_above_one():
+    # 4 j1 j2 / (j1 + j2)^2 rounds to 1 + 2^-52 here, where E(m) is nan
+    j2 = 0.3000000006
+    assert band_mean_energy(LatticeParams(0.3, j2, 0.0)) == pytest.approx(
+        2.0 * (0.3 + j2) / math.pi, rel=1e-14)
 
 
 def test_band_mean_against_riemann_oracle():

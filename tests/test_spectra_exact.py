@@ -180,6 +180,16 @@ class TestFloquetLadder:
         assert abs(fold_interval(o_plus - c, 2 * p.f)) < 5e-3
         assert abs(fold_interval(o_minus + c, 2 * p.f)) < 5e-3
 
+    @pytest.mark.parametrize("delta", [0.3, -0.3])
+    def test_flat_band_plus_ladder_on_the_upper_sites(self, delta):
+        # j1 = j2 = 0: the upper band sits on B (delta > 0, x = 2l + 1/2) or on
+        # A (delta < 0, x = 2l - 1/2), so the plus ladder is |delta| +- F/2 + 2Fl
+        p = LatticeParams(0.0, 0.0, delta, 0.25)
+        o_minus, o_plus = se.ws_spectrum_floquet(p, range(-2, 3)).branch_offsets()
+        expected = abs(delta) + math.copysign(0.5 * p.f, delta)
+        assert abs(fold_interval(o_plus - expected, 2 * p.f)) < 1e-12
+        assert abs(fold_interval(o_minus + expected, 2 * p.f)) < 1e-12
+
     def test_ladder_periodicity_exact(self):
         p = LatticeParams(1.0, 0.6, 0.3, 0.2)
         spec = se.ws_spectrum_floquet(p, range(-4, 5))

@@ -8,8 +8,8 @@ from .continuum import (ContinuumBands, ContinuumPotential, TightBindingFit,
 from .dynamics import (BandProjector, ChainState, LorentzianPeak,
                        PopulationTrace, RampProtocol, TransferResult,
                        band_projectors, bloch_transfer_experiment,
-                       lorentzian_fit, lower_band_state, mean_quasimomentum,
-                       mean_upper_population, propagate)
+                       lorentzian_fit, lower_band_state, lower_band_states,
+                       mean_quasimomentum, mean_upper_population, propagate)
 from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
                      NonConvergedError, OutOfValidityError, StarkLadderError)
 from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams,

@@ -319,11 +319,7 @@ def _merge_config_file(argv: list[str]) -> list[str]:
         raise ConfigError("a subcommand is required before flags")
     injected = []
     for key, value in _load_config_file(path).items():
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                injected.append(f"--{key}")
-        else:
-            injected.extend([f"--{key}", value])
+        injected.extend([f"--{key}", value])
     return [cleaned[0]] + injected + cleaned[1:]
 
 

@@ -7,8 +7,9 @@ unitary split-step scheme: exact 2x2 bond exponentials for the alternating
 hoppings, exact diagonal phases for the tilt, Strang-composed and optionally
 raised to fourth order, with the step auto-refined until the final state is
 converged.  Constant-field population statistics bypass time stepping
-entirely through the exact eigenbasis representation; the two engines are
-cross-checked in the test suite.
+entirely through the exact eigenbasis representation in one batched pass per
+field (W = V^T Psi0, M_upper = X^H X, a column-wise edge guard); the two
+engines are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ def _bloch_eigenvectors(params: LatticeParams, kappa):
     return y_minus[::-1].conj(), y_plus[::-1].conj()
 
 
+def _twist(n_cells: int) -> np.ndarray:
+    # kappa_m = -pi/2 + pi m / L  ->  phase twist (-1)^l times a plain DFT
+    return ((-1.0) ** np.arange(n_cells))[:, None, None]
+
+
 @dataclass(frozen=True)
 class BandProjector:
     """Rank-N/2 orthogonal projector onto one Bloch band of the chain.
@@ -107,21 +113,21 @@ class BandProjector:
     n_sites: int
     vectors: np.ndarray  # shape (2, n_cells)
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
+    def coefficients(self, psi: np.ndarray) -> np.ndarray:
+        """Band amplitudes <u_kappa|psi>: a row per kappa, a column per column of psi."""
         psi = np.asarray(psi, dtype=complex)
-        flat = psi.ndim == 1
-        if flat:
-            psi = psi[:, None]
         n_cells = self.n_sites // 2
         cells = psi.reshape(n_cells, 2, -1)
-        # kappa_m = -pi/2 + pi m / L  ->  phase twist (-1)^l times a plain DFT
-        twist = ((-1.0) ** np.arange(n_cells))[:, None, None]
-        tilde = np.fft.fft(cells * twist, axis=0) / math.sqrt(n_cells)
+        tilde = np.fft.fft(cells * _twist(n_cells), axis=0) / math.sqrt(n_cells)
         coeff = np.einsum("sm,msk->mk", self.vectors.conj(), tilde)
-        proj = np.einsum("sm,mk->msk", self.vectors, coeff)
-        out = np.fft.ifft(proj, axis=0) * math.sqrt(n_cells) * twist
-        out = out.reshape(self.n_sites, -1)
-        return out[:, 0] if flat else out
+        return coeff[:, 0] if psi.ndim == 1 else coeff
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        coeff = self.coefficients(psi)
+        n_cells = self.n_sites // 2
+        proj = np.einsum("sm,mk->msk", self.vectors, coeff.reshape(n_cells, -1))
+        out = np.fft.ifft(proj, axis=0) * math.sqrt(n_cells) * _twist(n_cells)
+        return out.reshape(self.n_sites, *coeff.shape[1:])
 
     def matrix(self) -> np.ndarray:
         return self.apply(np.eye(self.n_sites, dtype=complex))
@@ -146,34 +152,36 @@ def band_projectors(params: LatticeParams, n_sites: int):
     return BandProjector(n_sites, lower), BandProjector(n_sites, upper)
 
 
-def lower_band_state(params: LatticeParams, n_sites: int, kappa: float,
-                     sigma_cells: float, center_cell: float = 0.0) -> ChainState:
-    """Gaussian-envelope Bloch state projected onto the lower band, normalized."""
+def lower_band_states(params: LatticeParams, n_sites: int, kappas,
+                      sigma_cells: float, center_cell: float = 0.0) -> np.ndarray:
+    """Gaussian-envelope Bloch states projected onto the lower band, one
+    normalized column per kappa in ``kappas`` (shape n_sites x len(kappas))."""
+    kappas = np.asarray(kappas, dtype=float)
     n_cells = n_sites // 2
-    lower, _ = _bloch_eigenvectors(params, np.array([kappa]))
+    lower, _ = _bloch_eigenvectors(params, kappas)
     cells = np.arange(n_cells) - n_cells // 2
     envelope = np.exp(-((cells - center_cell) ** 2) / (4.0 * sigma_cells**2))
-    bloch = envelope * np.exp(2j * kappa * cells)
-    psi = np.empty(n_sites, dtype=complex)
-    psi[0::2] = bloch * lower[0, 0]
-    psi[1::2] = bloch * lower[1, 0]
+    bloch = envelope[:, None] * np.exp(2j * kappas * cells[:, None])
+    psi = (bloch[:, None, :] * lower).reshape(n_sites, kappas.size)
     p_low, _ = band_projectors(params, n_sites)
     psi = p_low.apply(psi)
-    psi /= np.linalg.norm(psi)
-    return ChainState(psi, 0.0)
+    # one vector norm per column, so a column does not depend on its neighbours
+    return psi / np.array([np.linalg.norm(column) for column in psi.T])
+
+
+def lower_band_state(params: LatticeParams, n_sites: int, kappa: float,
+                     sigma_cells: float, center_cell: float = 0.0) -> ChainState:
+    """Single-kappa case of ``lower_band_states``, as a state at t = 0."""
+    psi = lower_band_states(params, n_sites, [kappa], sigma_cells, center_cell)
+    return ChainState(psi[:, 0], 0.0)
 
 
 # ---------------------------------------------------------------------------
 # split-step propagation
 # ---------------------------------------------------------------------------
 
-def _edge_weight(psi: np.ndarray) -> float:
-    return float(np.sum(np.abs(psi[:_EDGE_ZONE]) ** 2)
-                 + np.sum(np.abs(psi[-_EDGE_ZONE:]) ** 2))
-
-
 def _check_edges(psi: np.ndarray, t: float) -> None:
-    w = _edge_weight(psi)
+    w = float(np.sum(np.abs(psi[:_EDGE_ZONE]) ** 2) + np.sum(np.abs(psi[-_EDGE_ZONE:]) ** 2))
     if w > _EDGE_WEIGHT:
         raise EdgeContaminationError(
             f"edge occupation {w:.2e} at t = {t:.3f}; enlarge the chain"
@@ -354,22 +362,22 @@ class PopulationTrace:
     p_upper_mean: float
 
 
-def _chain_size_for_population(params: LatticeParams, f: float,
-                               sigma_cells: float) -> int:
+def _chain_size_for_population(params: LatticeParams, sigma_cells: float) -> int:
     # envelope tail below 1e-10 in occupation needs ~7 sigma of clearance
     band_edge = math.sqrt(params.delta**2 + (params.j1 + params.j2) ** 2)
-    excursion_sites = 2.0 * band_edge / f
+    excursion_sites = 2.0 * band_edge / params.f
     half_cells = int(math.ceil(0.5 * excursion_sites + 7.0 * sigma_cells + 18))
     return max(256, 4 * half_cells)
 
 
 def _eigen_edge_guard(vectors, weights, positions):
-    """Reject runs whose dominant eigenstates hug the chain edge."""
-    centers = (np.abs(vectors) ** 2 * positions[:, None]).sum(axis=0)
+    """Raise if any one column of ``weights`` puts > _EDGE_WEIGHT on edge states."""
+    centers = positions @ np.abs(vectors) ** 2
     edge = (centers < positions[0] + _EDGE_ZONE) | (centers > positions[-1] - _EDGE_ZONE)
-    if float(np.sum(weights[edge])) > _EDGE_WEIGHT:
+    worst = float(np.max(np.sum(weights[edge], axis=0)))
+    if worst > _EDGE_WEIGHT:
         raise EdgeContaminationError(
-            "initial state overlaps Wannier-Stark states at the chain edge"
+            f"initial state puts {worst:.2e} on Wannier-Stark states at the chain edge"
         )
 
 
@@ -381,52 +389,48 @@ def mean_upper_population(params: LatticeParams, f: float | None = None,
 
     For every kappa on a uniform grid the lower-band Bloch state (broad
     Gaussian envelope) evolves for ``n_bloch_periods`` Bloch periods
-    T_B = pi/F; the time average over the window is evaluated in closed form
-    in the chain eigenbasis, so arbitrarily long windows cost the same.
-    Off resonance the window mean is bounded below by about half the
-    per-period interband tunnelling probability, P_LZ / 2 with
+    T_B = pi/F.  One eigenbasis pass serves all K kappas: with eigenvectors V,
+    W = V^T Psi0 (states as columns), M = X^H X (X = <u_up|V>) and
+    B = M o conj(W) W^T / K, P(t) = Re sum_ij B_ij exp(i (E_i - E_j) t), whose
+    window mean is closed form, so long windows cost the same; each column of
+    |W|^2 is edge-guarded.  Off resonance the mean is bounded below by about
+    half the per-period interband tunnelling probability, P_LZ / 2 with
     P_LZ = exp(-pi delta^2 / (2 J F)) and J = (j1 + j2) / 2.
     """
-    if f is None:
-        params.require_field()
-        f = params.f
-    params = params.with_field(float(f))
+    params = params.with_field(float(params.f if f is None else f))
+    params.require_field()
     if params.delta == 0.0 and abs(params.j1 - params.j2) < 1e-15:
         raise ValueError("band populations need a gapped band structure")
     if kappa_grid < 1:
         raise ValueError("kappa_grid must be at least 1")
     if n_sites is None:
-        n_sites = _chain_size_for_population(params, params.f, sigma_cells)
+        n_sites = _chain_size_for_population(params, sigma_cells)
 
     chain = build_chain(params, n_sites)
     values, vectors = eigh_tridiagonal(chain.diagonal, chain.off_diagonal)
     _, p_upper = band_projectors(params, n_sites)
-    m_upper = vectors.conj().T @ p_upper.apply(vectors)
+    # M = X^H X is real (V is real and time reversal pairs kappa with -kappa
+    # in the projector), so M = Re(X^H X) = Y^T Y with Y = [Re X; Im X]
+    x = p_upper.coefficients(vectors)
+    y = np.concatenate([x.real, x.imag])
+    m_upper = y.T @ y
+
+    kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
+    w = vectors.T @ lower_band_states(params, n_sites, kappas, sigma_cells)
+    _eigen_edge_guard(vectors, np.abs(w) ** 2, chain.positions)
+    b = m_upper * (w.conj() @ w.T) / kappa_grid
 
     t_total = n_bloch_periods * math.pi / params.f
-    times = np.linspace(0.0, t_total, n_time_samples) if n_time_samples else np.zeros(0)
-    deltas = values[:, None] - values[None, :]
-    arg = deltas * t_total
+    arg = (values[:, None] - values[None, :]) * t_total
     kernel = np.ones_like(arg, dtype=complex)
     nz = np.abs(arg) > 1e-12
     kernel[nz] = (np.exp(1j * arg[nz]) - 1.0) / (1j * arg[nz])
+    mean = float(np.real(np.sum(b * kernel)))
 
-    kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
-    mean_total = 0.0
-    trace = np.zeros(times.size)
-    for kappa in kappas:
-        psi0 = lower_band_state(params, n_sites, float(kappa), sigma_cells).amplitudes
-        w = vectors.conj().T @ psi0
-        _eigen_edge_guard(vectors, np.abs(w) ** 2, chain.positions)
-        b = (w.conj()[:, None] * m_upper) * w[None, :]
-        mean_total += float(np.real(np.sum(b * kernel)))
-        if times.size:
-            phases = np.exp(-1j * values[:, None] * times[None, :])
-            ew = phases * w[:, None]
-            trace += np.real(np.sum(ew.conj() * (m_upper @ ew), axis=0))
-    mean_total /= kappa_grid
-    trace = trace / kappa_grid if times.size else trace
-    return PopulationTrace(times=times, p_upper=trace, p_upper_mean=mean_total)
+    times = np.linspace(0.0, t_total, n_time_samples)
+    phases = np.exp(-1j * values[:, None] * times[None, :])
+    trace = np.real(np.sum(phases.conj() * (b @ phases), axis=0))
+    return PopulationTrace(times=times, p_upper=trace, p_upper_mean=mean)
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +507,9 @@ class TransferResult:
 
 def mean_quasimomentum(psi: np.ndarray) -> float:
     """Circular mean of the quasimomentum distribution (period pi zone)."""
-    cells = psi.reshape(-1, 2)
-    tilde = np.fft.fft(cells * ((-1.0) ** np.arange(cells.shape[0]))[:, None], axis=0)
-    weight = np.sum(np.abs(tilde) ** 2, axis=1)
-    n_cells = cells.shape[0]
+    n_cells = psi.size // 2
+    tilde = np.fft.fft(psi.reshape(n_cells, 2, 1) * _twist(n_cells), axis=0)
+    weight = np.sum(np.abs(tilde) ** 2, axis=(1, 2))
     kappa = -np.pi / 2 + np.pi * np.arange(n_cells) / n_cells
     phase = np.sum(weight * np.exp(2j * kappa))
     return 0.5 * float(np.angle(phase))

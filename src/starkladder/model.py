@@ -275,7 +275,7 @@ def _zak_plus(params: LatticeParams) -> float:
     Z_+ is exactly 0 or 1/2.  Raises DegeneracyError when the bands touch.
     """
     scale = params.j1 + params.j2 + abs(params.delta)
-    if math.hypot(params.delta, params.j1 - params.j2) <= 1e-13 * max(scale, 1e-300):
+    if math.hypot(params.delta, params.j1 - params.j2) <= 1e-13 * scale:
         raise DegeneracyError("Berry loop passes through an exact degeneracy")
     # Z_+ is scale-free; unit scale keeps the squares below from underflowing
     j1, j2, delta = params.j1 / scale, params.j2 / scale, params.delta / scale

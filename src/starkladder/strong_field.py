@@ -55,9 +55,6 @@ class WuYangPhaseSet:
     beta: float
     phi: float
     psi: float
-    epsilon: float
-    omega: float
-    time: float
 
     @classmethod
     def evaluate(cls, epsilon: float, omega: float, t: float,
@@ -68,7 +65,7 @@ class WuYangPhaseSet:
         if epsilon < 0 or omega < 0:
             raise ValueError("epsilon and omega must be non-negative")
         if t <= 0.0 or epsilon == 0.0:
-            return cls(0.0, 0.0, 0.0, 0.0, epsilon, omega, max(t, 0.0))
+            return cls(0.0, 0.0, 0.0, 0.0)
 
         big_a = 2.0 * math.pi * epsilon * float(special.j0(2.0 * omega))
         prev = None
@@ -91,7 +88,7 @@ class WuYangPhaseSet:
                                                dx=dx, initial=0.0)[-1]
             current = (tau, beta, phi, psi)
             if prev is not None and max(abs(a - b) for a, b in zip(current, prev)) < tol:
-                return cls(tau, beta, phi, psi, epsilon, omega, t)
+                return cls(tau, beta, phi, psi)
             prev = current
             n *= 2
         raise NonConvergedError("phase integrals did not stabilize")
@@ -194,7 +191,6 @@ class AveragedCoupling:
     """Mean of the rotating-frame coupling over one period."""
 
     f_bar: float
-    params: LatticeParams
 
 
 def averaged_coupling(params: LatticeParams) -> AveragedCoupling:
@@ -207,7 +203,7 @@ def averaged_coupling(params: LatticeParams) -> AveragedCoupling:
     z = 2.0 * (params.j1 + params.j2) / params.f
     f_bar = (params.delta / params.f) * float(special.j0(z)) \
         + ((params.j1 - params.j2) / params.f) * float(special.j1(z))
-    return AveragedCoupling(f_bar=f_bar, params=params)
+    return AveragedCoupling(f_bar=f_bar)
 
 
 def spectrum_bm(params: LatticeParams, n_range=range(-8, 9)) -> LadderSpectrum:

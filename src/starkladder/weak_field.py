@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ellipe, ellipkm1, elliprd, elliprf
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, OutOfValidityError
 from .model import (LadderSpectrum, LatticeParams, _tilted_band_mean, _two_level_eigen,
                     _zak_plus, fold_interval)
 
@@ -29,7 +29,6 @@ class AdiabaticLadder:
 
     c_const: float
     zak: float
-    branch: int
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,8 @@ def adiabatic_constants(params: LatticeParams) -> tuple[AdiabaticLadder, Adiabat
     c_plus = _tilted_band_mean(params)
     zak_plus = _zak_plus(params)
     return (
-        AdiabaticLadder(c_const=c_plus, zak=zak_plus, branch=1),
-        AdiabaticLadder(c_const=-c_plus, zak=fold_interval(-zak_plus, 1.0), branch=-1),
+        AdiabaticLadder(c_const=c_plus, zak=zak_plus),
+        AdiabaticLadder(c_const=-c_plus, zak=fold_interval(-zak_plus, 1.0)),
     )
 
 
@@ -100,13 +99,17 @@ def d_coefficient(params: LatticeParams) -> float:
 def adiabatic_spectrum(params: LatticeParams, n_range=range(-8, 9),
                        order: int = 1) -> LadderSpectrum:
     """Adiabatic ladders E_{n,+-} = C_+- + 2F(n + c_+-), optionally with the
-    field-squared correction (order 2, derived for delta = 0 only)."""
+    field-squared correction (order 2, derived for delta = 0 only), which
+    raises OutOfValidityError above F/2, a quarter of the ladder spacing."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     if order == 2 and params.delta != 0.0:
         raise ValueError("the F^2 correction is only available for delta = 0")
     plus, minus = adiabatic_constants(params)
     correction = d_coefficient(params) * params.f**2 if order == 2 else 0.0
+    if abs(correction) > 0.5 * params.f:
+        raise OutOfValidityError(f"F^2 correction {correction:.3g} exceeds F/2 = "
+                                 f"{0.5 * params.f:.3g}; weak-field expansion invalid here")
     two_f = 2.0 * params.f
     return LadderSpectrum.from_offsets(
         minus.c_const + two_f * minus.zak - correction,

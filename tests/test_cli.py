@@ -55,6 +55,17 @@ def test_spectrum_sweep_worker_independence(tmp_path):
     assert first[0] == "0.5" and first[3] == "plus" and first[4] == "-1"
 
 
+def test_resonances_sweep_worker_independence(tmp_path):
+    base = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
+            "--inv-f", "3.0:3.3:4", "--periods", "2", "--kappa-grid", "2"]
+    out1 = tmp_path / "w1.csv"
+    out2 = tmp_path / "w2.csv"
+    assert run_cli(base + ["--workers", "1", "--out", str(out1)]) == 0
+    assert run_cli(base + ["--workers", "2", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert len(out1.read_text().splitlines()) == 5
+
+
 def test_spectrum_single_field_truncated(tmp_path):
     out = tmp_path / "t.csv"
     code = run_cli(["spectrum", "--method", "truncated", "--j1", "0.76",
@@ -209,15 +220,25 @@ def test_adiabatic_at_band_touching_is_numerical_error(tmp_path, capsys):
 
 
 def test_adiabatic_near_band_touching_raises_no_warning(tmp_path):
-    # warnings are errors here, so a quadrature warning would fail the run
+    # warnings are errors here, so a quadrature warning would fail the run;
+    # at F = 1e-7 the F^2 correction |D| F^2 = 2.7e-8 is below F/2
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(starkladder.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
         [sys.executable, "-W", "error", "-m", "starkladder.cli", "spectrum",
          "--method", "adiabatic", "--order", "2", "--j1", "1", "--j2", "0.9999",
-         "--f", "0.1", "--workers", "1", "--out", str(tmp_path / "x.csv")],
+         "--f", "1e-7", "--workers", "1", "--out", str(tmp_path / "x.csv")],
         capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+def test_adiabatic_second_order_beyond_validity_is_numerical_error(tmp_path, capsys):
+    # near band touching D ~ 2.7e6, so at F = 0.1 the correction dwarfs the spacing
+    code = run_cli(["spectrum", "--method", "adiabatic", "--order", "2", "--j1", "1",
+                    "--j2", "0.9999", "--f", "0.1", "--workers", "1",
+                    "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: numerical:")
 
 
 def test_exit_code_requires_one_field_spec(tmp_path, capsys):

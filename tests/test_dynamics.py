@@ -59,6 +59,37 @@ def two_level_upper_mean(params, f, n_bloch_periods=20, kappa_grid=16,
     return total / (n_bloch_periods * t_b * kappa_grid)
 
 
+def per_kappa_population(params, f, n_bloch_periods=20.0, kappa_grid=16,
+                         n_sites=None, sigma_cells=12.0, n_time_samples=256):
+    """(window mean, trace) of the upper-band population, one kappa at a time.
+
+    The loop that mean_upper_population's batched pass replaced: per kappa
+    one lower-band state and one N x N pass, with M_upper = V^H (P_up V)
+    from the dense projector application instead of X^H X.
+    """
+    params = params.with_field(f)
+    if n_sites is None:
+        n_sites = dyn._chain_size_for_population(params, sigma_cells)
+    chain = build_chain(params, n_sites)
+    values, vectors = eigh_tridiagonal(chain.diagonal, chain.off_diagonal)
+    _, p_upper = dyn.band_projectors(params, n_sites)
+    m_upper = vectors.conj().T @ p_upper.apply(vectors)
+    t_total = n_bloch_periods * math.pi / f
+    arg = (values[:, None] - values[None, :]) * t_total
+    kernel = np.ones_like(arg, dtype=complex)
+    nz = np.abs(arg) > 1e-12
+    kernel[nz] = (np.exp(1j * arg[nz]) - 1.0) / (1j * arg[nz])
+    phases = np.exp(-1j * values[:, None] * np.linspace(0.0, t_total, n_time_samples))
+    mean, trace = 0.0, np.zeros(n_time_samples)
+    for kappa in -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid:
+        psi0 = dyn.lower_band_state(params, n_sites, float(kappa), sigma_cells).amplitudes
+        w = vectors.conj().T @ psi0
+        mean += float(np.real(np.sum((w.conj()[:, None] * m_upper) * w[None, :] * kernel)))
+        ew = phases * w[:, None]
+        trace += np.real(np.sum(ew.conj() * (m_upper @ ew), axis=0))
+    return mean / kappa_grid, trace / kappa_grid
+
+
 class TestBandProjectors:
     def test_invariants(self):
         pl, pu = dyn.band_projectors(LatticeParams(1.0, 0.6, 0.0), 64)
@@ -92,6 +123,25 @@ class TestBandProjectors:
         _, pu = dyn.band_projectors(params, 256)
         assert state.norm == pytest.approx(1.0, abs=1e-12)
         assert pu.population(state.amplitudes) < 1e-20
+
+    def test_coefficients_are_the_analysis_half_of_apply(self):
+        params = LatticeParams(1.0, 0.6, 0.2)
+        psi = np.random.default_rng(3).normal(size=(64, 3)) + 0j
+        pl, _ = dyn.band_projectors(params, 64)
+        coeff = pl.coefficients(psi)
+        assert coeff.shape == (32, 3)
+        # |<u|psi>|^2 summed over kappa is the band population
+        populations = [pl.population(column) for column in psi.T]
+        assert np.allclose(np.sum(np.abs(coeff) ** 2, axis=0), populations, atol=1e-12)
+        assert np.array_equal(pl.coefficients(psi[:, 1]), coeff[:, 1])
+
+    def test_single_state_is_a_column_of_the_batch(self):
+        params = LatticeParams(0.76, 0.76, 0.4, 0.3)
+        kappas = -np.pi / 2 + np.pi * (np.arange(16) + 0.5) / 16
+        batch = dyn.lower_band_states(params, 428, kappas, 12.0)
+        for k, kappa in enumerate(kappas):
+            single = dyn.lower_band_state(params, 428, float(kappa), 12.0).amplitudes
+            assert np.array_equal(single, batch[:, k])
 
 
 class TestPropagate:
@@ -321,9 +371,41 @@ class TestMeanUpperPopulation:
         direct = np.array([pu.population(s.amplitudes) for s in out])
         assert np.max(np.abs(direct - trace.p_upper)) < 1e-6
 
+    @pytest.mark.parametrize("params,inv_f,options", [
+        (LatticeParams(0.76, 0.76, 0.4), 3.15, {}),
+        (LatticeParams(1.0, 0.6, 0.2), 20.0, {}),
+        # 129 cells: an odd cell count, one kappa
+        (LatticeParams(0.76, 0.76, 0.4), 4.0,
+         {"n_sites": 258, "kappa_grid": 1, "sigma_cells": 8.0}),
+    ])
+    def test_batched_pass_matches_per_kappa_loop(self, params, inv_f, options):
+        trace = dyn.mean_upper_population(params, 1.0 / inv_f, n_time_samples=32,
+                                          **options)
+        mean, p_upper = per_kappa_population(params, 1.0 / inv_f, n_time_samples=32,
+                                             **options)
+        assert abs(trace.p_upper_mean - mean) < 1e-12
+        assert np.max(np.abs(trace.p_upper - p_upper)) < 1e-12
+
+    def test_edge_guard_checks_each_column(self):
+        n = 64
+        positions = np.arange(n) - n / 2 + 0.5
+        vectors = np.eye(n)  # eigenstate i sits on site i
+        weights = np.zeros((n, 2))
+        weights[n // 2] = 1.0
+        weights[0, 1] = 2e-8  # only the second state exceeds the bound
+        with pytest.raises(EdgeContaminationError):
+            dyn._eigen_edge_guard(vectors, weights, positions)
+        # both states below the bound pass, though their sum exceeds it
+        weights[0] = 0.6e-8
+        dyn._eigen_edge_guard(vectors, weights, positions)
+
     def test_gapless_rejected(self):
         with pytest.raises(ValueError):
             dyn.mean_upper_population(LatticeParams(0.7, 0.7, 0.0, 0.1))
+
+    def test_zero_field_rejected(self):
+        with pytest.raises(ValueError, match="positive field"):
+            dyn.mean_upper_population(LatticeParams(1.0, 0.6, 0.2), 0.0)
 
     def test_empty_kappa_grid_rejected(self):
         with pytest.raises(ValueError, match="kappa_grid"):

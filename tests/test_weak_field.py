@@ -229,6 +229,7 @@ class TestZakProperties:
     @given(hopping, hopping)
     @example(1.0, 1.0 + 1e-12)
     @example(1.0 + 1e-12, 1.0)
+    @example(0.0, 5e-324)
     def test_quantized_without_stagger(self, j1, j2):
         p = LatticeParams(j1, j2, 0.0)
         if abs(j1 - j2) <= 1e-13 * (j1 + j2):

@@ -20,9 +20,9 @@ from .spectra_exact import (AvoidedCrossing, Monodromy,
                             find_avoided_crossings, floquet_branch_offsets,
                             monodromy, ws_spectrum_floquet,
                             ws_spectrum_truncated)
-from .strong_field import (AveragedCoupling, WuYangPhaseSet, averaged_coupling,
-                           osc_integral, pi_coefficients, spectrum_bm,
-                           spectrum_expansion, spectrum_wu_yang, wu_yang_propagator)
+from .strong_field import (WuYangPhaseSet, averaged_coupling, osc_integral,
+                           pi_coefficients, spectrum_bm, spectrum_expansion,
+                           spectrum_wu_yang, wu_yang_propagator)
 from .weak_field import (AdiabaticLadder, GapEstimate, adiabatic_constants,
                          adiabatic_spectrum, d_coefficient, gap_estimate,
                          instantaneous_eigen)

@@ -3,8 +3,9 @@ computation (band structures, ladder spectra by any method, avoided
 crossings, gap estimates, resonance scans, transfer trajectories, continuum
 bands and their tight-binding reduction).
 
-Sweeps run on a process pool; results are merged in sweep order, so the
-output is byte-identical for any worker count.  A plain ``key = value``
+Field sweeps of ``spectrum`` and ``resonances`` run on a process pool;
+results are merged in sweep order, so the output is byte-identical for any
+worker count.  A plain ``key = value``
 config file can seed any flag; explicit flags win.
 """
 
@@ -160,14 +161,6 @@ def _resonance_row(task):
     return (inv_f, trace.p_upper_mean)
 
 
-def _continuum_rows(task):
-    pot, k, cutoff, n_bands = task
-    energies, converged = continuum.continuum_bloch_bands(pot, k, cutoff, n_bands)
-    if not converged:
-        raise NonConvergedError(f"continuum bands unconverged at k = {k:g}")
-    return [(k, band, float(e)) for band, e in enumerate(energies)]
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -247,30 +240,28 @@ def _cmd_transfer(ns: argparse.Namespace) -> None:
                zip(result.times, result.mean_kappa, result.p_upper))
 
 
-def _continuum_potential(ns: argparse.Namespace) -> continuum.ContinuumPotential:
-    return continuum.ContinuumPotential(v0=ns.v0, v1=ns.v1, v2=ns.v2,
-                                        phi1=ns.phi1, phi2=ns.phi2)
+def _continuum_bands(ns: argparse.Namespace, n_bands: int) -> continuum.ContinuumBands:
+    pot = continuum.ContinuumPotential(v0=ns.v0, v1=ns.v1, v2=ns.v2,
+                                       phi1=ns.phi1, phi2=ns.phi2)
+    ks = np.linspace(-np.pi, np.pi, ns.k_points, endpoint=False)
+    bands = continuum.band_structure(pot, ks, cutoff=ns.cutoff, n_bands=n_bands)
+    if not bands.converged:
+        raise NonConvergedError("continuum bands unconverged; raise --cutoff")
+    return bands
 
 
 def _cmd_continuum_bands(ns: argparse.Namespace) -> None:
     if not 1 <= ns.n_bands <= ns.cutoff:
         raise ConfigError(f"--n-bands must lie in [1, --cutoff = {ns.cutoff}], "
                           f"got {ns.n_bands}")
-    pot = _continuum_potential(ns)
-    ks = np.linspace(-np.pi, np.pi, ns.k_points, endpoint=False)
-    tasks = [(pot, float(k), ns.cutoff, ns.n_bands) for k in ks]
-    chunks = _parallel_map(_continuum_rows, tasks, _workers(ns))
+    bands = _continuum_bands(ns, ns.n_bands)
     _write_csv(ns.out, ["k", "band_index", "energy"],
-               (row for chunk in chunks for row in chunk))
+               ((k, band, e) for k, row in zip(bands.k_grid, bands.energies)
+                for band, e in enumerate(row)))
 
 
 def _cmd_tb_fit(ns: argparse.Namespace) -> None:
-    pot = _continuum_potential(ns)
-    ks = np.linspace(-np.pi, np.pi, ns.k_points, endpoint=False)
-    bands = continuum.band_structure(pot, ks, cutoff=ns.cutoff, n_bands=2)
-    if not bands.converged:
-        raise NonConvergedError("continuum bands unconverged; raise --cutoff")
-    fit = continuum.fit_tight_binding(bands)
+    fit = continuum.fit_tight_binding(_continuum_bands(ns, 2))
     _write_csv(ns.out, ["j1", "j2", "delta", "offset", "residual"],
                [(fit.j1, fit.j2, fit.delta, fit.offset, fit.residual)])
 

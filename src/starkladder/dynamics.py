@@ -421,11 +421,10 @@ def mean_upper_population(params: LatticeParams, f: float | None = None,
     b = m_upper * (w.conj() @ w.T) / kappa_grid
 
     t_total = n_bloch_periods * math.pi / params.f
+    # window mean of exp(i a) is (exp(i a) - 1) / (i a) = sinc(a/pi) + i (a/2) sinc(a/2pi)^2
     arg = (values[:, None] - values[None, :]) * t_total
-    kernel = np.ones_like(arg, dtype=complex)
-    nz = np.abs(arg) > 1e-12
-    kernel[nz] = (np.exp(1j * arg[nz]) - 1.0) / (1j * arg[nz])
-    mean = float(np.real(np.sum(b * kernel)))
+    mean = float(np.sum(b.real * np.sinc(arg / np.pi))
+                 - np.sum(b.imag * (0.5 * arg) * np.sinc(arg / (2.0 * np.pi)) ** 2))
 
     times = np.linspace(0.0, t_total, n_time_samples)
     phases = np.exp(-1j * values[:, None] * times[None, :])

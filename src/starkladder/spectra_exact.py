@@ -238,7 +238,7 @@ def _anchor_offset(params: LatticeParams) -> float:
     """
     gap_scale = math.sqrt(params.delta**2 + (params.j1 - params.j2) ** 2)
     if params.f >= gap_scale:
-        offset = params.f * (0.5 + averaged_coupling(params).f_bar)
+        offset = params.f * (0.5 + averaged_coupling(params))
     else:
         offset = _tilted_band_mean(params) + 2.0 * params.f * _zak_plus(params)
     return fold_interval(offset, 2.0 * params.f)

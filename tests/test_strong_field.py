@@ -29,12 +29,21 @@ class TestOscIntegral:
             exact = math.pi * special.struve(0, z)
             assert abs(sf.osc_integral(math.pi, float(z)) - exact) < 1e-12
 
+    @pytest.mark.parametrize("z", [0.5, 3.0, 17.3, 60.8, 100.0])
+    def test_jacobi_anger_series_at_interior_times(self, z):
+        # I(t, z) = 2 sum_{k odd} J_k(z) (1 - cos kt) / k; terms past k = z + 80
+        # are below J_k(z) ~ (ez/2k)^k, far under double precision
+        k = np.arange(1, int(z + 80) + 1, 2)
+        for t in np.linspace(0.0, math.pi, 15)[1:-1]:
+            series = 2.0 * np.sum(special.jv(k, z) * (1.0 - np.cos(k * t)) / k)
+            assert abs(sf.osc_integral(float(t), z) - series) < 1e-12
+
     def test_node_cache_holds_over_a_sweep(self):
-        # node counts are powers of two, so a sweep reuses a handful of rules
-        sf._gauss_nodes.cache_clear()
+        # node counts are powers of two, so a sweep reuses a handful of transforms
+        sf._chebyshev_transform.cache_clear()
         for z in np.linspace(0.0, 400.0, 801):
             sf.osc_integral(math.pi, float(z))
-        assert sf._gauss_nodes.cache_info().misses <= 4
+        assert sf._chebyshev_transform.cache_info().misses <= 4
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -157,18 +166,18 @@ class TestSpectra:
 class TestAveragedCoupling:
     def test_plain_lattice_matches_first_order_coefficient(self):
         p = LatticeParams(0.76, 0.76, 0.3, 1.4)
-        f_bar = sf.averaged_coupling(p).f_bar
+        f_bar = sf.averaged_coupling(p)
         pi1, _ = sf.pi_coefficients(p)
         assert f_bar == pytest.approx(p.epsilon2 * pi1 / p.f, abs=1e-15)
 
     def test_vanishes_for_simple_lattice(self):
-        assert sf.averaged_coupling(LatticeParams(0.7, 0.7, 0.0, 1.0)).f_bar == 0.0
+        assert sf.averaged_coupling(LatticeParams(0.7, 0.7, 0.0, 1.0)) == 0.0
 
     def test_dimerized_value_against_bessel(self):
         # labeling fixed against the exact spectrum: intracell-dominant (1, 0.6)
         # carries +(j1 - j2)/F * J1(2(j1+j2)/F)
         p = LatticeParams(1.0, 0.6, 0.0, 1.0)
-        assert sf.averaged_coupling(p).f_bar == pytest.approx(
+        assert sf.averaged_coupling(p) == pytest.approx(
             0.4 * special.j1(3.2), abs=1e-14)
 
     def test_bm_equals_first_order_expansion_for_equal_hoppings(self):

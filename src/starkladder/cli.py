@@ -24,8 +24,6 @@ from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
                      NonConvergedError, OutOfValidityError, StarkLadderError)
 from .model import LatticeParams, bloch_dispersion
 
-_WORKERS_ENV = "STARKLADDER_WORKERS"
-
 
 def _fmt(value) -> str:
     if isinstance(value, str):
@@ -90,16 +88,6 @@ def _lattice(ns: argparse.Namespace, f: float = 0.0) -> LatticeParams:
 def _positive(value: float, flag: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{flag} must be positive and finite, got {value:g}")
-    return value
-
-
-def _workers(ns: argparse.Namespace) -> int:
-    if ns.workers is not None:
-        value = ns.workers
-    else:
-        value = int(os.environ.get(_WORKERS_ENV, os.cpu_count() or 1))
-    if value < 1:
-        raise ConfigError("worker count must be at least 1")
     return value
 
 
@@ -186,7 +174,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
     if ns.window is not None:
         options["window"] = _parse_window(ns.window)
     tasks = [(params, float(z), ns.method, n_range, options) for z in inv_fs]
-    chunks = _parallel_map(_spectrum_rows, tasks, _workers(ns))
+    chunks = _parallel_map(_spectrum_rows, tasks, ns.workers)
     _write_csv(ns.out, ["inv_f", "energy", "scaled_energy", "branch", "n", "method"],
                (row for chunk in chunks for row in chunk))
 
@@ -196,7 +184,7 @@ def _cmd_crossings(ns: argparse.Namespace) -> None:
     sweep = _parse_sweep(ns.inv_f)
     found = spectra_exact.find_avoided_crossings(
         params, (float(sweep[0]), float(sweep[-1])), resolution=sweep.size)
-    rows = [(c.inv_f_star, c.gap, "-".join(c.branch_pair)) for c in found]
+    rows = [(c.inv_f_star, c.gap, "minus-plus") for c in found]
     _write_csv(ns.out, ["inv_f_star", "gap", "branch_pair"], rows)
 
 
@@ -218,7 +206,7 @@ def _cmd_resonances(ns: argparse.Namespace) -> None:
     options = {"periods": ns.periods, "kappa_grid": ns.kappa_grid,
                "sigma_cells": ns.sigma_cells, "n_sites": ns.n_sites}
     tasks = [(params, float(z), options) for z in sweep]
-    rows = _parallel_map(_resonance_row, tasks, _workers(ns))
+    rows = _parallel_map(_resonance_row, tasks, ns.workers)
     _write_csv(ns.out, ["inv_f", "p_upper_mean"], rows)
 
 
@@ -325,8 +313,8 @@ def _add_lattice_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output CSV path")
-    sub.add_argument("--workers", type=int, default=None,
-                     help=f"sweep worker count (default: ${_WORKERS_ENV} or CPU count)")
+    sub.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                     help="sweep processes, at least 1 (default: the CPU count)")
     sub.add_argument("--config", help="key = value config file; flags override it")
 
 
@@ -433,6 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = build_parser().parse_args(_merge_config_file(argv))
+        if ns.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {ns.workers}")
         _DISPATCH[ns.subcommand](ns)
         return 0
     except (ConfigError, ValueError) as exc:

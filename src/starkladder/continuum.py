@@ -36,11 +36,6 @@ class ContinuumPotential:
     phi1: float = 0.0
     phi2: float = 0.0
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.v0 + self.v1 * np.cos(2.0 * np.pi * x + self.phi1)
-                + self.v2 * np.cos(4.0 * np.pi * x + self.phi2))
-
 
 @dataclass
 class ContinuumBands:
@@ -48,7 +43,6 @@ class ContinuumBands:
 
     k_grid: np.ndarray
     energies: np.ndarray  # shape (nk, n_bands)
-    cutoff: int
     converged: bool
 
 
@@ -100,8 +94,7 @@ def band_structure(pot: ContinuumPotential, k_grid, cutoff: int = 41,
     for i, k in enumerate(k_grid):
         energies[i], ok = continuum_bloch_bands(pot, float(k), cutoff, n_bands)
         all_ok = all_ok and ok
-    return ContinuumBands(k_grid=k_grid, energies=energies, cutoff=cutoff,
-                          converged=all_ok)
+    return ContinuumBands(k_grid=k_grid, energies=energies, converged=all_ok)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ Band projectors are assembled from the Bloch eigenvectors on the full
 quasimomentum grid of the chain, applied in O(N log N) through cell-space
 FFTs.  Propagation under a (possibly ramped) field uses an unconditionally
 unitary split-step scheme: exact 2x2 bond exponentials for the alternating
-hoppings, exact diagonal phases for the tilt, Strang-composed and optionally
-raised to fourth order, with the step auto-refined until the final state is
-converged.  Constant-field population statistics bypass time stepping
+hoppings, exact diagonal phases for the tilt, Strang steps composed into
+Suzuki's fourth-order scheme, with the step auto-refined until the final
+state is converged.  Constant-field population statistics bypass time stepping
 entirely through the exact eigenbasis representation in one batched pass per
 field (W = V^T Psi0, M_upper = X^H X, a column-wise edge guard); the two
 engines are cross-checked in the test suite.
@@ -74,11 +74,11 @@ class RampProtocol:
         return cls(np.array([0.0, duration]), np.array([f, f]))
 
     @classmethod
-    def linear_inv_f(cls, inv_f_start: float, inv_f_stop: float, duration: float,
-                     samples: int = 257) -> "RampProtocol":
-        """Ramp linear in 1/F, tabulated densely so F(t) interpolation is faithful."""
-        t = np.linspace(0.0, duration, samples)
-        inv = np.linspace(inv_f_start, inv_f_stop, samples)
+    def linear_inv_f(cls, inv_f_start: float, inv_f_stop: float,
+                     duration: float) -> "RampProtocol":
+        """Ramp linear in 1/F, tabulated at 257 samples so F(t) interpolation is faithful."""
+        t = np.linspace(0.0, duration, 257)
+        inv = np.linspace(inv_f_start, inv_f_stop, 257)
         return cls(t, 1.0 / inv)
 
 
@@ -153,14 +153,14 @@ def band_projectors(params: LatticeParams, n_sites: int):
 
 
 def lower_band_states(params: LatticeParams, n_sites: int, kappas,
-                      sigma_cells: float, center_cell: float = 0.0) -> np.ndarray:
-    """Gaussian-envelope Bloch states projected onto the lower band, one
-    normalized column per kappa in ``kappas`` (shape n_sites x len(kappas))."""
+                      sigma_cells: float) -> np.ndarray:
+    """Gaussian-envelope Bloch states about the middle cell, projected onto the
+    lower band: one normalized column per kappa in ``kappas``."""
     kappas = np.asarray(kappas, dtype=float)
     n_cells = n_sites // 2
     lower, _ = _bloch_eigenvectors(params, kappas)
     cells = np.arange(n_cells) - n_cells // 2
-    envelope = np.exp(-((cells - center_cell) ** 2) / (4.0 * sigma_cells**2))
+    envelope = np.exp(-(cells**2) / (4.0 * sigma_cells**2))
     bloch = envelope[:, None] * np.exp(2j * kappas * cells[:, None])
     psi = (bloch[:, None, :] * lower).reshape(n_sites, kappas.size)
     p_low, _ = band_projectors(params, n_sites)
@@ -170,9 +170,9 @@ def lower_band_states(params: LatticeParams, n_sites: int, kappas,
 
 
 def lower_band_state(params: LatticeParams, n_sites: int, kappa: float,
-                     sigma_cells: float, center_cell: float = 0.0) -> ChainState:
+                     sigma_cells: float) -> ChainState:
     """Single-kappa case of ``lower_band_states``, as a state at t = 0."""
-    psi = lower_band_states(params, n_sites, [kappa], sigma_cells, center_cell)
+    psi = lower_band_states(params, n_sites, [kappa], sigma_cells)
     return ChainState(psi[:, 0], 0.0)
 
 
@@ -224,18 +224,17 @@ def _chunk_kernel(psi, phases, ratios, c_intra, s_intra, c_inter, s_inter,
 
 
 _SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-_STAGE_WEIGHTS = {
-    2: np.array([1.0]),
-    4: np.array([_SUZUKI_P, _SUZUKI_P, 1.0 - 4.0 * _SUZUKI_P, _SUZUKI_P, _SUZUKI_P]),
-}
+# Strang stage lengths, in units of dt, of Suzuki's fourth-order composition
+_SUZUKI_WEIGHTS = np.array([_SUZUKI_P, _SUZUKI_P, 1.0 - 4.0 * _SUZUKI_P,
+                            _SUZUKI_P, _SUZUKI_P])
 
 
 class _SplitStepper:
-    """Chunked split-step engine over a piecewise-linear field schedule."""
+    """Chunked split-step engine over a piecewise-linear field schedule;
+    ``weights`` are the Strang stage lengths in units of dt."""
 
-    def __init__(self, params: LatticeParams, n_sites: int, order: int):
-        if order not in (2, 4):
-            raise ValueError("order must be 2 or 4")
+    def __init__(self, params: LatticeParams, n_sites: int,
+                 weights: np.ndarray = _SUZUKI_WEIGHTS):
         self.positions = build_chain(params.with_field(0.0), n_sites).positions
         stagger = np.empty(n_sites)
         stagger[0::2] = -params.delta
@@ -243,12 +242,12 @@ class _SplitStepper:
         self.stagger = stagger
         self.j_intra = params.j1
         self.j_inter = params.j2
-        self.weights = _STAGE_WEIGHTS[order]
+        self.weights = weights
 
-    def run_chunk(self, psi: np.ndarray, t_start: float, span: float,
-                  f_start: float, slope: float, dt_target: float) -> None:
-        """Advance psi across [t_start, t_start + span] with F = f_start +
-        slope * (t - t_start), using steps no coarser than dt_target."""
+    def run_chunk(self, psi: np.ndarray, span: float, f_start: float,
+                  slope: float, dt_target: float) -> None:
+        """Advance psi by ``span`` under F = f_start + slope * (time since the
+        chunk start), using steps no coarser than dt_target."""
         if span <= 0.0:
             return
         n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
@@ -269,36 +268,26 @@ class _SplitStepper:
                       c_inter, s_inter, n_steps)
 
 
-def _schedule(params: LatticeParams, field) -> RampProtocol:
-    if field is None:
-        params.require_field()
-        return RampProtocol.constant(params.f, math.inf)
-    if isinstance(field, RampProtocol):
-        return field
-    f = float(field)
-    if f <= 0:
-        raise ValueError("field must be positive")
-    return RampProtocol.constant(f, math.inf)
-
-
-def propagate(state: ChainState, params: LatticeParams, field=None,
-              t_grid=None, tol: float = 1e-8, order: int = 4,
-              max_refinements: int = 14) -> list[ChainState]:
+def propagate(state: ChainState, params: LatticeParams,
+              field: RampProtocol | None = None, t_grid=None,
+              tol: float = 1e-8) -> list[ChainState]:
     """Unitary evolution of ``state`` sampled at the times in ``t_grid``.
 
-    ``field`` is a constant (float), a RampProtocol, or None for params.f.
-    The split step is refined (halving dt, Richardson acceptance) until the
-    final amplitudes are converged to ``tol``; the norm is preserved to
-    machine precision by construction.  Wave-packet weight reaching the
-    10-site edge zone raises EdgeContaminationError.
+    ``field`` is a RampProtocol, or None for the constant field params.f.  The
+    fourth-order split step is refined (halving dt at most 14 times, Richardson
+    acceptance) until the final amplitudes are converged to ``tol``; the norm
+    is preserved to machine precision by construction.  Wave-packet weight
+    reaching the 10-site edge zone raises EdgeContaminationError.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1D array of times")
     if t_grid[0] < state.time - 1e-12 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be non-decreasing and start at/after state.time")
-    ramp = _schedule(params, field)
-    stepper = _SplitStepper(params, state.amplitudes.size, order)
+    if field is None:
+        params.require_field()
+        field = RampProtocol.constant(params.f, math.inf)
+    stepper = _SplitStepper(params, state.amplitudes.size)
     _check_edges(state.amplitudes, state.time)
 
     span = float(t_grid[-1] - state.time)
@@ -306,13 +295,12 @@ def propagate(state: ChainState, params: LatticeParams, field=None,
         return [ChainState(state.amplitudes.copy(), float(t)) for t in t_grid]
 
     j_scale = max(params.j1, params.j2, 1e-3)
-    f0 = float(ramp.field_at(state.time))
-    err_const = (0.05 if order == 4 else 0.15) * j_scale**3 \
-        + 0.05 * (f0 + 2 * abs(params.delta)) * j_scale**2
-    dt = (tol / max(span * err_const, 1e-30)) ** (1.0 / order)
+    f0 = float(field.field_at(state.time))
+    err_const = 0.05 * j_scale**3 + 0.05 * (f0 + 2 * abs(params.delta)) * j_scale**2
+    dt = (tol / max(span * err_const, 1e-30)) ** 0.25
     dt = min(dt, span / 8.0, 0.5 / j_scale)
 
-    breakpoints = ramp.times
+    breakpoints = field.times
 
     def run(dt_run: float):
         psi = state.amplitudes.astype(complex).copy()
@@ -325,24 +313,24 @@ def propagate(state: ChainState, params: LatticeParams, field=None,
                 seg_end = float(breakpoints[idx]) if idx < breakpoints.size else math.inf
                 chunk_end = min(seg_end, t_target)
                 chunk = chunk_end - t
-                f_here = float(ramp.field_at(t))
-                slope = ((float(ramp.field_at(chunk_end)) - f_here) / chunk
+                f_here = float(field.field_at(t))
+                slope = ((float(field.field_at(chunk_end)) - f_here) / chunk
                          if math.isfinite(chunk_end) and chunk > 0 else 0.0)
-                stepper.run_chunk(psi, t, chunk, f_here, slope, dt_run)
+                stepper.run_chunk(psi, chunk, f_here, slope, dt_run)
                 t = chunk_end
             t = t_target
             states.append(ChainState(psi.copy(), t))
             _check_edges(psi, t)
         return states
 
-    # Richardson acceptance against a doubled step: the coarse check run costs
-    # half of the candidate, and a rejected candidate becomes the next check.
-    factor = 2.0**order - 1.0
+    # Richardson acceptance against a doubled step (error diff / (2^4 - 1)): the
+    # coarse check run costs half of the candidate, and a rejected candidate
+    # becomes the next check.
     check = run(2.0 * dt)
-    for _ in range(max_refinements):
+    for _ in range(14):
         candidate = run(dt)
         diff = float(np.max(np.abs(candidate[-1].amplitudes - check[-1].amplitudes)))
-        if diff / factor < tol:
+        if diff / 15.0 < tol:
             return candidate
         check = candidate
         dt *= 0.5
@@ -446,24 +434,20 @@ class LorentzianPeak:
     residual: float
 
 
-def lorentzian_fit(inv_f: np.ndarray, p_mean: np.ndarray,
-                   peak_window: tuple[float, float] | None = None) -> LorentzianPeak:
+def lorentzian_fit(inv_f: np.ndarray, p_mean: np.ndarray) -> LorentzianPeak:
     """Fit P(z) = h (w/2)^2 / ((w/2)^2 + (z - z0)^2) to one resonance peak.
 
-    ``peak_window`` restricts the data; it must contain exactly one local
-    maximum.  Returns the center z0, the width parameter w (the gap value in
-    the resonance model), the height h and the RMS residual.
+    The data must contain exactly one local maximum.  Returns the center z0,
+    the width parameter w (the gap value in the resonance model), the height
+    h and the RMS residual.
     """
     z = np.asarray(inv_f, dtype=float)
     p = np.asarray(p_mean, dtype=float)
-    if peak_window is not None:
-        mask = (z >= peak_window[0]) & (z <= peak_window[1])
-        z, p = z[mask], p[mask]
     if z.size < 5:
-        raise ValueError("need at least five samples in the peak window")
+        raise ValueError("need at least five samples around the peak")
     interior = (p[1:-1] > p[:-2]) & (p[1:-1] >= p[2:])
     if int(np.sum(interior)) != 1:
-        raise ValueError("peak window must contain exactly one local maximum")
+        raise ValueError("the data must contain exactly one local maximum")
 
     i0 = int(np.argmax(p))
     h0 = float(p[i0])
@@ -498,8 +482,6 @@ class TransferResult:
     density: np.ndarray
     mean_kappa: np.ndarray
     p_upper: np.ndarray
-    p_lower: np.ndarray
-    transfer_fraction: float
     ramp: RampProtocol
     non_adiabatic: bool
 
@@ -514,38 +496,28 @@ def mean_quasimomentum(psi: np.ndarray) -> float:
     return 0.5 * float(np.angle(phase))
 
 
-def bloch_transfer_experiment(params: LatticeParams | None = None,
-                              inv_f_start: float = 9.4, inv_f_stop: float = 8.7,
-                              duration: float | None = None,
+def bloch_transfer_experiment(params: LatticeParams, inv_f_start: float,
+                              inv_f_stop: float, duration: float,
                               packet_sigma: float = 10.0, n_sites: int = 512,
-                              n_samples: int = 161, tol: float = 1e-8,
-                              order: int = 4) -> TransferResult:
+                              n_samples: int = 161, tol: float = 1e-8) -> TransferResult:
     """Ramp 1/F linearly through (or past) an avoided crossing and record
     site density, mean quasimomentum and band populations versus time.
 
-    The packet starts as a lower-band Gaussian; the transfer fraction is the
-    final upper-band population.  Ramps shorter than 50 Bloch periods are
-    flagged non-adiabatic.
+    The packet starts as a lower-band Gaussian; the final upper-band
+    population is the transfer fraction.  Ramps shorter than 50 Bloch
+    periods are flagged non-adiabatic.
     """
-    if params is None:
-        params = LatticeParams(1.0, 0.6, 0.0, 1.0 / inv_f_start)
     t_bloch = math.pi * inv_f_start
-    if duration is None:
-        duration = 120.0 * t_bloch
     non_adiabatic = duration < 50.0 * t_bloch
     ramp = RampProtocol.linear_inv_f(inv_f_start, inv_f_stop, duration)
 
     state = lower_band_state(params, n_sites, 0.0, packet_sigma)
     t_grid = np.linspace(0.0, duration, n_samples)
-    states = propagate(state, params, ramp, t_grid, tol=tol, order=order)
+    states = propagate(state, params, ramp, t_grid, tol=tol)
 
     _, p_up = band_projectors(params, n_sites)
     density = np.stack([np.abs(s.amplitudes) ** 2 for s in states])
     p_upper = np.array([p_up.population(s.amplitudes) for s in states])
-    p_lower = 1.0 - p_upper
     kappa = np.array([mean_quasimomentum(s.amplitudes) for s in states])
-    return TransferResult(
-        times=t_grid, density=density, mean_kappa=kappa,
-        p_upper=p_upper, p_lower=p_lower, transfer_fraction=float(p_upper[-1]),
-        ramp=ramp, non_adiabatic=bool(non_adiabatic),
-    )
+    return TransferResult(times=t_grid, density=density, mean_kappa=kappa,
+                          p_upper=p_upper, ramp=ramp, non_adiabatic=bool(non_adiabatic))

@@ -6,10 +6,10 @@ scipy).  Route two integrates the 2x2 generating-function ODE over one period
 with a fourth-order Magnus scheme (exact SU(2) steps, pairwise product, fields
 as a batch axis) and quantizes the eigenphase of the unitary monodromy, read
 by one formula that stays accurate where the crossing gaps close.  Both give
-the same ladders; the truncated route carries per-level convergence flags,
-the monodromy route is free of truncation error and is the workhorse for
-field sweeps and avoided-crossing searches, which scipy's bounded Brent
-minimizer refines.
+the same ladders; the truncated route carries per-level convergence flags
+and labels its branches from its own levels; the monodromy route is free of
+truncation error and is the workhorse for field sweeps and avoided-crossing
+searches, which scipy's bounded Brent minimizer refines.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class AvoidedCrossing:
 
     inv_f_star: float
     gap: float
-    branch_pair: tuple[str, str] = ("minus", "plus")
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +284,14 @@ def default_chain_size(params: LatticeParams) -> int:
 
 
 def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
-                          window: tuple[float, float] | None = None,
-                          growth: float = 1.25, tol: float = 1e-10) -> LadderSpectrum:
+                          window: tuple[float, float] | None = None) -> LadderSpectrum:
     """Eigenvalues of the truncated chain inside ``window``, edge-checked.
 
-    Every level is recomputed with the chain enlarged by ``growth``; levels
-    moving more than ``tol`` are flagged unconverged.  Branch labels and
-    ladder indices come from matching against the Floquet fundamental
-    offsets.
+    Every level is recomputed with the chain enlarged by a quarter; levels
+    moving more than 1e-10 are flagged unconverged.  The levels label
+    themselves: the converged level E nearest 0 (any level if none converged)
+    fixes the eigenphase phi = pi |fold(E, 2F)| / F, from which
+    ``floquet_branch_offsets`` gives the two ladders' offsets.
     """
     params.require_field()
     if n_sites is None:
@@ -311,7 +310,7 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
         )
 
     eigs = eigenvalues_symmetric_tridiagonal(chain, window=window)
-    n_big = ((int(math.ceil(growth * n_sites)) + 3) // 4) * 4
+    n_big = ((int(math.ceil(1.25 * n_sites)) + 3) // 4) * 4
     big = build_chain(params, n_big)
     pad = 2.0 * params.f
     eigs_big = eigenvalues_symmetric_tridiagonal(
@@ -323,10 +322,14 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
         dist = np.minimum(np.abs(nearest - eigs), np.abs(below - eigs))
     else:
         dist = np.full(eigs.size, np.inf)
-    converged = dist < tol
+    converged = dist < 1e-10
 
-    mono = monodromy(params)
-    o_minus, o_plus = floquet_branch_offsets(params, mono.eigenphase)
+    o_minus = o_plus = 0.0
+    if eigs.size:  # min(): rounding past pi would flip exactly degenerate labels
+        ref = eigs[converged] if converged.any() else eigs
+        e_ref = ref[np.argmin(np.abs(ref))]
+        phi = min(math.pi, math.pi * abs(fold_interval(e_ref, 2.0 * params.f)) / params.f)
+        o_minus, o_plus = floquet_branch_offsets(params, phi)
     d_plus = _circular_distance(eigs - o_plus, 0.0, 2.0 * params.f)
     d_minus = _circular_distance(eigs - o_minus, 0.0, 2.0 * params.f)
     branches = np.where(d_plus <= d_minus, 1, -1)

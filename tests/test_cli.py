@@ -104,6 +104,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert float(center.split(",")[2]) == pytest.approx(1.6, abs=1e-12)
 
 
+def test_truncated_spectrum_with_an_empty_window_writes_only_the_header(tmp_path):
+    out = tmp_path / "empty.csv"
+    code = run_cli(["spectrum", "--method", "truncated", "--j1", "1", "--j2", "0.6",
+                    "--f", "0.3", "--window=0.05:0.06", "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == "inv_f,energy,scaled_energy,branch,n,method\n"
+
+
 def test_crossings_csv(tmp_path):
     out = tmp_path / "cross.csv"
     code = run_cli(["crossings", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
@@ -264,10 +272,12 @@ def test_exit_code_numerical(tmp_path, capsys):
     assert code in (2, 3)
 
 
-def test_environment_variable_sets_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv("STARKLADDER_WORKERS", "2")
-    out = tmp_path / "env.csv"
-    code = run_cli(["spectrum", "--method", "floquet", "--j1", "1", "--j2", "0.6",
-                    "--inv-f", "0.5:1.5:3", "--n-range=0:0", "--out", str(out)])
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 7
+@pytest.mark.parametrize("args", [
+    ["bands", "--j1", "1", "--j2", "0.6"],
+    ["crossings", "--j1", "1", "--j2", "0.6", "--inv-f", "8.9:9.3:100"],
+])
+def test_workers_below_one_rejected_for_every_subcommand(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--workers", "0", "--out", str(out)]) == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()

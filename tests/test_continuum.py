@@ -68,7 +68,7 @@ class TestTightBindingFit:
         k = np.linspace(-np.pi, np.pi, nk, endpoint=False)
         root = np.sqrt(delta**2 + j1**2 + j2**2 + 2 * j1 * j2 * np.cos(k))
         energies = np.stack([offset - root, offset + root], axis=1)
-        return ct.ContinuumBands(k_grid=k, energies=energies, cutoff=41, converged=True)
+        return ct.ContinuumBands(k_grid=k, energies=energies, converged=True)
 
     def test_roundtrip_on_ssh_bands(self):
         fit = ct.fit_tight_binding(self.synthetic_bands(1.0, 0.6, 0.0))

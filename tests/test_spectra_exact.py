@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starkladder.errors import NonConvergedError
 from starkladder.model import LatticeParams, band_mean_energy, build_chain, fold_interval
@@ -233,9 +234,48 @@ class TestTruncated:
             trunc = se.ws_spectrum_truncated(p, window=(-1.5, 1.5))
             floq = se.ws_spectrum_floquet(
                 p, range(-int(3 + 2 / f) - 2, int(3 + 2 / f) + 3))
-            for energy, conv in zip(trunc.energies, trunc.converged):
+            for energy, branch, n, conv in zip(trunc.energies, trunc.branches,
+                                               trunc.indices, trunc.converged):
                 if conv:
-                    assert np.min(np.abs(floq.energies - energy)) < 1e-8
+                    nearest = np.argmin(np.abs(floq.energies - energy))
+                    assert abs(floq.energies[nearest] - energy) < 1e-8
+                    assert (branch, n) == (floq.branches[nearest], floq.indices[nearest])
+
+    def test_labels_without_the_monodromy_integrator(self, monkeypatch):
+        p = LatticeParams(1.0, 0.6, 0.0, 0.2)
+        floq = se.ws_spectrum_floquet(p, range(-12, 13))
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("the truncated route must not integrate the monodromy")
+
+        monkeypatch.setattr(se, "monodromy", unavailable)
+        monkeypatch.setattr(se, "_converged_propagators", unavailable)
+        trunc = se.ws_spectrum_truncated(p, window=(-2, 2))
+        assert trunc.energies.size > 0 and trunc.converged.all()
+        assert trunc.branch_offsets() == pytest.approx(floq.branch_offsets(), abs=1e-9)
+
+    @pytest.mark.parametrize("f", [0.25, 0.2])
+    def test_flat_band_negative_stagger(self, f):
+        # j1 = j2 = 0, delta < 0: the upper band sits on the A sites, so the
+        # plus ladder is |delta| - F/2 + 2Fn.  At F = 0.2 the two ladders
+        # coincide (eigenphase pi) and every doubled level is labelled plus.
+        p = LatticeParams(0.0, 0.0, -0.3, f)
+        spec = se.ws_spectrum_truncated(p, window=(-1, 1))
+        offset = np.where(spec.branches == 1, 0.3 - 0.5 * f, 0.5 * f - 0.3)
+        assert np.max(np.abs(spec.energies - offset - 2 * f * spec.indices)) < 1e-12
+        if f == 0.2:
+            assert np.all(spec.branches == 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.3, 1.2), st.floats(0.3, 1.2), st.floats(-0.5, 0.5),
+           st.floats(0.1, 2.0))
+    def test_self_labelled_ladders_are_periodic(self, j1, j2, delta, f):
+        p = LatticeParams(j1, j2, delta, f)
+        spec = se.ws_spectrum_truncated(p)
+        for branch in (1, -1):
+            keep = (spec.branches == branch) & spec.converged
+            assert np.all(np.diff(spec.indices[keep]) == 1)
+            assert np.max(np.abs(np.diff(spec.energies[keep]) - 2 * f), initial=0.0) < 1e-9
 
     def test_truncated_ladder_spacing_away_from_edges(self):
         p = LatticeParams(1.0, 0.6, 0.0, 0.2)

@@ -79,10 +79,7 @@ def _parse_window(spec: str) -> tuple[float, float]:
 
 
 def _lattice(ns: argparse.Namespace, f: float = 0.0) -> LatticeParams:
-    try:
-        return LatticeParams(ns.j1, ns.j2, ns.delta, f)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return LatticeParams(ns.j1, ns.j2, ns.delta, f)
 
 
 def _positive(value: float, flag: str) -> float:
@@ -182,6 +179,9 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
 def _cmd_crossings(ns: argparse.Namespace) -> None:
     params = _lattice(ns, f=1.0)
     sweep = _parse_sweep(ns.inv_f)
+    if sweep.size < 100:
+        raise ConfigError(f"--inv-f needs at least 100 samples for a crossing search, "
+                          f"got {sweep.size}")
     found = spectra_exact.find_avoided_crossings(
         params, (float(sweep[0]), float(sweep[-1])), resolution=sweep.size)
     rows = [(c.inv_f_star, c.gap, "minus-plus") for c in found]

@@ -15,7 +15,7 @@ engines are cross-checked in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -38,11 +38,9 @@ class ChainState:
 
     amplitudes: np.ndarray
     time: float = 0.0
-    norm: float = dataclass_field(init=False)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        self.norm = float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -102,6 +100,20 @@ def _twist(n_cells: int) -> np.ndarray:
     return ((-1.0) ** np.arange(n_cells))[:, None, None]
 
 
+def _kappa_grid(n_cells: int) -> np.ndarray:
+    """Reduced-zone quasimomenta kappa_m = -pi/2 + pi m / L of an L-cell chain."""
+    return -np.pi / 2 + np.pi * np.arange(n_cells) / n_cells
+
+
+def _reduced_zone(psi: np.ndarray):
+    """The kappa grid of the chain psi lives on and the unitary cell transform
+    of psi onto it: tilde[m, s, k] is the amplitude of cell site s at kappa_m
+    in column k of psi."""
+    n_cells = psi.shape[0] // 2
+    tilde = np.fft.fft(psi.reshape(n_cells, 2, -1) * _twist(n_cells), axis=0)
+    return _kappa_grid(n_cells), tilde / math.sqrt(n_cells)
+
+
 @dataclass(frozen=True)
 class BandProjector:
     """Rank-N/2 orthogonal projector onto one Bloch band of the chain.
@@ -116,9 +128,7 @@ class BandProjector:
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
         """Band amplitudes <u_kappa|psi>: a row per kappa, a column per column of psi."""
         psi = np.asarray(psi, dtype=complex)
-        n_cells = self.n_sites // 2
-        cells = psi.reshape(n_cells, 2, -1)
-        tilde = np.fft.fft(cells * _twist(n_cells), axis=0) / math.sqrt(n_cells)
+        _, tilde = _reduced_zone(psi)
         coeff = np.einsum("sm,msk->mk", self.vectors.conj(), tilde)
         return coeff[:, 0] if psi.ndim == 1 else coeff
 
@@ -132,8 +142,9 @@ class BandProjector:
     def matrix(self) -> np.ndarray:
         return self.apply(np.eye(self.n_sites, dtype=complex))
 
-    def population(self, psi: np.ndarray) -> float:
-        return float(np.real(np.vdot(psi, self.apply(psi))))
+    def population(self, psi: np.ndarray):
+        """Band weight <psi|P|psi> = sum_kappa |<u_kappa|psi>|^2, per column of psi."""
+        return np.sum(np.abs(self.coefficients(psi)) ** 2, axis=0)
 
 
 def band_projectors(params: LatticeParams, n_sites: int):
@@ -146,9 +157,7 @@ def band_projectors(params: LatticeParams, n_sites: int):
         raise ValueError("n_sites must be even and at least 4")
     if params.delta == 0.0 and abs(params.j1 - params.j2) < 1e-15:
         raise ValueError("bands touch for delta = 0, j1 = j2; projectors undefined")
-    n_cells = n_sites // 2
-    kappa = -np.pi / 2 + np.pi * np.arange(n_cells) / n_cells
-    lower, upper = _bloch_eigenvectors(params, kappa)
+    lower, upper = _bloch_eigenvectors(params, _kappa_grid(n_sites // 2))
     return BandProjector(n_sites, lower), BandProjector(n_sites, upper)
 
 
@@ -235,11 +244,9 @@ class _SplitStepper:
 
     def __init__(self, params: LatticeParams, n_sites: int,
                  weights: np.ndarray = _SUZUKI_WEIGHTS):
-        self.positions = build_chain(params.with_field(0.0), n_sites).positions
-        stagger = np.empty(n_sites)
-        stagger[0::2] = -params.delta
-        stagger[1::2] = params.delta
-        self.stagger = stagger
+        chain = build_chain(params.with_field(0.0), n_sites)
+        self.positions = chain.positions
+        self.stagger = chain.diagonal
         self.j_intra = params.j1
         self.j_inter = params.j2
         self.weights = weights
@@ -269,8 +276,7 @@ class _SplitStepper:
 
 
 def propagate(state: ChainState, params: LatticeParams,
-              field: RampProtocol | None = None, t_grid=None,
-              tol: float = 1e-8) -> list[ChainState]:
+              field: RampProtocol | None, t_grid, tol: float = 1e-8) -> list[ChainState]:
     """Unitary evolution of ``state`` sampled at the times in ``t_grid``.
 
     ``field`` is a RampProtocol, or None for the constant field params.f.  The
@@ -369,7 +375,7 @@ def _eigen_edge_guard(vectors, weights, positions):
         )
 
 
-def mean_upper_population(params: LatticeParams, f: float | None = None,
+def mean_upper_population(params: LatticeParams, f: float,
                           n_bloch_periods: float = 20.0, kappa_grid: int = 16,
                           n_sites: int | None = None, sigma_cells: float = 12.0,
                           n_time_samples: int = 256) -> PopulationTrace:
@@ -385,7 +391,7 @@ def mean_upper_population(params: LatticeParams, f: float | None = None,
     half the per-period interband tunnelling probability, P_LZ / 2 with
     P_LZ = exp(-pi delta^2 / (2 J F)) and J = (j1 + j2) / 2.
     """
-    params = params.with_field(float(params.f if f is None else f))
+    params = params.with_field(float(f))
     params.require_field()
     if params.delta == 0.0 and abs(params.j1 - params.j2) < 1e-15:
         raise ValueError("band populations need a gapped band structure")
@@ -486,14 +492,13 @@ class TransferResult:
     non_adiabatic: bool
 
 
-def mean_quasimomentum(psi: np.ndarray) -> float:
-    """Circular mean of the quasimomentum distribution (period pi zone)."""
-    n_cells = psi.size // 2
-    tilde = np.fft.fft(psi.reshape(n_cells, 2, 1) * _twist(n_cells), axis=0)
-    weight = np.sum(np.abs(tilde) ** 2, axis=(1, 2))
-    kappa = -np.pi / 2 + np.pi * np.arange(n_cells) / n_cells
-    phase = np.sum(weight * np.exp(2j * kappa))
-    return 0.5 * float(np.angle(phase))
+def mean_quasimomentum(psi: np.ndarray):
+    """Circular mean of the quasimomentum distribution (period pi zone), per
+    column of psi."""
+    kappa, tilde = _reduced_zone(psi)
+    weight = np.sum(np.abs(tilde) ** 2, axis=1)
+    mean = 0.5 * np.angle(np.sum(weight * np.exp(2j * kappa)[:, None], axis=0))
+    return mean if psi.ndim > 1 else float(mean[0])
 
 
 def bloch_transfer_experiment(params: LatticeParams, inv_f_start: float,
@@ -516,8 +521,8 @@ def bloch_transfer_experiment(params: LatticeParams, inv_f_start: float,
     states = propagate(state, params, ramp, t_grid, tol=tol)
 
     _, p_up = band_projectors(params, n_sites)
-    density = np.stack([np.abs(s.amplitudes) ** 2 for s in states])
-    p_upper = np.array([p_up.population(s.amplitudes) for s in states])
-    kappa = np.array([mean_quasimomentum(s.amplitudes) for s in states])
-    return TransferResult(times=t_grid, density=density, mean_kappa=kappa,
-                          p_upper=p_upper, ramp=ramp, non_adiabatic=bool(non_adiabatic))
+    amplitudes = np.array([s.amplitudes for s in states])  # a row per sample
+    return TransferResult(times=t_grid, density=np.abs(amplitudes) ** 2,
+                          mean_kappa=mean_quasimomentum(amplitudes.T),
+                          p_upper=p_up.population(amplitudes.T), ramp=ramp,
+                          non_adiabatic=bool(non_adiabatic))

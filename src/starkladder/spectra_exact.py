@@ -27,29 +27,20 @@ from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams, _tilted_ban
 from .strong_field import averaged_coupling
 
 _PHASE_TOL = 1e-11
+_LEVEL_TOL = 1e-10  # truncated-chain level agreement
 
 
 # ---------------------------------------------------------------------------
 # symmetric tridiagonal eigenvalues
 # ---------------------------------------------------------------------------
 
-def eigenvalues_symmetric_tridiagonal(matrix, off_diag=None, window=None) -> np.ndarray:
-    """All eigenvalues (ascending) of a real symmetric tridiagonal matrix.
+def eigenvalues_symmetric_tridiagonal(matrix: ChainHamiltonian, window=None) -> np.ndarray:
+    """All eigenvalues (ascending) of a chain Hamiltonian.
 
-    Accepts a ChainHamiltonian or a (diagonal, off_diagonal) pair.  LAPACK
-    bisection through ``scipy.linalg.eigvalsh_tridiagonal``; ``window``
+    LAPACK bisection through ``scipy.linalg.eigvalsh_tridiagonal``; ``window``
     restricts the output to eigenvalues inside the closed interval.
     """
-    if isinstance(matrix, ChainHamiltonian):
-        diag, off = matrix.diagonal, matrix.off_diagonal
-    else:
-        diag = np.asarray(matrix, dtype=float)
-        off = np.zeros(0) if off_diag is None else np.asarray(off_diag, dtype=float)
-    n = diag.size
-    if n < 1:
-        raise ValueError("matrix must have size >= 1")
-    if off.size != max(n - 1, 0):
-        raise ValueError("off-diagonal must have length n - 1")
+    diag, off = matrix.diagonal, matrix.off_diagonal
     if window is None:
         return eigvalsh_tridiagonal(diag, off)
     w_lo, w_hi = float(window[0]), float(window[1])
@@ -69,13 +60,14 @@ class Monodromy:
     """Period propagator of the generating-function ODE at trial energy E = 0."""
 
     matrix: np.ndarray
-    eigenvalues: tuple[complex, complex]
+    eigenphase: float  # principal eigenphase phi in [0, pi]
     integration_steps: int
 
     @property
-    def eigenphase(self) -> float:
-        """Principal eigenphase phi in [0, pi]; the pair is exp(+-i*phi)."""
-        return float(np.angle(self.eigenvalues[0]))
+    def eigenvalues(self) -> tuple[complex, complex]:
+        """The conjugate pair exp(+-i*phi)."""
+        lam = complex(math.cos(self.eigenphase), math.sin(self.eigenphase))
+        return lam, lam.conjugate()
 
 
 @dataclass(frozen=True)
@@ -208,19 +200,8 @@ def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
     params.require_field()
     a, b, steps = _converged_propagators(params, np.array([params.f]), tol)
     u = np.array([[a[0], b[0]], [-np.conj(b[0]), np.conj(a[0])]])
-    phi = float(_eigenphase(a[0], b[0]))
-    lam = complex(math.cos(phi), math.sin(phi))
-    return Monodromy(matrix=u, eigenvalues=(lam, lam.conjugate()),
+    return Monodromy(matrix=u, eigenphase=float(_eigenphase(a[0], b[0])),
                      integration_steps=int(steps[0]))
-
-
-def _eigenphase_batch(params: LatticeParams, f_values: np.ndarray):
-    """Principal monodromy eigenphase in [0, pi] for an array of fields."""
-    f_values = np.asarray(f_values, dtype=float)
-    if np.any(f_values <= 0):
-        raise ValueError("all fields must be positive")
-    a, b, _ = _converged_propagators(params, f_values, _PHASE_TOL)
-    return _eigenphase(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +272,9 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
     moving more than 1e-10 are flagged unconverged.  The levels label
     themselves: the converged level E nearest 0 (any level if none converged)
     fixes the eigenphase phi = pi |fold(E, 2F)| / F, from which
-    ``floquet_branch_offsets`` gives the two ladders' offsets.
+    ``floquet_branch_offsets`` gives the two ladders' offsets.  Ladders closer
+    than 1e-10 coincide: both take the offset of phi = 0 or pi, and each
+    degenerate pair holds one level of each branch with the same index.
     """
     params.require_field()
     if n_sites is None:
@@ -316,25 +299,27 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
     eigs_big = eigenvalues_symmetric_tridiagonal(
         big, window=(window[0] - pad, window[1] + pad)
     )
-    if eigs_big.size:
-        nearest = eigs_big[np.searchsorted(eigs_big, eigs).clip(1, eigs_big.size - 1)]
-        below = eigs_big[(np.searchsorted(eigs_big, eigs) - 1).clip(0, eigs_big.size - 1)]
-        dist = np.minimum(np.abs(nearest - eigs), np.abs(below - eigs))
-    else:
-        dist = np.full(eigs.size, np.inf)
-    converged = dist < 1e-10
+    dist = np.abs(np.subtract.outer(eigs, eigs_big)).min(axis=1, initial=np.inf)
+    converged = dist < _LEVEL_TOL
 
-    o_minus = o_plus = 0.0
-    if eigs.size:  # min(): rounding past pi would flip exactly degenerate labels
+    two_f = 2.0 * params.f
+    phi = 0.0
+    if eigs.size:
         ref = eigs[converged] if converged.any() else eigs
         e_ref = ref[np.argmin(np.abs(ref))]
-        phi = min(math.pi, math.pi * abs(fold_interval(e_ref, 2.0 * params.f)) / params.f)
-        o_minus, o_plus = floquet_branch_offsets(params, phi)
-    d_plus = _circular_distance(eigs - o_plus, 0.0, 2.0 * params.f)
-    d_minus = _circular_distance(eigs - o_minus, 0.0, 2.0 * params.f)
+        phi = math.pi * abs(fold_interval(e_ref, two_f)) / params.f
+    # the offsets +-F phi / pi lie 2F min(phi, pi - phi) / pi apart; rounding
+    # can also put phi one ulp past pi
+    if two_f / math.pi * min(phi, math.pi - phi) < _LEVEL_TOL:
+        phi = math.pi * round(phi / math.pi)
+    o_minus, o_plus = floquet_branch_offsets(params, phi)
+    d_plus = _circular_distance(eigs - o_plus, 0.0, two_f)
+    d_minus = _circular_distance(eigs - o_minus, 0.0, two_f)
     branches = np.where(d_plus <= d_minus, 1, -1)
     offsets = np.where(branches == 1, o_plus, o_minus)
-    indices = np.rint((eigs - offsets) / (2.0 * params.f)).astype(int)
+    indices = np.rint((eigs - offsets) / two_f).astype(int)
+    if o_minus == o_plus:  # ascending: the first level of each degenerate pair is minus
+        branches = np.where(np.diff(indices, prepend=indices[:1] - 1) == 0, 1, -1)
     return LadderSpectrum(eigs, branches, indices, field=params.f,
                           method="truncated", converged=converged)
 
@@ -342,7 +327,7 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
 def _gaps(params: LatticeParams, inv_f) -> np.ndarray:
     """Minimal inter-ladder splittings (energy units) at fields 1/inv_f."""
     z = np.asarray(inv_f, dtype=float)
-    phi = _eigenphase_batch(params, 1.0 / z)
+    phi = _eigenphase(*_converged_propagators(params, 1.0 / z, _PHASE_TOL)[:2])
     return (2.0 / (math.pi * z)) * np.minimum(phi, math.pi - phi)
 
 

@@ -264,12 +264,22 @@ def test_exit_code_edge_contamination(tmp_path, capsys):
 
 
 def test_exit_code_numerical(tmp_path, capsys):
-    # window far beyond the reachable tilt span is a config error (2); an
-    # unconverged truncated level is a numerical error (3)
-    code = run_cli(["spectrum", "--method", "truncated", "--j1", "1", "--j2", "0.6",
-                    "--f", "0.05", "--n-sites", "96", "--window=-0.4:0.4",
+    # a window beyond the tilt span of the chain is a config error (2); an
+    # unconverged truncated level is a numerical error (3): the levels at
+    # -1.687 and 1.287 sit too close to the ends of a 48-site chain
+    truncated = ["spectrum", "--method", "truncated", "--j1", "1", "--j2", "0.6",
+                 "--out", str(tmp_path / "x.csv")]
+    assert run_cli(truncated + ["--f", "0.05", "--n-sites", "96", "--window=-0.4:0.4"]) == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert run_cli(truncated + ["--f", "0.2", "--n-sites", "48", "--window=-1.69:1.29"]) == 3
+    assert capsys.readouterr().err.startswith("error: numerical:")
+
+
+def test_crossing_sweep_below_100_samples_names_the_flag(tmp_path, capsys):
+    code = run_cli(["crossings", "--j1", "1", "--j2", "0.6", "--inv-f", "8.9:9.3:99",
                     "--out", str(tmp_path / "x.csv")])
-    assert code in (2, 3)
+    assert code == 2
+    assert "--inv-f" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [

@@ -121,7 +121,7 @@ class TestBandProjectors:
         params = LatticeParams(1.0, 0.6, 0.0, 0.1)
         state = dyn.lower_band_state(params, 256, 0.4, 8.0)
         _, pu = dyn.band_projectors(params, 256)
-        assert state.norm == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         assert pu.population(state.amplitudes) < 1e-20
 
     def test_coefficients_are_the_analysis_half_of_apply(self):
@@ -130,9 +130,9 @@ class TestBandProjectors:
         pl, _ = dyn.band_projectors(params, 64)
         coeff = pl.coefficients(psi)
         assert coeff.shape == (32, 3)
-        # |<u|psi>|^2 summed over kappa is the band population
-        populations = [pl.population(column) for column in psi.T]
-        assert np.allclose(np.sum(np.abs(coeff) ** 2, axis=0), populations, atol=1e-12)
+        # |<u|psi>|^2 summed over kappa is the band population <psi|P psi>
+        populations = [np.vdot(column, pl.apply(column)).real for column in psi.T]
+        assert np.allclose(pl.population(psi), populations, atol=1e-12)
         assert np.array_equal(pl.coefficients(psi[:, 1]), coeff[:, 1])
 
     def test_single_state_is_a_column_of_the_batch(self):
@@ -159,7 +159,7 @@ class TestPropagate:
         state = dyn.lower_band_state(params, 256, 0.3, 8.0)
         t_b = math.pi / params.f
         out = dyn.propagate(state, params, None, np.array([0.5 * t_b, t_b]))
-        assert abs(out[-1].norm - 1.0) < 1e-8
+        assert abs(np.linalg.norm(out[-1].amplitudes) - 1.0) < 1e-8
         reference = spectral_propagate(params, state.amplitudes, t_b)
         assert np.max(np.abs(out[-1].amplitudes - reference)) < 1e-8
 
@@ -344,14 +344,14 @@ class TestMeanUpperPopulation:
 
     def test_population_bounds_and_trace(self):
         params = LatticeParams(0.76, 0.76, 0.4, 0.25)
-        trace = dyn.mean_upper_population(params, n_time_samples=64)
+        trace = dyn.mean_upper_population(params, params.f, n_time_samples=64)
         assert 0.0 <= trace.p_upper_mean <= 1.0
         assert np.all(trace.p_upper >= -1e-12) and np.all(trace.p_upper <= 1.0 + 1e-12)
         assert trace.p_upper[0] < 1e-10  # starts band-pure
 
     def test_trace_beats_at_ladder_differences(self):
         params = LatticeParams(1.0, 0.6, 0.0, 0.25)
-        trace = dyn.mean_upper_population(params, n_bloch_periods=40.0,
+        trace = dyn.mean_upper_population(params, params.f, n_bloch_periods=40.0,
                                           kappa_grid=8, n_time_samples=2048)
         signal = trace.p_upper - trace.p_upper.mean()
         freqs = np.fft.rfftfreq(signal.size, d=trace.times[1] - trace.times[0])
@@ -364,7 +364,7 @@ class TestMeanUpperPopulation:
 
     def test_matches_split_step_trace(self):
         params = LatticeParams(0.76, 0.76, 0.4, 0.25)
-        trace = dyn.mean_upper_population(params, kappa_grid=1, sigma_cells=8.0,
+        trace = dyn.mean_upper_population(params, params.f, kappa_grid=1, sigma_cells=8.0,
                                           n_sites=256, n_bloch_periods=2.0,
                                           n_time_samples=9)
         state = dyn.lower_band_state(params, 256, -np.pi / 2 + np.pi * 0.5, 8.0)
@@ -403,7 +403,7 @@ class TestMeanUpperPopulation:
 
     def test_gapless_rejected(self):
         with pytest.raises(ValueError):
-            dyn.mean_upper_population(LatticeParams(0.7, 0.7, 0.0, 0.1))
+            dyn.mean_upper_population(LatticeParams(0.7, 0.7, 0.0), 0.1)
 
     def test_zero_field_rejected(self):
         with pytest.raises(ValueError, match="positive field"):
@@ -411,7 +411,7 @@ class TestMeanUpperPopulation:
 
     def test_empty_kappa_grid_rejected(self):
         with pytest.raises(ValueError, match="kappa_grid"):
-            dyn.mean_upper_population(LatticeParams(0.76, 0.76, 0.4, 0.25), kappa_grid=0)
+            dyn.mean_upper_population(LatticeParams(0.76, 0.76, 0.4), 0.25, kappa_grid=0)
 
 
 class TestLorentzianFit:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starkladder.errors import NonConvergedError
-from starkladder.model import LatticeParams, band_mean_energy, build_chain, fold_interval
+from starkladder.model import (ChainHamiltonian, LatticeParams, band_mean_energy,
+                               build_chain, fold_interval)
 from starkladder import spectra_exact as se
 from starkladder import strong_field as sf
 
@@ -19,33 +20,37 @@ EIGS8 = np.array([
 ])
 
 
+def tridiag(diagonal, off_diagonal):
+    diagonal = np.asarray(diagonal, dtype=float)
+    return ChainHamiltonian(diagonal.size, diagonal, np.asarray(off_diagonal, dtype=float))
+
+
 def seeded_tridiag():
     rng = np.random.default_rng(12345)
-    return rng.normal(size=8), rng.normal(size=7)
+    return tridiag(rng.normal(size=8), rng.normal(size=7))
 
 
 class TestSturm:
     def test_two_by_two(self):
-        eigs = se.eigenvalues_symmetric_tridiagonal(np.zeros(2), np.ones(1))
+        eigs = se.eigenvalues_symmetric_tridiagonal(tridiag(np.zeros(2), np.ones(1)))
         assert np.allclose(eigs, [-1.0, 1.0], atol=1e-13)
 
     def test_diagonal_matrix(self):
         d = np.array([3.0, -1.0, 2.0, 0.5])
-        eigs = se.eigenvalues_symmetric_tridiagonal(d, np.zeros(3))
+        eigs = se.eigenvalues_symmetric_tridiagonal(tridiag(d, np.zeros(3)))
         assert np.allclose(eigs, np.sort(d), atol=1e-14)
 
     def test_single_site(self):
-        assert se.eigenvalues_symmetric_tridiagonal(np.array([2.5])) == pytest.approx(2.5)
+        eigs = se.eigenvalues_symmetric_tridiagonal(tridiag([2.5], []))
+        assert eigs == pytest.approx(2.5)
 
     def test_random_matrix_against_charpoly_roots(self):
-        d, e = seeded_tridiag()
-        eigs = se.eigenvalues_symmetric_tridiagonal(d, e)
+        eigs = se.eigenvalues_symmetric_tridiagonal(seeded_tridiag())
         assert np.max(np.abs(eigs - EIGS8)) < 1e-10
 
     def test_window_restriction(self):
-        d, e = seeded_tridiag()
         window = (-1.0, 1.0)
-        eigs = se.eigenvalues_symmetric_tridiagonal(d, e, window=window)
+        eigs = se.eigenvalues_symmetric_tridiagonal(seeded_tridiag(), window=window)
         expected = EIGS8[(EIGS8 >= window[0]) & (EIGS8 <= window[1])]
         assert eigs.size == expected.size
         assert np.max(np.abs(eigs - expected)) < 1e-10
@@ -125,7 +130,9 @@ class TestMonodromy:
         assert mono.integration_steps > se._BLOCK_MATRICES
         u = mono.matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-13
-        batch = se._eigenphase_batch(params, [params.f])
+        # a batch of three fields splits the steps into other blocks
+        fields = np.array([params.f, 1.0 / 19.0, 1.0 / 21.0])
+        batch = se._eigenphase(*se._converged_propagators(params, fields, se._PHASE_TOL)[:2])
         assert abs(mono.eigenphase - batch[0]) < 1e-14
         assert np.max(np.abs(u - midpoint_monodromy(params))) < 1e-9
 
@@ -140,7 +147,8 @@ class TestMonodromy:
         params = LatticeParams(0.0, 0.0, 0.5 * (1.0 - eps), 1.0)
         exact = math.pi * (1.0 - 0.5 * eps)
         assert abs(se.monodromy(params).eigenphase - exact) < 1e-14
-        assert abs(se._eigenphase_batch(params, [1.0])[0] - exact) < 1e-14
+        # the crossing scan's splitting (2F/pi)(pi - phi) = eps F
+        assert abs(se._gaps(params, [1.0])[0] - eps) < 1e-14
 
     def test_tolerance_must_be_positive(self):
         for tol in (0.0, -1e-9, math.nan):
@@ -257,14 +265,30 @@ class TestTruncated:
     @pytest.mark.parametrize("f", [0.25, 0.2])
     def test_flat_band_negative_stagger(self, f):
         # j1 = j2 = 0, delta < 0: the upper band sits on the A sites, so the
-        # plus ladder is |delta| - F/2 + 2Fn.  At F = 0.2 the two ladders
-        # coincide (eigenphase pi) and every doubled level is labelled plus.
+        # plus ladder is |delta| - F/2 + 2Fn, offsets folded into (-F, F].
+        # At F = 0.2 the two ladders coincide (eigenphase pi): both offsets
+        # fold to +0.2 and each doubled level holds one plus and one minus.
         p = LatticeParams(0.0, 0.0, -0.3, f)
         spec = se.ws_spectrum_truncated(p, window=(-1, 1))
-        offset = np.where(spec.branches == 1, 0.3 - 0.5 * f, 0.5 * f - 0.3)
+        offset = fold_interval(np.where(spec.branches == 1, 0.3 - 0.5 * f, 0.5 * f - 0.3),
+                               2 * f)
         assert np.max(np.abs(spec.energies - offset - 2 * f * spec.indices)) < 1e-12
         if f == 0.2:
-            assert np.all(spec.branches == 1)
+            assert np.allclose(spec.select(1), spec.select(-1), rtol=0.0, atol=1e-12)
+
+    def test_coincident_ladders_pair_up(self):
+        # delta = F/2 without hopping is an exact crossing: both ladders are
+        # F + 2Fn, and each doubled level is one of each with the same n
+        f = 0.6
+        spec = se.ws_spectrum_truncated(LatticeParams(0.0, 0.0, 0.3, f), n_sites=64,
+                                        window=(-2, 2))
+        plus, minus = spec.branches == 1, spec.branches == -1
+        assert plus.sum() == minus.sum() > 1
+        assert np.array_equal(spec.indices[plus], spec.indices[minus])
+        assert np.max(np.abs(spec.energies[plus] - spec.energies[minus])) < 1e-12
+        assert np.all(np.diff(spec.indices[plus]) == 1)
+        offsets = np.array(spec.branch_offsets())
+        assert np.max(np.abs(fold_interval(offsets - f, 2 * f))) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.3, 1.2), st.floats(0.3, 1.2), st.floats(-0.5, 0.5),
@@ -284,12 +308,17 @@ class TestTruncated:
             energies = spec.select(branch)
             assert np.max(np.abs(np.diff(energies) - 2 * p.f)) < 1e-9
 
-    def test_chiral_symmetry_of_fundamental_domain(self):
-        p = LatticeParams(1.0, 0.6, 0.0, 0.3)
-        spec = se.ws_spectrum_truncated(p, window=(-2, 2))
-        folded = np.sort(spec.fundamental())
-        mirrored = np.sort(fold_interval(-spec.energies, 2 * p.f))
-        assert np.max(np.abs(folded - mirrored)) < 1e-9
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.3, 1.2), st.floats(0.3, 1.2), st.floats(0.1, 2.0))
+    def test_chiral_symmetry_of_fundamental_domain(self, j1, j2, f):
+        # at delta = 0 the spectrum is closed under E -> -E
+        p = LatticeParams(j1, j2, 0.0, f)
+        spec = se.ws_spectrum_truncated(p)
+        folded = fold_interval(spec.energies[spec.converged], 2 * f)
+        mirrored = fold_interval(-folded, 2 * f)
+        distance = np.abs(fold_interval(mirrored[:, None] - folded[None, :], 2 * f))
+        assert folded.size > 0
+        assert np.max(distance.min(axis=1)) < 1e-9
 
     def test_strong_field_offsets_match_expansion(self):
         p = LatticeParams(0.76, 0.76, 0.4, 5.0)
@@ -320,11 +349,11 @@ class TestCrossings:
         assert se.find_avoided_crossings(p, (4.0, 8.0), resolution=100) == []
 
     def test_gap_symmetric_under_branch_exchange(self):
-        p = LatticeParams(0.76, 0.76, 0.4, 0.1)
-        z = 3.1578
-        gap = se._gaps(p, [z])[0]
-        swapped = se._gaps(LatticeParams(p.j2, p.j1, p.delta, p.f), [z])[0]
-        assert gap == pytest.approx(swapped, rel=1e-9)
+        # at delta = 0, j1 <-> j2 is a relabelling of the cell: same gaps
+        z = np.linspace(1.0, 20.0, 40)
+        gap = se._gaps(LatticeParams(1.0, 0.6, 0.0, 1.0), z)
+        swapped = se._gaps(LatticeParams(0.6, 1.0, 0.0, 1.0), z)
+        assert np.max(np.abs(gap - swapped) / gap) < 1e-9
 
     def test_exact_atomic_crossing_has_zero_gap(self):
         # j1 = j2 = 0, delta = F/2: the two atomic ladders coincide exactly

@@ -155,16 +155,17 @@ class LadderSpectrum:
         return self.energies[self.branches == branch]
 
     def branch_offsets(self) -> tuple[float, float]:
-        """Fundamental-domain representative (minus, plus) of each ladder."""
+        """Offset (minus, plus) of each ladder: the median of E - 2F n per branch.
+
+        This is the offset the labels use, E = offset + 2F n, with no fold: the
+        exact routes put it in (-F, F] up to an ulp, and the approximate ones
+        where their formula does.  NaN for a branch without levels.
+        """
         offsets = []
         for b in (-1, 1):
-            folded = fold_interval(self.select(b), 2.0 * self.field)
-            if folded.size == 0:
-                offsets.append(np.nan)
-            else:
-                ref = folded[0]
-                folded = ref + fold_interval(folded - ref, 2.0 * self.field)
-                offsets.append(fold_interval(np.median(folded), 2.0 * self.field))
+            keep = self.branches == b
+            residual = self.energies[keep] - 2.0 * self.field * self.indices[keep]
+            offsets.append(np.median(residual) if residual.size else np.nan)
         return float(offsets[0]), float(offsets[1])
 
 

@@ -3,7 +3,7 @@
 Route one truncates the tilted chain and takes the eigenvalues of the real
 symmetric tridiagonal matrix inside an energy window (LAPACK bisection via
 scipy).  Route two integrates the 2x2 generating-function ODE over one period
-with a fourth-order Magnus scheme (exact SU(2) steps, pairwise product, fields
+with a sixth-order Magnus scheme (exact SU(2) steps, pairwise product, fields
 as a batch axis) and quantizes the eigenphase of the unitary monodromy, read
 by one formula that stays accurate where the crossing gaps close.  Both give
 the same ladders; the truncated route carries per-level convergence flags
@@ -84,7 +84,9 @@ class AvoidedCrossing:
 
 # fields x steps of SU(2) step matrices held at once by the Magnus kernel
 _BLOCK_MATRICES = 8192
-_GAUSS_OFFSET = math.sqrt(3.0) / 6.0
+_START_STEPS = 64  # first step count of every doubling sequence
+_ASYMPTOTIC = 1e-3  # changes below this must fall 4x per doubling
+_GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 
 
 def _su2_mul(a1, b1, a2, b2):
@@ -92,14 +94,24 @@ def _su2_mul(a1, b1, a2, b2):
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
+def _cross(x, y):
+    """x cross y for Pauli vectors stored as (x, y, z) component tuples."""
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
 def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
-    """Period propagators for an array of fields, fourth-order Magnus.
+    """Period propagators for an array of fields, sixth-order Magnus.
 
     Writes H(theta) = (1/2F)[[F/2 + delta, g], [g*, -(F/2 + delta)]] with
-    g = j1 + j2 exp(-i theta) as a . sigma.  With a and b the Pauli vectors at
-    the two Gauss points of a step of length h, the step exponent is -i v . sigma
-    with v = (h/2)(a + b) + (sqrt(3)/6) h^2 (b x a) (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470, 151 (2009)), and the step matrix
+    g = j1 + j2 exp(-i theta) as a . sigma, so dU/dtheta = A U with
+    A = -i a . sigma, and a commutator [-i x . sigma, -i y . sigma] is
+    -i (2 x cross y) . sigma.  With A1, A2, A3 at the Gauss points
+    1/2 -+ sqrt(15)/10 and 1/2 of a step of length h, the step exponent is
+    Omega = alpha1 + alpha3/12 + (1/240)[-20 alpha1 - alpha3 + C1, alpha2 + C2]
+    with alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1),
+    alpha3 = (10h/3)(A3 - 2A2 + A1), C1 = [alpha1, alpha2] and
+    C2 = -(1/60)[alpha1, 2 alpha3 + C1] (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470, 151 (2009)).  For Omega = -i v . sigma the step matrix
     cos|v| - i sin|v| v^ . sigma is unitary by construction.  Step matrices
     are multiplied pairwise (later steps on the left) in blocks of about
     ``_BLOCK_MATRICES``; ``n_steps`` is a power of two, so every block is.
@@ -107,20 +119,26 @@ def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
     """
     h = 2.0 * math.pi / n_steps
     scale = 0.5 / f[:, None]
-    z = scale * (0.5 * f[:, None] + params.delta)
+    z = h * scale * (0.5 * f[:, None] + params.delta)
     a_tot = np.ones(f.size, dtype=complex)
     b_tot = np.zeros(f.size, dtype=complex)
-    comm = _GAUSS_OFFSET * h * h
     per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // f.size).bit_length() - 1))
     for start in range(0, n_steps, per_block):
-        theta = h * np.arange(start, start + per_block)
-        g1 = params.j1 + params.j2 * np.exp(-1j * (theta + h * (0.5 - _GAUSS_OFFSET)))
-        g2 = params.j1 + params.j2 * np.exp(-1j * (theta + h * (0.5 + _GAUSS_OFFSET)))
-        ax, ay = scale * g1.real, -scale * g1.imag
-        bx, by = scale * g2.real, -scale * g2.imag
-        vx = 0.5 * h * (ax + bx) + comm * z * (by - ay)
-        vy = 0.5 * h * (ay + by) + comm * z * (ax - bx)
-        vz = h * z + comm * (bx * ay - by * ax)
+        theta = h * (np.arange(start, start + per_block)[:, None] + _GAUSS_NODES)
+        g1, g2, g3 = (params.j1 + params.j2 * np.exp(-1j * theta)).T
+        u1 = h * g2
+        u2 = (math.sqrt(15.0) * h / 3.0) * (g3 - g1)
+        u3 = (10.0 * h / 3.0) * (g3 - 2.0 * g2 + g1)
+        # the sigma_z part of a is constant: alpha2 and alpha3 lie in the xy plane
+        alpha1 = (scale * u1.real, -scale * u1.imag, z)
+        alpha2 = (scale * u2.real, -scale * u2.imag, 0.0)
+        alpha3 = (scale * u3.real, -scale * u3.imag, 0.0)
+        c1 = [2.0 * c for c in _cross(alpha1, alpha2)]
+        c2 = [-c / 30.0 for c in _cross(alpha1, [2.0 * p + q for p, q in zip(alpha3, c1)])]
+        left = [-20.0 * p - q + r for p, q, r in zip(alpha1, alpha3, c1)]
+        right = [p + q for p, q in zip(alpha2, c2)]
+        vx, vy, vz = (p + q / 12.0 + r / 120.0
+                      for p, q, r in zip(alpha1, alpha3, _cross(left, right)))
         norm = np.sqrt(vx * vx + vy * vy + vz * vz)
         sinc = np.sinc(norm / math.pi)
         a = np.cos(norm) - 1j * sinc * vz
@@ -131,51 +149,36 @@ def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
     return a_tot, b_tot
 
 
-def _generator_scale(params: LatticeParams) -> float:
-    return (0.5 * params.f + abs(params.delta) + params.j1 + params.j2) / (2.0 * params.f)
-
-
-def _estimate_steps(params: LatticeParams, tol: float) -> int:
-    omega = max(_generator_scale(params), 1.0)
-    h = (19.0 * tol / omega**5) ** 0.25
-    n = int(2.0 * math.pi / h) + 1
-    return max(256, 1 << (n - 1).bit_length())
-
-
 def _converged_propagators(params: LatticeParams, f_values: np.ndarray, tol: float):
     """Period propagators (a, b) and step counts for an array of fields.
 
-    Fields are bucketed by their estimated step count so easy fields do not
-    pay for hard ones; each bucket doubles its step count until every entry
-    of every pending field is stable to ``tol``.  A doubling that cuts the
-    largest pending change less than 4x (fourth order gives 16x) raises.
+    Every field starts at ``_START_STEPS`` in one batch, and the batch doubles
+    its step count; a field leaves it once each entry changes by less than
+    ``tol``.  Once the largest pending change is below ``_ASYMPTOTIC``, a
+    doubling that cuts it less than 4x (sixth order gives 64x) raises.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     a_out = np.empty(f_values.size, dtype=complex)
     b_out = np.empty(f_values.size, dtype=complex)
     steps = np.empty(f_values.size, dtype=int)
-    est = np.array([_estimate_steps(params.with_field(f), tol) for f in f_values])
-    for n_est in np.unique(est):
-        pending = np.flatnonzero(est == n_est)
-        n = int(n_est) // 2
-        prev = _magnus_propagators(params, f_values[pending], n)
-        last = np.inf
-        while True:
-            n *= 2
-            a, b = _magnus_propagators(params, f_values[pending], n)
-            change = np.maximum(np.abs(a - prev[0]), np.abs(b - prev[1]))
-            done = change < tol
-            a_out[pending[done]], b_out[pending[done]] = a[done], b[done]
-            steps[pending[done]] = n
-            pending = pending[~done]
-            if pending.size == 0:
-                break
-            worst = float(change[~done].max())
-            if not worst <= 0.25 * last:
-                raise NonConvergedError(f"monodromy entries still change by {worst:.2g} "
-                                        f"at {n} steps (tol = {tol:g}); roundoff-limited")
-            prev, last = (a[~done], b[~done]), worst
+    pending = np.arange(f_values.size)
+    n = _START_STEPS
+    prev = _magnus_propagators(params, f_values, n)
+    last = np.inf
+    while pending.size:
+        n *= 2
+        a, b = _magnus_propagators(params, f_values[pending], n)
+        change = np.maximum(np.abs(a - prev[0]), np.abs(b - prev[1]))
+        done = change < tol
+        a_out[pending[done]], b_out[pending[done]] = a[done], b[done]
+        steps[pending[done]] = n
+        pending = pending[~done]
+        worst = float(change[~done].max(initial=0.0))
+        if not (last >= _ASYMPTOTIC or worst <= 0.25 * last):  # NaN raises too
+            raise NonConvergedError(f"monodromy entries still change by {worst:.2g} "
+                                    f"at {n} steps (tol = {tol:g}); roundoff-limited")
+        prev, last = (a[~done], b[~done]), worst
     return a_out, b_out, steps
 
 
@@ -192,7 +195,7 @@ def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
     """Time-ordered period propagator of the tilted-lattice generating ODE.
 
     Integrates dU/dtheta = -i/(2F) G0(theta) U over one period at trial
-    energy E = 0 with the fourth-order Magnus kernel (a batch of one field),
+    energy E = 0 with the sixth-order Magnus kernel (a batch of one field),
     doubling the step count until every entry is stable to ``tol``.  Each
     step is an exact SU(2) exponential, so U is unitary to roundoff without
     any projection.

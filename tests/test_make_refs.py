@@ -6,19 +6,26 @@ parameter or a removed result field would only show at the next
 regeneration.  These checks read the script without running it: every
 ``starkladder`` name it imports resolves, every call it makes to one of those
 names binds to the signature, and every field it reads from a call's result
-exists on the declared return type.
+exists on the declared return type.  The monodromy also converges at the
+script's tolerance at the committed crossings.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from starkladder.model import LatticeParams
+from starkladder.spectra_exact import monodromy
+
 SCRIPT = Path(__file__).resolve().parents[1] / "perfbench" / "make_refs.py"
+REFERENCES = SCRIPT.with_name("references.json")
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +125,27 @@ def test_result_fields_exist(tree, imported):
                 f"line {node.lineno}: {source}(...).{node.attr}"
             checked += 1
     assert checked >= 10
+
+
+def module_constant(tree, name):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id == name):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no module-level {name} in {SCRIPT.name}")
+
+
+@pytest.mark.parametrize("case", ["crossing_a", "crossing_b"])
+def test_monodromy_converges_at_the_reference_tolerance(tree, case):
+    # the generator's golden section evaluates the gap across the scan window
+    ref = json.loads(REFERENCES.read_text())[case]
+    argv = ref["argv"]
+
+    def option(name):
+        return argv[argv.index(f"--{name}") + 1]
+
+    params = LatticeParams(float(option("j1")), float(option("j2")), float(option("delta")))
+    lo, hi, _ = (float(x) for x in option("inv-f").split(":"))
+    tight = module_constant(tree, "TIGHT")
+    for z in [*np.linspace(lo, hi, 9), ref["inv_f_star"]]:
+        monodromy(params.with_field(1.0 / z), tol=tight)

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +68,31 @@ class TestSturm:
 MIDPOINT_STEPS = 655360
 
 
+def mpmath_monodromy(params, digits=18):
+    """Independent reference: mpmath's Taylor-series ODE solver at ``digits``.
+
+    Integrates the four entries of U under dU/dtheta = -i H(theta) U with
+    H = (1/2F)[[F/2 + delta, g], [g*, -(F/2 + delta)]], g = j1 + j2 exp(-i theta),
+    from U(0) = 1 to theta = 2 pi.
+    """
+    with mpmath.workdps(digits):
+        f = mpmath.mpf(params.f)
+        d = (f / 2 + mpmath.mpf(params.delta)) / (2 * f)
+        j1, j2 = mpmath.mpf(params.j1), mpmath.mpf(params.j2)
+
+        def rhs(theta, u):
+            g = (j1 + j2 * mpmath.expj(-theta)) / (2 * f)
+            gc = mpmath.conj(g)
+            u11, u12, u21, u22 = u
+            return [-1j * (d * u11 + g * u21), -1j * (d * u12 + g * u22),
+                    -1j * (gc * u11 - d * u21), -1j * (gc * u12 - d * u22)]
+
+        solution = mpmath.odefun(rhs, 0, [mpmath.mpc(1), mpmath.mpc(0),
+                                          mpmath.mpc(0), mpmath.mpc(1)])
+        u = solution(2 * mpmath.pi)
+        return np.array([[complex(u[0]), complex(u[1])], [complex(u[2]), complex(u[3])]])
+
+
 def midpoint_monodromy(params, n_steps=MIDPOINT_STEPS):
     """Independent integrator: product of exact midpoint exponentials.
 
@@ -124,14 +150,14 @@ class TestMonodromy:
         assert np.max(np.abs(mono.matrix - ref)) < 1e-9
 
     def test_unitary_and_batch_consistent_across_memory_blocks(self):
-        # 1/F = 20 needs 65536 steps, several blocks of the Magnus kernel
-        params = LatticeParams(1.0, 0.6, 0.0, 0.05)
+        # 1/F = 100 needs 16384 steps, several blocks of the Magnus kernel
+        params = LatticeParams(1.0, 0.6, 0.0, 0.01)
         mono = se.monodromy(params)
         assert mono.integration_steps > se._BLOCK_MATRICES
         u = mono.matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-13
         # a batch of three fields splits the steps into other blocks
-        fields = np.array([params.f, 1.0 / 19.0, 1.0 / 21.0])
+        fields = np.array([params.f, 1.0 / 99.0, 1.0 / 101.0])
         batch = se._eigenphase(*se._converged_propagators(params, fields, se._PHASE_TOL)[:2])
         assert abs(mono.eigenphase - batch[0]) < 1e-14
         assert np.max(np.abs(u - midpoint_monodromy(params))) < 1e-9
@@ -156,22 +182,48 @@ class TestMonodromy:
                 se.monodromy(LatticeParams(1.0, 0.6, 0.0, 0.1), tol=tol)
 
     def test_step_doubling_fails_fast_below_roundoff(self, monkeypatch):
-        # at 1/F = 20 the entries cannot settle to 1e-13: past the estimate
-        # each doubling adds roundoff instead of removing truncation error
+        # at 1/F = 20 the entries cannot settle to 1e-15: once the truncation
+        # error is gone each doubling adds roundoff instead of removing it
         kernel = se._magnus_propagators
         calls = []
 
         def counted(*args):
             calls.append(args[2])
-            if len(calls) > 6:
+            if len(calls) > 10:
                 pytest.fail(f"step doubling kept going: {calls}")
             return kernel(*args)
 
         monkeypatch.setattr(se, "_magnus_propagators", counted)
         with pytest.raises(NonConvergedError) as info:
-            se.monodromy(LatticeParams(1.0, 0.6, 0.0, 1.0 / 20.0), tol=1e-13)
+            se.monodromy(LatticeParams(1.0, 0.6, 0.0, 1.0 / 20.0), tol=1e-15)
         message = str(info.value)
-        assert f"{calls[-1]} steps" in message and "tol = 1e-13" in message
+        assert f"{calls[-1]} steps" in message and "tol = 1e-15" in message
+
+    @pytest.mark.parametrize("inv_f", [150.0, 300.0, 600.0])
+    def test_weak_fields_converge_through_pre_asymptotic_doublings(self, inv_f):
+        # at large 1/F the first doublings cut the change by less than 4x;
+        # the fail-fast rule must wait until the changes are asymptotic
+        params = LatticeParams(1.0, 0.6, 0.3, 1.0 / inv_f)
+        mono = se.monodromy(params)
+        tight = se.monodromy(params, tol=1e-13)
+        assert np.max(np.abs(mono.matrix - tight.matrix)) < 1e-10
+
+    def test_magnus_step_is_sixth_order(self):
+        # step doubling cuts the change 2^6 = 64x in the asymptotic range;
+        # a fourth-order step would give 16x and still converge, only slower
+        params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 9.0957)
+        a = [se._magnus_propagators(params, np.array([params.f]), n)[0][0]
+             for n in (128, 256, 512, 1024)]
+        changes = np.abs(np.diff(a))
+        assert np.all(changes[:-1] / changes[1:] > 40.0)
+
+    def test_matches_mpmath_taylor_integration(self):
+        # crossing_a; an 18-digit Taylor-series integration of
+        # dU/dtheta = -i H(theta) U shares no step, quadrature or product
+        # with the Magnus kernel
+        params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 9.0957)
+        assert np.max(np.abs(se.monodromy(params, tol=1e-13).matrix
+                             - mpmath_monodromy(params))) < 1e-12
 
 
 class TestFloquetLadder:
@@ -287,8 +339,17 @@ class TestTruncated:
         assert np.array_equal(spec.indices[plus], spec.indices[minus])
         assert np.max(np.abs(spec.energies[plus] - spec.energies[minus])) < 1e-12
         assert np.all(np.diff(spec.indices[plus]) == 1)
-        offsets = np.array(spec.branch_offsets())
-        assert np.max(np.abs(fold_interval(offsets - f, 2 * f))) < 1e-12
+        assert spec.branch_offsets() == pytest.approx((f, f), rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("delta,f", [(0.3, 0.6), (-0.3, 0.2), (0.3, 0.25), (-0.3, 0.25)])
+    def test_branch_offsets_agree_across_routes(self, delta, f):
+        # both routes read the offset the labels use, E - 2Fn, as a plain number,
+        # also where the two ladders coincide on the edge F of the domain
+        p = LatticeParams(0.0, 0.0, delta, f)
+        trunc = se.ws_spectrum_truncated(p)
+        floq = se.ws_spectrum_floquet(p)
+        assert trunc.branch_offsets() == pytest.approx(floq.branch_offsets(), rel=0.0,
+                                                       abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.3, 1.2), st.floats(0.3, 1.2), st.floats(-0.5, 0.5),

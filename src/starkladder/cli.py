@@ -203,8 +203,9 @@ def _cmd_resonances(ns: argparse.Namespace) -> None:
     sweep = _parse_sweep(ns.inv_f)
     if ns.kappa_grid < 1:
         raise ConfigError(f"--kappa-grid must be at least 1, got {ns.kappa_grid}")
-    options = {"periods": ns.periods, "kappa_grid": ns.kappa_grid,
-               "sigma_cells": ns.sigma_cells, "n_sites": ns.n_sites}
+    options = {"periods": _positive(ns.periods, "--periods"), "kappa_grid": ns.kappa_grid,
+               "sigma_cells": _positive(ns.sigma_cells, "--sigma-cells"),
+               "n_sites": ns.n_sites}
     tasks = [(params, float(z), options) for z in sweep]
     rows = _parallel_map(_resonance_row, tasks, ns.workers)
     _write_csv(ns.out, ["inv_f", "p_upper_mean"], rows)
@@ -213,11 +214,11 @@ def _cmd_resonances(ns: argparse.Namespace) -> None:
 def _cmd_transfer(ns: argparse.Namespace) -> None:
     _positive(ns.inv_f_stop, "--inv-f-stop")
     params = _lattice(ns, f=1.0 / _positive(ns.inv_f_start, "--inv-f-start"))
-    duration = ns.periods * math.pi * ns.inv_f_start
+    duration = _positive(ns.periods, "--periods") * math.pi * ns.inv_f_start
     result = dynamics.bloch_transfer_experiment(
-        params, inv_f_start=ns.inv_f_start, inv_f_stop=ns.inv_f_stop,
-        duration=duration, packet_sigma=ns.sigma_cells, n_sites=ns.n_sites,
-        n_samples=ns.samples, tol=ns.tol)
+        params, inv_f_start=ns.inv_f_start, inv_f_stop=ns.inv_f_stop, duration=duration,
+        packet_sigma=_positive(ns.sigma_cells, "--sigma-cells"), n_sites=ns.n_sites,
+        n_samples=ns.samples, tol=_positive(ns.tol, "--tol"))
     rows = ((t, site, float(result.density[i, site]))
             for i, t in enumerate(result.times)
             for site in range(result.density.shape[1]))
@@ -389,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sites", type=int, default=512)
     p.add_argument("--samples", type=int, default=161, help="trajectory samples")
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="split-step refinement tolerance")
+                   help="largest change of a propagator entry in the last step "
+                        "doubling, per piece of the time axis (default 1e-8)")
     _add_common(p)
 
     p = subs.add_parser("continuum-bands", help="plane-wave Bloch bands of the "

@@ -2,14 +2,15 @@
 
 Band projectors are assembled from the Bloch eigenvectors on the full
 quasimomentum grid of the chain, applied in O(N log N) through cell-space
-FFTs.  Propagation under a (possibly ramped) field uses an unconditionally
-unitary split-step scheme: exact 2x2 bond exponentials for the alternating
-hoppings, exact diagonal phases for the tilt, Strang steps composed into
-Suzuki's fourth-order scheme, with the step auto-refined until the final
-state is converged.  Constant-field population statistics bypass time stepping
-entirely through the exact eigenbasis representation in one batched pass per
-field (W = V^T Psi0, M_upper = X^H X, a column-wise edge guard); the two
-engines are cross-checked in the test suite.
+FFTs.  Propagation under a (possibly ramped) field closes the chain into a
+ring and works in the acceleration gauge, where the field only twists the
+bond phases: every cell wavevector then follows the driven two-level
+equation of the monodromy, and the monodromy's sixth-order Magnus step and
+step-doubling rule integrate it; an edge guard makes sure the packet never
+feels the ring's seam.  Constant-field population statistics bypass time
+stepping entirely through the exact eigenbasis representation in one
+batched pass per field (W = V^T Psi0, M_upper = X^H X, a column-wise edge
+guard); the two engines are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -23,9 +24,13 @@ from scipy.optimize import least_squares
 
 from .errors import EdgeContaminationError, NonConvergedError
 from .model import LatticeParams, _two_level_eigen, build_chain
+from .spectra_exact import _START_STEPS, _converged, _magnus_product
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
+# (piece, k) propagators step-doubled at once; the work arrays grow with it (one batch
+# of all 49152 on the benchmark transfer call added 38 MB of peak memory, 2048 adds 5)
+_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +60,8 @@ class RampProtocol:
         object.__setattr__(self, "fields", np.asarray(self.fields, dtype=float))
         if self.times.size != self.fields.size or self.times.size < 2:
             raise ValueError("need matching times/fields with at least two samples")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not np.all(np.isfinite(self.times)) or np.any(np.diff(self.times) <= 0):
+            raise ValueError("times must be finite and strictly increasing")
         if not np.all(np.isfinite(self.fields) & (self.fields > 0)):
             raise ValueError("the field must stay positive and finite along the ramp")
 
@@ -66,10 +71,6 @@ class RampProtocol:
 
     def field_at(self, t):
         return np.interp(t, self.times, self.fields)
-
-    @classmethod
-    def constant(cls, f: float, duration: float) -> "RampProtocol":
-        return cls(np.array([0.0, duration]), np.array([f, f]))
 
     @classmethod
     def linear_inv_f(cls, inv_f_start: float, inv_f_stop: float,
@@ -165,6 +166,8 @@ def lower_band_states(params: LatticeParams, n_sites: int, kappas,
                       sigma_cells: float) -> np.ndarray:
     """Gaussian-envelope Bloch states about the middle cell, projected onto the
     lower band: one normalized column per kappa in ``kappas``."""
+    if not (math.isfinite(sigma_cells) and sigma_cells > 0):
+        raise ValueError("sigma_cells must be positive and finite")
     kappas = np.asarray(kappas, dtype=float)
     n_cells = n_sites // 2
     lower, _ = _bloch_eigenvectors(params, kappas)
@@ -186,7 +189,7 @@ def lower_band_state(params: LatticeParams, n_sites: int, kappa: float,
 
 
 # ---------------------------------------------------------------------------
-# split-step propagation
+# propagation in the acceleration gauge
 # ---------------------------------------------------------------------------
 
 def _check_edges(psi: np.ndarray, t: float) -> None:
@@ -197,150 +200,82 @@ def _check_edges(psi: np.ndarray, t: float) -> None:
         )
 
 
-def _rotate_bonds(left, right, c, s):
-    """Exact bond exponential [[c, -is], [-is, c]] on each (left, right) pair."""
-    new_left = c * left - 1j * s * right
-    right *= c
-    right -= 1j * s * left
-    left[:] = new_left
-
-
-def _chunk_kernel(psi, phases, ratios, c_intra, s_intra, c_inter, s_inter,
-                  n_steps):
-    """Advance the split-step composition over one linear-field chunk.
-
-    Each composition stage is a symmetric sandwich of whole-array updates:
-    half-step tilt phases, half-step intra-cell rotations on the bonds
-    (psi[0::2], psi[1::2]), a full-step inter-cell rotation on the bonds
-    (psi[1:-1:2], psi[2::2]), then the mirrored halves.  ``phases`` holds,
-    per stage, the half-step diagonal phase vector at the chunk start;
-    within the chunk the midpoint field moves linearly, so each step
-    multiplies the stage phase by its constant ``ratios`` vector instead of
-    re-exponentiating.  Bond rotations use the exact 2x2 exponential, so the
-    whole step is unitary to roundoff.
-    """
-    n = psi.shape[0]
-    intra = (psi[0:n - 1:2], psi[1:n:2])
-    inter = (psi[1:n - 1:2], psi[2:n:2])
-    for _ in range(n_steps):
-        for si in range(phases.shape[0]):
-            psi *= phases[si]
-            _rotate_bonds(*intra, c_intra[si], s_intra[si])
-            _rotate_bonds(*inter, c_inter[si], s_inter[si])
-            _rotate_bonds(*intra, c_intra[si], s_intra[si])
-            psi *= phases[si]
-            phases[si] *= ratios[si]
-
-
-_SUZUKI_P = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
-# Strang stage lengths, in units of dt, of Suzuki's fourth-order composition
-_SUZUKI_WEIGHTS = np.array([_SUZUKI_P, _SUZUKI_P, 1.0 - 4.0 * _SUZUKI_P,
-                            _SUZUKI_P, _SUZUKI_P])
-
-
-class _SplitStepper:
-    """Chunked split-step engine over a piecewise-linear field schedule;
-    ``weights`` are the Strang stage lengths in units of dt."""
-
-    def __init__(self, params: LatticeParams, n_sites: int,
-                 weights: np.ndarray = _SUZUKI_WEIGHTS):
-        chain = build_chain(params.with_field(0.0), n_sites)
-        self.positions = chain.positions
-        self.stagger = chain.diagonal
-        self.j_intra = params.j1
-        self.j_inter = params.j2
-        self.weights = weights
-
-    def run_chunk(self, psi: np.ndarray, span: float, f_start: float,
-                  slope: float, dt_target: float) -> None:
-        """Advance psi by ``span`` under F = f_start + slope * (time since the
-        chunk start), using steps no coarser than dt_target."""
-        if span <= 0.0:
-            return
-        n_steps = max(1, int(math.ceil(span / dt_target - 1e-12)))
-        dt = span / n_steps
-        w = self.weights * dt
-        offsets = np.concatenate([[0.0], np.cumsum(w)])[:-1]
-        t_mid0 = offsets + 0.5 * w
-        f_mid0 = f_start + slope * t_mid0
-        half = -0.5j * w[:, None]
-        phases = np.exp(half * (f_mid0[:, None] * self.positions[None, :]
-                                + self.stagger[None, :]))
-        ratios = np.exp(half * (slope * dt) * self.positions[None, :])
-        c_intra = np.cos(self.j_intra * 0.5 * w)
-        s_intra = np.sin(self.j_intra * 0.5 * w)
-        c_inter = np.cos(self.j_inter * w)
-        s_inter = np.sin(self.j_inter * w)
-        _chunk_kernel(psi, phases, ratios, c_intra, s_intra,
-                      c_inter, s_inter, n_steps)
-
-
 def propagate(state: ChainState, params: LatticeParams,
               field: RampProtocol | None, t_grid, tol: float = 1e-8) -> list[ChainState]:
     """Unitary evolution of ``state`` sampled at the times in ``t_grid``.
 
-    ``field`` is a RampProtocol, or None for the constant field params.f.  The
-    fourth-order split step is refined (halving dt at most 14 times, Richardson
-    acceptance) until the final amplitudes are converged to ``tol``; the norm
-    is preserved to machine precision by construction.  Wave-packet weight
-    reaching the 10-site edge zone raises EdgeContaminationError.
+    ``field`` is a RampProtocol, or None for the constant field params.f.
+    The chain is closed into a ring and evolved in the acceleration gauge
+    psi_i = exp(-i Phi(t) x_i) phi_i, Phi the time integral of F: each cell
+    wavevector k obeys i dc/dt = [[-delta, g], [g*, delta]] c with
+    g = j1 exp(-i Phi) + j2 exp(i (Phi - k)).  Cut at the samples and the ramp
+    breakpoints, Phi is quadratic on each piece; each (piece, k) propagator
+    takes the monodromy's sixth-order Magnus steps, from 64 per Bloch period
+    (Phi advancing by pi) of the longest piece, doubled until every entry
+    changes by less than ``tol``.  A piece then errs by about tol / 63 and a
+    sample by the sum over the pieces before it; the norm is kept to
+    roundoff.  The ring acts as the open chain while weight in the 10-site
+    edge zones stays below 1e-8, checked at every sample
+    (EdgeContaminationError).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1D array of times")
     if t_grid[0] < state.time - 1e-12 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be non-decreasing and start at/after state.time")
-    if field is None:
-        params.require_field()
-        field = RampProtocol.constant(params.f, math.inf)
-    stepper = _SplitStepper(params, state.amplitudes.size)
+    n_sites = state.amplitudes.size
+    if n_sites < 4 or n_sites % 2:
+        raise ValueError("n_sites must be even and at least 4")
     _check_edges(state.amplitudes, state.time)
-
-    span = float(t_grid[-1] - state.time)
-    if span == 0.0:
+    if t_grid[-1] <= state.time:
         return [ChainState(state.amplitudes.copy(), float(t)) for t in t_grid]
 
-    j_scale = max(params.j1, params.j2, 1e-3)
-    f0 = float(field.field_at(state.time))
-    err_const = 0.05 * j_scale**3 + 0.05 * (f0 + 2 * abs(params.delta)) * j_scale**2
-    dt = (tol / max(span * err_const, 1e-30)) ** 0.25
-    dt = min(dt, span / 8.0, 0.5 / j_scale)
+    t0, samples = state.time, np.maximum(t_grid, state.time)
+    if field is None:
+        field = RampProtocol(np.array([t0, t_grid[-1]]), np.full(2, params.f))
+    breaks = field.times[(field.times > t0) & (field.times < t_grid[-1])]
+    edges = np.unique(np.concatenate([[t0], samples, breaks]))
+    f_edges = field.field_at(edges)
+    dt = np.diff(edges)
+    phi_edges = np.concatenate([[0.0], np.cumsum(0.5 * (f_edges[1:] + f_edges[:-1]) * dt)])
+    half_slope = 0.5 * np.diff(f_edges) / dt
 
-    breakpoints = field.times
+    n_cells = n_sites // 2
+    hop = params.j2 * np.exp(-2j * np.pi * np.arange(n_cells) / n_cells)
 
-    def run(dt_run: float):
-        psi = state.amplitudes.astype(complex).copy()
-        t = state.time
-        states = []
-        for t_target in t_grid:
-            t_target = float(t_target)
-            while t < t_target - 1e-12 * max(1.0, abs(t_target)):
-                idx = int(np.searchsorted(breakpoints, t, side="right"))
-                seg_end = float(breakpoints[idx]) if idx < breakpoints.size else math.inf
-                chunk_end = min(seg_end, t_target)
-                chunk = chunk_end - t
-                f_here = float(field.field_at(t))
-                slope = ((float(field.field_at(chunk_end)) - f_here) / chunk
-                         if math.isfinite(chunk_end) and chunk > 0 else 0.0)
-                stepper.run_chunk(psi, chunk, f_here, slope, dt_run)
-                t = chunk_end
-            t = t_target
-            states.append(ChainState(psi.copy(), t))
-            _check_edges(psi, t)
-        return states
+    def propagators(index, n_steps):
+        piece, cell = np.divmod(index, n_cells)
+        h = dt[piece, None] / n_steps
+        phi0, f0, curve = (x[piece, None, None] for x in (phi_edges, f_edges, half_slope))
+        hop_k = hop[cell, None, None]
 
-    # Richardson acceptance against a doubled step (error diff / (2^4 - 1)): the
-    # coarse check run costs half of the candidate, and a rejected candidate
-    # becomes the next check.
-    check = run(2.0 * dt)
-    for _ in range(14):
-        candidate = run(dt)
-        diff = float(np.max(np.abs(candidate[-1].amplitudes - check[-1].amplitudes)))
-        if diff / 15.0 < tol:
-            return candidate
-        check = candidate
-        dt *= 0.5
-    raise NonConvergedError("split-step refinement did not reach the tolerance")
+        def coupling(s):
+            tau = h[:, :, None] * s
+            e = np.exp(1j * (phi0 + tau * (f0 + curve * tau)))
+            return params.j1 * e.conj() + hop_k * e
+
+        return _magnus_product(coupling, 1.0, -params.delta, h, n_steps, index.size)
+
+    bloch_periods = float(np.max(np.diff(phi_edges))) / math.pi
+    start = 1 << math.ceil(math.log2(max(1.0, _START_STEPS * bloch_periods)))
+    a, b = np.empty((2, dt.size * n_cells), dtype=complex)
+    for chunk in np.array_split(np.arange(a.size), -(-a.size // _CHUNK)):
+        a[chunk], b[chunk], _ = _converged(lambda i, n: propagators(chunk[i], n),
+                                           chunk.size, tol, start)
+    a, b = a.reshape(dt.size, n_cells), b.reshape(dt.size, n_cells)
+
+    positions = build_chain(params, n_sites).positions
+    c_a, c_b = np.fft.fft(state.amplitudes.reshape(n_cells, 2), axis=0).T
+    states, edge = [], 0
+    for t, stop in zip(t_grid, np.searchsorted(edges, samples)):
+        for p in range(edge, stop):
+            c_a, c_b = a[p] * c_a + b[p] * c_b, np.conj(a[p]) * c_b - np.conj(b[p]) * c_a
+        edge = stop
+        cells = np.fft.ifft(np.stack([c_a, c_b], axis=1), axis=0)
+        psi = np.exp(-1j * phi_edges[stop] * positions) * cells.ravel()
+        states.append(ChainState(psi, float(t)))
+        _check_edges(psi, float(t))
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +332,8 @@ def mean_upper_population(params: LatticeParams, f: float,
         raise ValueError("band populations need a gapped band structure")
     if kappa_grid < 1:
         raise ValueError("kappa_grid must be at least 1")
+    if not all(math.isfinite(v) and v > 0 for v in (n_bloch_periods, sigma_cells)):
+        raise ValueError("n_bloch_periods and sigma_cells must be positive and finite")
     if n_sites is None:
         n_sites = _chain_size_for_population(params, sigma_cells)
 

@@ -99,14 +99,17 @@ def _cross(x, y):
     return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
 
 
-def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
-    """Period propagators for an array of fields, sixth-order Magnus.
+def _magnus_product(coupling, scale, diagonal, h, n_steps: int, batch: int):
+    """Sixth-order Magnus propagators of a batch of traceless 2x2 equations.
 
-    Writes H(theta) = (1/2F)[[F/2 + delta, g], [g*, -(F/2 + delta)]] with
-    g = j1 + j2 exp(-i theta) as a . sigma, so dU/dtheta = A U with
-    A = -i a . sigma, and a commutator [-i x . sigma, -i y . sigma] is
-    -i (2 x cross y) . sigma.  With A1, A2, A3 at the Gauss points
-    1/2 -+ sqrt(15)/10 and 1/2 of a step of length h, the step exponent is
+    Integrates i dU/dt = scale [[d, g(t)], [g*, -d]] U over ``n_steps`` steps
+    of length ``h`` from U = 1, with a constant diagonal d = ``diagonal``;
+    ``coupling(s)`` gives g at t = h s for an array s of step coordinates
+    (steps x 3 Gauss nodes), broadcastable to (batch, steps, 3).  Writing the
+    Hamiltonian as a . sigma, dU/dt = A U with A = -i a . sigma, and a
+    commutator [-i x . sigma, -i y . sigma] is -i (2 x cross y) . sigma.
+    With A1, A2, A3 at the Gauss points 1/2 -+ sqrt(15)/10 and 1/2 of a step,
+    the step exponent is
     Omega = alpha1 + alpha3/12 + (1/240)[-20 alpha1 - alpha3 + C1, alpha2 + C2]
     with alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1),
     alpha3 = (10h/3)(A3 - 2A2 + A1), C1 = [alpha1, alpha2] and
@@ -117,15 +120,13 @@ def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
     ``_BLOCK_MATRICES``; ``n_steps`` is a power of two, so every block is.
     Returns (a, b) arrays with U = [[a, b], [-b*, a*]].
     """
-    h = 2.0 * math.pi / n_steps
-    scale = 0.5 / f[:, None]
-    z = h * scale * (0.5 * f[:, None] + params.delta)
-    a_tot = np.ones(f.size, dtype=complex)
-    b_tot = np.zeros(f.size, dtype=complex)
-    per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // f.size).bit_length() - 1))
+    z = h * scale * diagonal
+    a_tot = np.ones(batch, dtype=complex)
+    b_tot = np.zeros(batch, dtype=complex)
+    per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // batch).bit_length() - 1))
     for start in range(0, n_steps, per_block):
-        theta = h * (np.arange(start, start + per_block)[:, None] + _GAUSS_NODES)
-        g1, g2, g3 = (params.j1 + params.j2 * np.exp(-1j * theta)).T
+        g1, g2, g3 = np.moveaxis(
+            coupling(np.arange(start, start + per_block)[:, None] + _GAUSS_NODES), -1, 0)
         u1 = h * g2
         u2 = (math.sqrt(15.0) * h / 3.0) * (g3 - g1)
         u3 = (10.0 * h / 3.0) * (g3 - 2.0 * g2 + g1)
@@ -149,26 +150,36 @@ def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
     return a_tot, b_tot
 
 
-def _converged_propagators(params: LatticeParams, f_values: np.ndarray, tol: float):
-    """Period propagators (a, b) and step counts for an array of fields.
+def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
+    """Period propagators of dU/dtheta = -i H(theta) U, theta in [0, 2 pi], for an
+    array of fields: H = (1/2F)[[F/2 + delta, g], [g*, -(F/2 + delta)]] with
+    g = j1 + j2 exp(-i theta)."""
+    h = 2.0 * math.pi / n_steps
+    return _magnus_product(lambda s: params.j1 + params.j2 * np.exp(-1j * (h * s)),
+                           0.5 / f[:, None], 0.5 * f[:, None] + params.delta, h, n_steps, f.size)
 
-    Every field starts at ``_START_STEPS`` in one batch, and the batch doubles
-    its step count; a field leaves it once each entry changes by less than
-    ``tol``.  Once the largest pending change is below ``_ASYMPTOTIC``, a
-    doubling that cuts it less than 4x (sixth order gives 64x) raises.
+
+def _converged(propagators, size: int, tol: float, n: int = _START_STEPS):
+    """Step-doubled propagators (a, b) and step counts for a batch of equations.
+
+    ``propagators(index, n_steps)`` integrates the batch elements ``index``
+    with ``n_steps`` steps.  Every element starts at ``n`` steps in one
+    batch, and the batch doubles its step count; an element leaves it once
+    each entry changes by less than ``tol``.  Once the largest pending change
+    is below ``_ASYMPTOTIC``, a doubling that cuts it less than 4x (sixth
+    order gives 64x) raises.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    a_out = np.empty(f_values.size, dtype=complex)
-    b_out = np.empty(f_values.size, dtype=complex)
-    steps = np.empty(f_values.size, dtype=int)
-    pending = np.arange(f_values.size)
-    n = _START_STEPS
-    prev = _magnus_propagators(params, f_values, n)
+    a_out = np.empty(size, dtype=complex)
+    b_out = np.empty(size, dtype=complex)
+    steps = np.empty(size, dtype=int)
+    pending = np.arange(size)
+    prev = propagators(pending, n)
     last = np.inf
     while pending.size:
         n *= 2
-        a, b = _magnus_propagators(params, f_values[pending], n)
+        a, b = propagators(pending, n)
         change = np.maximum(np.abs(a - prev[0]), np.abs(b - prev[1]))
         done = change < tol
         a_out[pending[done]], b_out[pending[done]] = a[done], b[done]
@@ -176,10 +187,17 @@ def _converged_propagators(params: LatticeParams, f_values: np.ndarray, tol: flo
         pending = pending[~done]
         worst = float(change[~done].max(initial=0.0))
         if not (last >= _ASYMPTOTIC or worst <= 0.25 * last):  # NaN raises too
-            raise NonConvergedError(f"monodromy entries still change by {worst:.2g} "
+            raise NonConvergedError(f"propagator entries still change by {worst:.2g} "
                                     f"at {n} steps (tol = {tol:g}); roundoff-limited")
         prev, last = (a[~done], b[~done]), worst
     return a_out, b_out, steps
+
+
+def _converged_propagators(params: LatticeParams, f_values: np.ndarray, tol: float):
+    """Period propagators (a, b) and step counts for an array of fields, each
+    step-doubled from ``_START_STEPS`` until its entries are stable to ``tol``."""
+    return _converged(lambda index, n: _magnus_propagators(params, f_values[index], n),
+                      f_values.size, tol)
 
 
 def _eigenphase(a, b):

@@ -204,6 +204,17 @@ def test_exit_code_config_error(tmp_path, capsys):
     (["transfer", "--inv-f-start", "0"], "--inv-f-start"),
     (["transfer", "--inv-f-stop", "0"], "--inv-f-stop"),
     (["resonances", "--inv-f", "3.0:3.3:3", "--kappa-grid", "0"], "--kappa-grid"),
+    (["transfer", "--tol", "0"], "--tol"),
+    (["transfer", "--tol=-1e-6"], "--tol"),
+    (["transfer", "--tol", "nan"], "--tol"),
+    (["transfer", "--periods", "nan"], "--periods"),
+    (["transfer", "--periods", "inf"], "--periods"),
+    (["transfer", "--sigma-cells", "0"], "--sigma-cells"),
+    (["resonances", "--inv-f", "3.0:3.3:3", "--periods=-2"], "--periods"),
+    (["resonances", "--inv-f", "3.0:3.3:3", "--periods", "0"], "--periods"),
+    (["resonances", "--inv-f", "3.0:3.3:3", "--periods", "nan"], "--periods"),
+    (["resonances", "--inv-f", "3.0:3.3:3", "--periods", "inf"], "--periods"),
+    (["resonances", "--inv-f", "3.0:3.3:3", "--sigma-cells", "0"], "--sigma-cells"),
 ])
 def test_flags_that_divide_must_be_positive(tmp_path, capsys, args, flag):
     code = run_cli(args + ["--j1", "1", "--j2", "0.6", "--delta", "0.2",
@@ -273,6 +284,18 @@ def test_exit_code_numerical(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
     assert run_cli(truncated + ["--f", "0.2", "--n-sites", "48", "--window=-1.69:1.29"]) == 3
     assert capsys.readouterr().err.startswith("error: numerical:")
+
+
+def test_unreachable_transfer_tolerance_fails_fast(tmp_path, capsys):
+    # below the roundoff floor the step doubling stops with exit 3
+    # instead of refining without end
+    code = run_cli(["transfer", "--j1", "1", "--j2", "0.6", "--inv-f-start", "2",
+                    "--inv-f-stop", "1.9", "--periods", "0.1", "--n-sites", "96",
+                    "--sigma-cells", "3", "--samples", "3", "--tol", "1e-300",
+                    "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical:") and "tol = 1e-300" in err
 
 
 def test_crossing_sweep_below_100_samples_names_the_flag(tmp_path, capsys):

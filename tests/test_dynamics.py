@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
 from starkladder.errors import EdgeContaminationError
@@ -156,12 +157,98 @@ class TestPropagate:
 
     def test_norm_preserved_and_matches_spectral(self):
         params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 9.0)
-        state = dyn.lower_band_state(params, 256, 0.3, 8.0)
+        state = dyn.lower_band_state(params, 384, 0.3, 8.0)
         t_b = math.pi / params.f
         out = dyn.propagate(state, params, None, np.array([0.5 * t_b, t_b]))
         assert abs(np.linalg.norm(out[-1].amplitudes) - 1.0) < 1e-8
         reference = spectral_propagate(params, state.amplitudes, t_b)
         assert np.max(np.abs(out[-1].amplitudes - reference)) < 1e-8
+
+    def test_ring_truncates_no_worse_than_the_open_chain(self):
+        # on 256 sites the packet's tail reaches the ends within a Bloch
+        # period; against the same packet inside 1024 sites, seen on the
+        # 256 sites both chains hold, the ring must stay within twice the
+        # open chain's truncation error
+        params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 9.0)
+        psi0 = dyn.lower_band_state(params, 256, 0.3, 8.0).amplitudes
+        t_b = math.pi / params.f
+        ring = dyn.propagate(dyn.ChainState(psi0), params, None, [t_b])[-1].amplitudes
+        wall = spectral_propagate(params, psi0, t_b)
+        embedded = np.zeros(1024, dtype=complex)
+        embedded[384:640] = psi0  # the 256-site positions are sites 384..639 here
+        reference = spectral_propagate(params, embedded, t_b)[384:640]
+        assert (np.max(np.abs(ring - reference))
+                <= 2.0 * np.max(np.abs(wall - reference)))
+
+    def test_hopping_free_ramp_phases_are_exact(self):
+        # without hopping the gauge phase exp(-i Phi x) carries the whole tilt
+        params = LatticeParams(0.0, 0.0, 0.2, 0.2)
+        psi0 = dyn.lower_band_state(LatticeParams(1.0, 0.6, 0.2), 256, 0.3, 8.0).amplitudes
+        ramp = dyn.RampProtocol(np.array([0.0, 4.0]), np.array([0.2, 0.24]))
+        out = dyn.propagate(dyn.ChainState(psi0), params, ramp, [1.5, 4.0])
+        positions = build_chain(params, psi0.size).positions
+        stagger = np.tile([-params.delta, params.delta], psi0.size // 2)
+        for state in out:
+            t = state.time
+            tilt = 0.2 * t + 0.5 * 0.01 * t**2
+            exact = np.exp(-1j * (tilt * positions + stagger * t)) * psi0
+            assert np.max(np.abs(state.amplitudes - exact)) < 1e-12
+
+    def test_ramp_matches_an_ode_solve_on_the_open_chain(self):
+        # an adaptive Runge-Kutta integration in the site basis of the open
+        # chain, one call per linear segment of the ramp, shares no gauge,
+        # ring, step or doubling rule with propagate
+        params = LatticeParams(1.0, 0.6, 0.2, 0.2)
+        psi0 = dyn.lower_band_state(params, 384, 0.3, 8.0).amplitudes
+        ramp = dyn.RampProtocol(np.arange(5.0), np.array([0.2, 0.25, 0.22, 0.3, 0.2]))
+        out = dyn.propagate(dyn.ChainState(psi0), params, ramp, [2.5, 4.0], tol=1e-10)
+        chain = build_chain(params.with_field(0.0), psi0.size)
+        bonds = chain.off_diagonal
+
+        def rhs(t, psi):
+            h_psi = (chain.diagonal + ramp.field_at(t) * chain.positions) * psi
+            h_psi[:-1] += bonds * psi[1:]
+            h_psi[1:] += bonds * psi[:-1]
+            return -1j * h_psi
+
+        psi, reference = psi0, {}
+        for t_a, t_b in [(0.0, 1.0), (1.0, 2.0), (2.0, 2.5), (2.5, 3.0), (3.0, 4.0)]:
+            psi = solve_ivp(rhs, (t_a, t_b), psi, method="DOP853",
+                            rtol=1e-12, atol=1e-12).y[:, -1]
+            reference[t_b] = psi
+        for state in out:
+            assert np.max(np.abs(state.amplitudes - reference[state.time])) < 1e-9
+
+    def test_sixth_order_under_a_ramp(self, monkeypatch):
+        # fixed steps per piece in place of the doubling rule: each doubling
+        # must cut the error about 2^6 = 64x (a fourth-order step gives 16x)
+        params = LatticeParams(1.0, 0.6, 0.0, 0.2)
+        psi0 = dyn.lower_band_state(params, 256, 0.3, 8.0).amplitudes
+        ramp = dyn.RampProtocol(np.arange(5.0), np.array([0.2, 0.25, 0.22, 0.3, 0.2]))
+
+        def at_steps(n):
+            def fixed(propagators, size, tol, start):
+                a, b = propagators(np.arange(size), n)
+                return a, b, np.full(size, n)
+
+            monkeypatch.setattr(dyn, "_converged", fixed)
+            return dyn.propagate(dyn.ChainState(psi0), params, ramp, [4.0])[-1].amplitudes
+
+        reference = at_steps(256)
+        errors = np.array([np.max(np.abs(at_steps(n) - reference)) for n in (1, 2, 4, 8)])
+        assert np.all(errors[:-1] / errors[1:] >= 40.0)
+
+    def test_odd_chain_rejected(self):
+        params = LatticeParams(1.0, 0.6, 0.0, 0.2)
+        with pytest.raises(ValueError, match="even"):
+            dyn.propagate(dyn.ChainState(np.eye(65)[32]), params, None, [1.0])
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        params = LatticeParams(1.0, 0.6, 0.0, 0.2)
+        state = dyn.lower_band_state(params, 256, 0.0, 8.0)
+        with pytest.raises(ValueError, match="tol"):
+            dyn.propagate(state, params, None, [1.0], tol=tol)
 
     def test_single_ladder_dynamics_is_bloch_periodic(self):
         # j1 = j2 with delta = 0 makes the chain singly periodic: the two
@@ -218,84 +305,6 @@ class TestPropagate:
             dyn.propagate(state, params, None, np.array([2.0, 1.0]))
 
 
-def chunk_kernel_loop(psi, phases, ratios, c_intra, s_intra, c_inter, s_inter,
-                      n_steps):
-    """Site-by-site reference for dyn._chunk_kernel, same stage order."""
-    n = psi.shape[0]
-
-    def rotate(first, c, s):
-        for b in range(first, n - 1, 2):
-            a, d = psi[b], psi[b + 1]
-            psi[b], psi[b + 1] = c * a - 1j * s * d, c * d - 1j * s * a
-
-    for _ in range(n_steps):
-        for si in range(phases.shape[0]):
-            psi *= phases[si]
-            rotate(0, c_intra[si], s_intra[si])
-            rotate(1, c_inter[si], s_inter[si])
-            rotate(0, c_intra[si], s_intra[si])
-            psi *= phases[si]
-            phases[si] *= ratios[si]
-
-
-class TestSplitStepOrder:
-    """Fixed-step convergence of one split-step chunk, no refinement loop."""
-
-    params = LatticeParams(1.0, 0.6, 0.0, 0.2)
-    span = 4.0
-    steps = (0.2, 0.1, 0.05)
-
-    def initial(self):
-        return dyn.lower_band_state(self.params, 256, 0.3, 8.0).amplitudes
-
-    def run(self, order, dt, slope=0.0, params=None, psi=None):
-        params = self.params if params is None else params
-        psi = (self.initial() if psi is None else psi).copy()
-        # order 2 is the plain Strang step: one stage of unit length
-        weights = np.array([1.0]) if order == 2 else dyn._SUZUKI_WEIGHTS
-        stepper = dyn._SplitStepper(params, psi.size, weights)
-        stepper.run_chunk(psi, self.span, params.f, slope, dt)
-        return psi
-
-    def test_kernel_matches_site_loop(self):
-        rng = np.random.default_rng(7)
-        n, stages = 16, 5
-        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
-        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (stages, n)))
-        ratios = np.exp(0.01j * rng.normal(size=(stages, n)))
-        angles = rng.uniform(0, np.pi, (2, stages))
-        bonds = (np.cos(angles[0]), np.sin(angles[0]), np.cos(angles[1]), np.sin(angles[1]))
-        fast, slow = psi.copy(), psi.copy()
-        fast_phases, slow_phases = phases.copy(), phases.copy()
-        dyn._chunk_kernel(fast, fast_phases, ratios, *bonds, 3)
-        chunk_kernel_loop(slow, slow_phases, ratios, *bonds, 3)
-        assert np.max(np.abs(fast - slow)) < 1e-13
-        assert np.max(np.abs(fast_phases - slow_phases)) < 1e-14
-
-    @pytest.mark.parametrize("order,bound", [(2, 3.5), (4, 12.0)])
-    def test_constant_field_against_spectral(self, order, bound):
-        exact = spectral_propagate(self.params, self.initial(), self.span)
-        errors = [np.max(np.abs(self.run(order, dt) - exact)) for dt in self.steps]
-        assert errors[0] / errors[1] >= bound
-        assert errors[1] / errors[2] >= bound
-
-    @pytest.mark.parametrize("order,bound", [(2, 3.5), (4, 12.0)])
-    def test_ramped_field_self_convergence(self, order, bound):
-        coarse, mid, fine = (self.run(order, dt, slope=0.01) for dt in self.steps)
-        assert np.max(np.abs(coarse - mid)) / np.max(np.abs(mid - fine)) >= bound
-
-    def test_hopping_free_ramp_phases_are_exact(self):
-        # without hopping the stage phases integrate the linear ramp exactly
-        params = LatticeParams(0.0, 0.0, 0.2, 0.2)
-        psi0 = self.initial()
-        out = self.run(4, 0.2, slope=0.01, params=params, psi=psi0)
-        positions = build_chain(params.with_field(0.0), psi0.size).positions
-        stagger = np.tile([-params.delta, params.delta], psi0.size // 2)
-        tilt = params.f * self.span + 0.5 * 0.01 * self.span**2
-        exact = np.exp(-1j * (tilt * positions + stagger * self.span)) * psi0
-        assert np.max(np.abs(out - exact)) < 1e-12
-
-
 class TestRampProtocol:
     def test_linear_inv_f_endpoints(self):
         ramp = dyn.RampProtocol.linear_inv_f(9.4, 8.7, 100.0)
@@ -313,6 +322,12 @@ class TestRampProtocol:
     def test_field_must_stay_finite(self, bad):
         with pytest.raises(ValueError):
             dyn.RampProtocol(np.array([0.0, 1.0]), np.array([0.1, bad]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_times_must_be_finite(self, bad):
+        # NaN compares false, so "increasing" alone lets it through
+        with pytest.raises(ValueError, match="finite"):
+            dyn.RampProtocol(np.array([0.0, bad]), np.array([0.1, 0.1]))
 
 
 class TestMeanUpperPopulation:
@@ -362,7 +377,7 @@ class TestMeanUpperPopulation:
         resolution = 2 * math.pi / trace.times[-1]
         assert np.min(np.abs(diffs - peak_freq)) < resolution
 
-    def test_matches_split_step_trace(self):
+    def test_matches_propagated_trace(self):
         params = LatticeParams(0.76, 0.76, 0.4, 0.25)
         trace = dyn.mean_upper_population(params, params.f, kappa_grid=1, sigma_cells=8.0,
                                           n_sites=256, n_bloch_periods=2.0,
@@ -412,6 +427,21 @@ class TestMeanUpperPopulation:
     def test_empty_kappa_grid_rejected(self):
         with pytest.raises(ValueError, match="kappa_grid"):
             dyn.mean_upper_population(LatticeParams(0.76, 0.76, 0.4), 0.25, kappa_grid=0)
+
+    @pytest.mark.parametrize("option", [
+        {"n_bloch_periods": 0.0}, {"n_bloch_periods": -2.0},
+        {"n_bloch_periods": math.nan}, {"n_bloch_periods": math.inf},
+        # the chain is sized from sigma_cells before any state is built
+        {"sigma_cells": math.inf}, {"sigma_cells": math.nan},
+    ])
+    def test_window_and_envelope_must_be_positive_and_finite(self, option):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dyn.mean_upper_population(LatticeParams(0.76, 0.76, 0.4), 0.25, **option)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_envelope_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma_cells"):
+            dyn.lower_band_states(LatticeParams(0.76, 0.76, 0.4), 256, [0.0], sigma)
 
 
 class TestLorentzianFit:

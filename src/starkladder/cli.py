@@ -25,57 +25,35 @@ from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
 from .model import LatticeParams, bloch_dispersion
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for row in rows:  # np.float64 is a float; ints and names print as str
+                fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _parse_sweep(spec: str) -> np.ndarray:
-    try:
-        lo_s, hi_s, count_s = spec.split(":")
-        lo, hi, count = float(lo_s), float(hi_s), int(count_s)
+def _split(spec: str, flag: str, *kinds) -> list:
+    """The fields of a ``lo:hi`` or ``lo:hi:count`` flag value, one converter
+    in ``kinds`` per field, with lo <= hi; every message names ``flag``."""
+    form = ":".join(["lo", "hi", "count"][:len(kinds)])
+    try:  # a strict zip raises ValueError on a wrong field count too
+        values = [kind(field) for kind, field in zip(kinds, spec.split(":"), strict=True)]
     except ValueError as exc:
-        raise ConfigError(f"sweep must look like lo:hi:count, got {spec!r}") from exc
-    if count < 2:
-        raise ConfigError("sweep count must be at least 2")
-    if not (0 < lo < hi) :
-        raise ConfigError("sweep bounds must satisfy 0 < lo < hi")
+        raise ConfigError(f"{flag} must look like {form}, got {spec!r}") from exc
+    if not values[0] <= values[1]:
+        raise ConfigError(f"{flag} must satisfy lo <= hi, got {spec!r}")
+    return values
+
+
+def _inv_f_sweep(spec: str) -> np.ndarray:
+    lo, hi, count = _split(spec, "--inv-f", float, float, int)
+    if count < 2 or not 0 < lo < hi < math.inf:
+        raise ConfigError(f"--inv-f needs 0 < lo < hi < inf and count >= 2, got {spec!r}")
     return np.linspace(lo, hi, count)
-
-
-def _parse_range(spec: str) -> range:
-    try:
-        lo_s, hi_s = spec.split(":")
-        lo, hi = int(lo_s), int(hi_s)
-    except ValueError as exc:
-        raise ConfigError(f"range must look like lo:hi, got {spec!r}") from exc
-    if hi < lo:
-        raise ConfigError("range upper bound must be >= lower bound")
-    return range(lo, hi + 1)
-
-
-def _parse_window(spec: str) -> tuple[float, float]:
-    try:
-        lo_s, hi_s = spec.split(":")
-        lo, hi = float(lo_s), float(hi_s)
-    except ValueError as exc:
-        raise ConfigError(f"--window must look like lo:hi, got {spec!r}") from exc
-    if not lo <= hi:
-        raise ConfigError(f"--window must satisfy lo <= hi, got {spec!r}")
-    return lo, hi
 
 
 def _lattice(ns: argparse.Namespace, f: float = 0.0) -> LatticeParams:
@@ -165,11 +143,12 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
     if ns.f is not None:
         inv_fs = np.array([1.0 / _positive(ns.f, "--f")])
     else:
-        inv_fs = _parse_sweep(ns.inv_f)
-    n_range = _parse_range(ns.n_range)
+        inv_fs = _inv_f_sweep(ns.inv_f)
+    lo, hi = _split(ns.n_range, "--n-range", int, int)
+    n_range = range(lo, hi + 1)
     options = {"order": ns.order, "n_sites": ns.n_sites}
     if ns.window is not None:
-        options["window"] = _parse_window(ns.window)
+        options["window"] = tuple(_split(ns.window, "--window", float, float))
     tasks = [(params, float(z), ns.method, n_range, options) for z in inv_fs]
     chunks = _parallel_map(_spectrum_rows, tasks, ns.workers)
     _write_csv(ns.out, ["inv_f", "energy", "scaled_energy", "branch", "n", "method"],
@@ -178,7 +157,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
 
 def _cmd_crossings(ns: argparse.Namespace) -> None:
     params = _lattice(ns, f=1.0)
-    sweep = _parse_sweep(ns.inv_f)
+    sweep = _inv_f_sweep(ns.inv_f)
     if sweep.size < 100:
         raise ConfigError(f"--inv-f needs at least 100 samples for a crossing search, "
                           f"got {sweep.size}")
@@ -189,7 +168,7 @@ def _cmd_crossings(ns: argparse.Namespace) -> None:
 
 
 def _cmd_gap_estimate(ns: argparse.Namespace) -> None:
-    sweep = _parse_sweep(ns.inv_f)
+    sweep = _inv_f_sweep(ns.inv_f)
     rows = []
     for z in sweep:
         params = _lattice(ns, f=1.0 / float(z))
@@ -200,7 +179,7 @@ def _cmd_gap_estimate(ns: argparse.Namespace) -> None:
 
 def _cmd_resonances(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
-    sweep = _parse_sweep(ns.inv_f)
+    sweep = _inv_f_sweep(ns.inv_f)
     if ns.kappa_grid < 1:
         raise ConfigError(f"--kappa-grid must be at least 1, got {ns.kappa_grid}")
     options = {"periods": _positive(ns.periods, "--periods"), "kappa_grid": ns.kappa_grid,
@@ -219,9 +198,8 @@ def _cmd_transfer(ns: argparse.Namespace) -> None:
         params, inv_f_start=ns.inv_f_start, inv_f_stop=ns.inv_f_stop, duration=duration,
         packet_sigma=_positive(ns.sigma_cells, "--sigma-cells"), n_sites=ns.n_sites,
         n_samples=ns.samples, tol=_positive(ns.tol, "--tol"))
-    rows = ((t, site, float(result.density[i, site]))
-            for i, t in enumerate(result.times)
-            for site in range(result.density.shape[1]))
+    rows = ((t, site, d) for t, row in zip(result.times.tolist(), result.density.tolist())
+            for site, d in enumerate(row))
     _write_csv(ns.out, ["time", "site", "density"], rows)
     stem, ext = os.path.splitext(ns.out)
     companion = f"{stem}_observables{ext or '.csv'}"
@@ -297,9 +275,8 @@ def _merge_config_file(argv: list[str]) -> list[str]:
         return cleaned
     if not cleaned or cleaned[0].startswith("-"):
         raise ConfigError("a subcommand is required before flags")
-    injected = []
-    for key, value in _load_config_file(path).items():
-        injected.extend([f"--{key}", value])
+    # one --key=value token, so argparse cannot take a value like -1:1 for a flag
+    injected = [f"--{key}={value}" for key, value in _load_config_file(path).items()]
     return [cleaned[0]] + injected + cleaned[1:]
 
 

@@ -65,10 +65,6 @@ class RampProtocol:
         if not np.all(np.isfinite(self.fields) & (self.fields > 0)):
             raise ValueError("the field must stay positive and finite along the ramp")
 
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
     def field_at(self, t):
         return np.interp(t, self.times, self.fields)
 
@@ -120,7 +116,7 @@ class BandProjector:
     """Rank-N/2 orthogonal projector onto one Bloch band of the chain.
 
     Stores the per-kappa 2x2 projector data; application goes through a
-    cell-space FFT, so the dense matrix is only materialized on request.
+    cell-space FFT, so the dense matrix is never materialized.
     """
 
     n_sites: int
@@ -139,9 +135,6 @@ class BandProjector:
         proj = np.einsum("sm,mk->msk", self.vectors, coeff.reshape(n_cells, -1))
         out = np.fft.ifft(proj, axis=0) * math.sqrt(n_cells) * _twist(n_cells)
         return out.reshape(self.n_sites, *coeff.shape[1:])
-
-    def matrix(self) -> np.ndarray:
-        return self.apply(np.eye(self.n_sites, dtype=complex))
 
     def population(self, psi: np.ndarray):
         """Band weight <psi|P|psi> = sum_kappa |<u_kappa|psi>|^2, per column of psi."""
@@ -209,13 +202,15 @@ def propagate(state: ChainState, params: LatticeParams,
     psi_i = exp(-i Phi(t) x_i) phi_i, Phi the time integral of F: each cell
     wavevector k obeys i dc/dt = [[-delta, g], [g*, delta]] c with
     g = j1 exp(-i Phi) + j2 exp(i (Phi - k)).  Cut at the samples and the ramp
-    breakpoints, Phi is quadratic on each piece; each (piece, k) propagator
-    takes the monodromy's sixth-order Magnus steps, from 64 per Bloch period
-    (Phi advancing by pi) of the longest piece, doubled until every entry
-    changes by less than ``tol``.  A piece then errs by about tol / 63 and a
-    sample by the sum over the pieces before it; the norm is kept to
-    roundoff.  The ring acts as the open chain while weight in the 10-site
-    edge zones stays below 1e-8, checked at every sample
+    breakpoints, Phi is quadratic on each piece; a breakpoint within 1e-9 of
+    the time span of a sample (or of the start) is dropped, since it would
+    only split off a sliver as costly as a full piece.  Each (piece, k)
+    propagator takes the monodromy's sixth-order Magnus steps, from 64 per
+    Bloch period (Phi advancing by pi) of the longest piece, doubled until
+    every entry changes by less than ``tol``.  A piece then errs by about
+    tol / 63 and a sample by the sum over the pieces before it; the norm is
+    kept to roundoff.  The ring acts as the open chain while weight in the
+    10-site edge zones stays below 1e-8, checked at every sample
     (EdgeContaminationError).
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -234,7 +229,11 @@ def propagate(state: ChainState, params: LatticeParams,
     if field is None:
         field = RampProtocol(np.array([t0, t_grid[-1]]), np.full(2, params.f))
     breaks = field.times[(field.times > t0) & (field.times < t_grid[-1])]
-    edges = np.unique(np.concatenate([[t0], samples, breaks]))
+    cuts = np.concatenate([[t0], samples])
+    after = np.searchsorted(cuts, breaks)  # cuts[after - 1] < break <= cuts[after]
+    near = np.minimum(breaks - cuts[after - 1], cuts[after] - breaks)
+    breaks = breaks[near > 1e-9 * (t_grid[-1] - t0)]
+    edges = np.unique(np.concatenate([cuts, breaks]))
     f_edges = field.field_at(edges)
     dt = np.diff(edges)
     phi_edges = np.concatenate([[0.0], np.cumsum(0.5 * (f_edges[1:] + f_edges[:-1]) * dt)])
@@ -328,8 +327,6 @@ def mean_upper_population(params: LatticeParams, f: float,
     """
     params = params.with_field(float(f))
     params.require_field()
-    if params.delta == 0.0 and abs(params.j1 - params.j2) < 1e-15:
-        raise ValueError("band populations need a gapped band structure")
     if kappa_grid < 1:
         raise ValueError("kappa_grid must be at least 1")
     if not all(math.isfinite(v) and v > 0 for v in (n_bloch_periods, sigma_cells)):
@@ -337,9 +334,9 @@ def mean_upper_population(params: LatticeParams, f: float,
     if n_sites is None:
         n_sites = _chain_size_for_population(params, sigma_cells)
 
+    _, p_upper = band_projectors(params, n_sites)  # rejects gapless bands first
     chain = build_chain(params, n_sites)
     values, vectors = eigh_tridiagonal(chain.diagonal, chain.off_diagonal)
-    _, p_upper = band_projectors(params, n_sites)
     # M = X^H X is real (V is real and time reversal pairs kappa with -kappa
     # in the projector), so M = Re(X^H X) = Y^T Y with Y = [Re X; Im X]
     x = p_upper.coefficients(vectors)
@@ -425,8 +422,6 @@ class TransferResult:
     density: np.ndarray
     mean_kappa: np.ndarray
     p_upper: np.ndarray
-    ramp: RampProtocol
-    non_adiabatic: bool
 
 
 def mean_quasimomentum(psi: np.ndarray):
@@ -446,11 +441,8 @@ def bloch_transfer_experiment(params: LatticeParams, inv_f_start: float,
     site density, mean quasimomentum and band populations versus time.
 
     The packet starts as a lower-band Gaussian; the final upper-band
-    population is the transfer fraction.  Ramps shorter than 50 Bloch
-    periods are flagged non-adiabatic.
+    population is the transfer fraction.
     """
-    t_bloch = math.pi * inv_f_start
-    non_adiabatic = duration < 50.0 * t_bloch
     ramp = RampProtocol.linear_inv_f(inv_f_start, inv_f_stop, duration)
 
     state = lower_band_state(params, n_sites, 0.0, packet_sigma)
@@ -461,5 +453,4 @@ def bloch_transfer_experiment(params: LatticeParams, inv_f_start: float,
     amplitudes = np.array([s.amplitudes for s in states])  # a row per sample
     return TransferResult(times=t_grid, density=np.abs(amplitudes) ** 2,
                           mean_kappa=mean_quasimomentum(amplitudes.T),
-                          p_upper=p_up.population(amplitudes.T), ramp=ramp,
-                          non_adiabatic=bool(non_adiabatic))
+                          p_upper=p_up.population(amplitudes.T))

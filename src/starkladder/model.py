@@ -49,12 +49,6 @@ class LatticeParams:
             raise ValueError("this operation requires a positive field f")
 
     @property
-    def epsilon1(self) -> float:
-        """Hopping-staggering coupling (j2 - j1)/F of the merged-ladder regime."""
-        self.require_field()
-        return (self.j2 - self.j1) / self.f
-
-    @property
     def epsilon2(self) -> float:
         """On-site coupling delta/F of the merged-ladder regime."""
         self.require_field()
@@ -83,13 +77,6 @@ class ChainHamiltonian:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
 
-    def to_dense(self) -> np.ndarray:
-        h = np.diag(self.diagonal)
-        idx = np.arange(self.size - 1)
-        h[idx, idx + 1] = self.off_diagonal
-        h[idx + 1, idx] = self.off_diagonal
-        return h
-
     @property
     def positions(self) -> np.ndarray:
         """Site coordinates x_i; the potential energy is f * x_i."""
@@ -116,7 +103,6 @@ class LadderSpectrum:
     branches: np.ndarray
     indices: np.ndarray
     field: float
-    method: str = ""
     converged: np.ndarray | None = None
 
     def __post_init__(self):
@@ -128,31 +114,12 @@ class LadderSpectrum:
             self.converged = np.asarray(self.converged, dtype=bool)[order]
 
     @classmethod
-    def from_offsets(cls, minus: float, plus: float, field: float, n_range,
-                     method: str) -> "LadderSpectrum":
+    def from_offsets(cls, minus: float, plus: float, field: float, n_range) -> "LadderSpectrum":
         """Both ladders E = offset + 2F n over ``n_range`` from their offsets."""
         ns = np.asarray(list(n_range), dtype=int)
         energies = np.concatenate([minus + 2.0 * field * ns, plus + 2.0 * field * ns])
         branches = np.concatenate([np.full(ns.size, -1), np.full(ns.size, 1)])
-        return cls(energies, branches, np.concatenate([ns, ns]), field=field,
-                   method=method)
-
-    @property
-    def levels(self):
-        """Levels as (energy, 'plus'|'minus', n) tuples, ascending in energy."""
-        names = {1: "plus", -1: "minus"}
-        return [
-            (float(e), names[int(b)], int(n))
-            for e, b, n in zip(self.energies, self.branches, self.indices)
-        ]
-
-    def fundamental(self, merged: bool = False) -> np.ndarray:
-        """Energies folded to (-F, F], or to (-F/2, F/2] for merged-ladder display."""
-        width = self.field if merged else 2.0 * self.field
-        return fold_interval(self.energies, width)
-
-    def select(self, branch: int) -> np.ndarray:
-        return self.energies[self.branches == branch]
+        return cls(energies, branches, np.concatenate([ns, ns]), field=field)
 
     def branch_offsets(self) -> tuple[float, float]:
         """Offset (minus, plus) of each ladder: the median of E - 2F n per branch.

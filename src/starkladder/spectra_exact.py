@@ -63,12 +63,6 @@ class Monodromy:
     eigenphase: float  # principal eigenphase phi in [0, pi]
     integration_steps: int
 
-    @property
-    def eigenvalues(self) -> tuple[complex, complex]:
-        """The conjugate pair exp(+-i*phi)."""
-        lam = complex(math.cos(self.eigenphase), math.sin(self.eigenphase))
-        return lam, lam.conjugate()
-
 
 @dataclass(frozen=True)
 class AvoidedCrossing:
@@ -276,7 +270,7 @@ def ws_spectrum_floquet(params: LatticeParams, n_range=range(-8, 9),
     """
     mono = monodromy(params, tol=tol)
     o_minus, o_plus = floquet_branch_offsets(params, mono.eigenphase)
-    return LadderSpectrum.from_offsets(o_minus, o_plus, params.f, n_range, "floquet")
+    return LadderSpectrum.from_offsets(o_minus, o_plus, params.f, n_range)
 
 
 def default_chain_size(params: LatticeParams) -> int:
@@ -341,8 +335,7 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
     indices = np.rint((eigs - offsets) / two_f).astype(int)
     if o_minus == o_plus:  # ascending: the first level of each degenerate pair is minus
         branches = np.where(np.diff(indices, prepend=indices[:1] - 1) == 0, 1, -1)
-    return LadderSpectrum(eigs, branches, indices, field=params.f,
-                          method="truncated", converged=converged)
+    return LadderSpectrum(eigs, branches, indices, field=params.f, converged=converged)
 
 
 def _gaps(params: LatticeParams, inv_f) -> np.ndarray:

@@ -152,7 +152,7 @@ def spectrum_wu_yang(params: LatticeParams, n_range=range(-8, 9)) -> LadderSpect
             f"arcsin argument {arg:.6f} outside [-1, 1]; expansion invalid here"
         )
     shift = params.f / math.pi * math.asin(arg)
-    return _two_ladder(params, shift, n_range, "wu-yang")
+    return _two_ladder(params, shift, n_range)
 
 
 def pi_coefficients(params: LatticeParams) -> tuple[float, float]:
@@ -188,7 +188,7 @@ def spectrum_expansion(params: LatticeParams, n_range=range(-8, 9),
     shift = eps * pi1
     if order == 3:
         shift += eps**3 * pi3
-    return _two_ladder(params, shift, n_range, f"expansion-{order}")
+    return _two_ladder(params, shift, n_range)
 
 
 def averaged_coupling(params: LatticeParams) -> float:
@@ -206,10 +206,10 @@ def averaged_coupling(params: LatticeParams) -> float:
 def spectrum_bm(params: LatticeParams, n_range=range(-8, 9)) -> LadderSpectrum:
     """Averaged spectrum E_{n,+-} = F(2n +- 1/2 +- f_bar)."""
     shift = params.f * averaged_coupling(params)
-    return _two_ladder(params, shift, n_range, "bm")
+    return _two_ladder(params, shift, n_range)
 
 
-def _two_ladder(params: LatticeParams, shift: float, n_range, method: str) -> LadderSpectrum:
+def _two_ladder(params: LatticeParams, shift: float, n_range) -> LadderSpectrum:
     """Merged-ladder pair E_{n,+-} = F(2n +- 1/2) +- shift."""
     half = 0.5 * params.f + shift
-    return LadderSpectrum.from_offsets(-half, half, params.f, n_range, method)
+    return LadderSpectrum.from_offsets(-half, half, params.f, n_range)

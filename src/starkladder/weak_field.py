@@ -114,7 +114,7 @@ def adiabatic_spectrum(params: LatticeParams, n_range=range(-8, 9),
     return LadderSpectrum.from_offsets(
         minus.c_const + two_f * minus.zak - correction,
         plus.c_const + two_f * plus.zak + correction,
-        params.f, n_range, f"adiabatic-{order}")
+        params.f, n_range)
 
 
 def _gap_action(j1: float, j2: float) -> float:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import starkladder
-from starkladder.cli import build_parser, main
+from starkladder.cli import _write_csv, build_parser, main
 
 SUBCOMMANDS = ["bands", "spectrum", "crossings", "gap-estimate", "resonances",
                "transfer", "continuum-bands", "tb-fit"]
@@ -102,6 +103,35 @@ def test_config_file_with_flag_override(tmp_path):
     # kappa = 0 row shows e_plus = j1 + j2 = 1.6, so the flag won
     center = [line for line in lines if line.startswith("0,")][0]
     assert float(center.split(",")[2]) == pytest.approx(1.6, abs=1e-12)
+
+
+@pytest.mark.parametrize("key,value,method", [("n_range", "-1:1", "floquet"),
+                                              ("window", "-2:2", "truncated")])
+def test_config_file_sets_negative_bounds(tmp_path, key, value, method):
+    # the value must reach argparse glued to its flag, or "-1:1" reads as a flag
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    base = ["spectrum", "--method", method, "--j1", "1", "--j2", "0.6", "--f", "0.5",
+            "--workers", "1", "--out"]
+    from_file, from_flag, default = (tmp_path / f"{name}.csv"
+                                     for name in ("file", "flag", "default"))
+    assert run_cli(base + [str(from_file), "--config", str(config)]) == 0
+    assert run_cli(base + [str(from_flag), f"--{key.replace('_', '-')}={value}"]) == 0
+    assert run_cli(base + [str(default)]) == 0
+    assert from_file.read_bytes() == from_flag.read_bytes() != default.read_bytes()
+
+
+def test_write_csv_cells(tmp_path):
+    out = tmp_path / "cells.csv"
+    floats = [0.1, np.float64(1.0 / 3.0), -0.0, np.float64(-0.0), 5e-324, 2.5e17]
+    _write_csv(str(out), list("abcdefghi"), [("plus", 3, np.int64(-2), *floats)])
+    header, line = out.read_text().splitlines()
+    assert header == "a,b,c,d,e,f,g,h,i"
+    assert line == ("plus,3,-2,0.10000000000000001,0.33333333333333331,-0,-0,"
+                    "4.9406564584124654e-324,2.5e+17")
+    for cell, value in zip(line.split(",")[3:], floats):
+        assert float(cell) == value
+        assert math.copysign(1.0, float(cell)) == math.copysign(1.0, value)
 
 
 def test_truncated_spectrum_with_an_empty_window_writes_only_the_header(tmp_path):
@@ -229,6 +259,32 @@ def test_malformed_window_names_the_flag(tmp_path, capsys, window):
                     "--f", "0.5", "--window", window, "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "--window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--method", "floquet", "--inv-f", "1:2"],
+    ["spectrum", "--method", "floquet", "--inv-f", "a:b:3"],
+    ["spectrum", "--method", "floquet", "--inv-f", "0:1:5"],
+    ["spectrum", "--method", "floquet", "--inv-f", "1:inf:3"],
+    ["crossings", "--inv-f", "9:8:100"],
+    ["gap-estimate", "--inv-f", "1:2:1"],
+    ["resonances", "--inv-f", "1:2:3:4"],
+])
+def test_malformed_inv_f_names_the_flag(tmp_path, capsys, args):
+    code = run_cli(args + ["--j1", "1", "--j2", "0.6", "--workers", "1",
+                           "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "--inv-f" in err
+
+
+@pytest.mark.parametrize("n_range", ["1", "a:b", "0.5:2", "3:-3"])
+def test_malformed_n_range_names_the_flag(tmp_path, capsys, n_range):
+    code = run_cli(["spectrum", "--method", "floquet", "--j1", "1", "--j2", "0.6",
+                    "--f", "0.5", f"--n-range={n_range}", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "--n-range" in err
 
 
 def test_adiabatic_at_band_touching_is_numerical_error(tmp_path, capsys):

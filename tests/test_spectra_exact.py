@@ -137,9 +137,10 @@ class TestMonodromy:
             mono = se.monodromy(params)
             u = mono.matrix
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-10
-            l1, l2 = mono.eigenvalues
-            assert abs(abs(l1) - 1.0) < 1e-10
-            assert abs(l2 - l1.conjugate()) < 1e-10
+            lam = np.linalg.eigvals(u)
+            lam = lam[np.argsort(lam.imag)]  # the pair exp(-+i phi), phi in [0, pi]
+            assert np.max(np.abs(lam - np.exp([-1j * mono.eigenphase,
+                                               1j * mono.eigenphase]))) < 1e-10
             det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
             assert abs(det - 1.0) < 1e-10
 
@@ -255,15 +256,8 @@ class TestFloquetLadder:
         p = LatticeParams(1.0, 0.6, 0.3, 0.2)
         spec = se.ws_spectrum_floquet(p, range(-4, 5))
         for branch in (1, -1):
-            diffs = np.diff(spec.select(branch))
+            diffs = np.diff(spec.energies[spec.branches == branch])
             assert np.allclose(diffs, 2 * p.f, atol=1e-12)
-
-    def test_levels_listing(self):
-        p = LatticeParams(1.0, 0.6, 0.0, 0.5)
-        spec = se.ws_spectrum_floquet(p, range(0, 2))
-        levels = spec.levels
-        assert len(levels) == 4
-        assert {name for _, name, _ in levels} == {"plus", "minus"}
 
 
 class TestTruncated:
@@ -273,7 +267,7 @@ class TestTruncated:
         assert spec.converged.all()
         steps = spec.energies / p.f - 0.5
         assert np.max(np.abs(steps - np.rint(steps))) < 1e-10
-        merged = spec.fundamental(merged=True)
+        merged = fold_interval(spec.energies, p.f)
         assert np.all(merged > -0.25 - 1e-9) and np.all(merged <= 0.25 + 1e-9)
 
     def test_cross_method_agreement_case(self):
@@ -326,7 +320,8 @@ class TestTruncated:
                                2 * f)
         assert np.max(np.abs(spec.energies - offset - 2 * f * spec.indices)) < 1e-12
         if f == 0.2:
-            assert np.allclose(spec.select(1), spec.select(-1), rtol=0.0, atol=1e-12)
+            assert np.allclose(spec.energies[spec.branches == 1],
+                               spec.energies[spec.branches == -1], rtol=0.0, atol=1e-12)
 
     def test_coincident_ladders_pair_up(self):
         # delta = F/2 without hopping is an exact crossing: both ladders are
@@ -366,7 +361,7 @@ class TestTruncated:
         p = LatticeParams(1.0, 0.6, 0.0, 0.2)
         spec = se.ws_spectrum_truncated(p, window=(-2, 2))
         for branch in (1, -1):
-            energies = spec.select(branch)
+            energies = spec.energies[spec.branches == branch]
             assert np.max(np.abs(np.diff(energies) - 2 * p.f)) < 1e-9
 
     @settings(max_examples=25, deadline=None)

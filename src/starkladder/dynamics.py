@@ -1,16 +1,18 @@
 """Time-domain engine on the truncated chain.
 
 Band projectors are assembled from the Bloch eigenvectors on the full
-quasimomentum grid of the chain, applied in O(N log N) through cell-space
-FFTs.  Propagation under a (possibly ramped) field closes the chain into a
-ring and works in the acceleration gauge, where the field only twists the
-bond phases: every cell wavevector then follows the driven two-level
+quasimomentum grid of the chain, applied to states in O(N log N) through
+cell-space FFTs.  Propagation under a (possibly ramped) field closes the
+chain into a ring and works in the acceleration gauge, where the field only
+twists the bond phases: every cell wavevector then follows the driven two-level
 equation of the monodromy, and the monodromy's sixth-order Magnus step and
 step-doubling rule integrate it; an edge guard makes sure the packet never
 feels the ring's seam.  Constant-field population statistics bypass time
 stepping entirely through the exact eigenbasis representation in one
-batched pass per field (W = V^T Psi0, M_upper = X^H X, a column-wise edge
-guard); the two engines are cross-checked in the test suite.
+batched pass per field, in real arithmetic on the real eigenbasis V:
+W = V^T Psi0, M_upper = Y^T Y with Y = Q V from the half quasimomentum
+zone (no FFT of V), a column-wise edge guard and a window mean summed over
+i < j; the two engines are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -139,6 +141,30 @@ class BandProjector:
     def population(self, psi: np.ndarray):
         """Band weight <psi|P|psi> = sum_kappa |<u_kappa|psi>|^2, per column of psi."""
         return np.sum(np.abs(self.coefficients(psi)) ** 2, axis=0)
+
+
+def _band_overlaps(projector: BandProjector, vectors: np.ndarray) -> np.ndarray:
+    """The real matrix <V|P|V> for real columns V, from the half zone.
+
+    The band amplitudes of V are X = R V / sqrt(L), with rows
+    r_m = conj(u(kappa_m)) x exp(-2i kappa_m l) over the sites (l, s).  Time
+    reversal makes u(-kappa) the conjugate of u(kappa) up to a phase, so
+    the rows at kappa_m and -kappa_m = kappa_{L-m} add the same Re(X^H X)
+    term.  The rows sqrt(w_m) Re r_m and sqrt(w_m) Im r_m for
+    m = 0 .. L // 2, w_m = 2 / L (1 / L at the self-conjugate kappa_0 and,
+    L even, kappa_{L/2}), form a real Q with <V|P|V> = Y^T Y, Y = Q V.
+    """
+    n_cells = projector.n_sites // 2
+    m, cells = np.arange(n_cells // 2 + 1), np.arange(n_cells)
+    weight = np.where(2 * m % n_cells == 0, 1.0, 2.0) / n_cells
+    # exp(-2i kappa_m l) = (-1)^l exp(-2 pi i m l / L), with m l reduced mod L in
+    # integers: the unreduced phase 2 kappa_m l puts 3e-14 errors into M at L = 512
+    roots = np.exp(-2j * np.pi * cells / n_cells)
+    waves = (-1.0) ** cells * roots[np.outer(m, cells) % n_cells]
+    rows = (np.sqrt(weight)[:, None, None] * waves[:, :, None]
+            * projector.vectors[:, m].T.conj()[:, None, :]).reshape(m.size, -1)
+    y = np.concatenate([rows.real, rows.imag]) @ vectors
+    return y.T @ y
 
 
 def band_projectors(params: LatticeParams, n_sites: int):
@@ -309,6 +335,23 @@ def _eigen_edge_guard(vectors, weights, positions):
         )
 
 
+def _window_mean(b: np.ndarray, values: np.ndarray, duration: float) -> float:
+    """Mean over t in [0, duration] of Re sum_ij B_ij exp(i (E_i - E_j) t), B Hermitian.
+
+    The window mean of exp(i a) is (exp(i a) - 1) / (i a) = exp(i h) sin(h) / h
+    with h = a / 2, and 1 at h = 0.  Re B is symmetric and Im B antisymmetric,
+    so each pair i < j enters twice:
+    tr Re B + 2 sum_{i<j} sin(h)/h (Re B_ij cos h - Im B_ij sin h).
+    """
+    i, j = np.triu_indices(values.size, 1)
+    h = 0.5 * duration * (values[i] - values[j])
+    sin_h, cos_h = np.sin(h), np.cos(h)
+    sinc = np.divide(sin_h, h, out=np.ones_like(h), where=h != 0)
+    upper = b[i, j]
+    pairs = np.sum(sinc * (upper.real * cos_h - upper.imag * sin_h))
+    return float(np.trace(b.real) + 2.0 * pairs)
+
+
 def mean_upper_population(params: LatticeParams, f: float,
                           n_bloch_periods: float = 20.0, kappa_grid: int = 16,
                           n_sites: int | None = None, sigma_cells: float = 12.0,
@@ -317,13 +360,15 @@ def mean_upper_population(params: LatticeParams, f: float,
 
     For every kappa on a uniform grid the lower-band Bloch state (broad
     Gaussian envelope) evolves for ``n_bloch_periods`` Bloch periods
-    T_B = pi/F.  One eigenbasis pass serves all K kappas: with eigenvectors V,
-    W = V^T Psi0 (states as columns), M = X^H X (X = <u_up|V>) and
-    B = M o conj(W) W^T / K, P(t) = Re sum_ij B_ij exp(i (E_i - E_j) t), whose
-    window mean is closed form, so long windows cost the same; each column of
-    |W|^2 is edge-guarded.  Off resonance the mean is bounded below by about
-    half the per-period interband tunnelling probability, P_LZ / 2 with
-    P_LZ = exp(-pi delta^2 / (2 J F)) and J = (j1 + j2) / 2.
+    T_B = pi/F.  One eigenbasis pass serves all K kappas: with the real
+    eigenvectors V, W = V^T Psi0 (states as columns, one real product),
+    M = <V|P_up|V> = Y^T Y with Y = Q V on the half zone (``_band_overlaps``)
+    and B = M o conj(W) W^T / K, P(t) = Re sum_ij B_ij exp(i (E_i - E_j) t),
+    whose window mean is closed form and summed over i < j, so long windows
+    cost the same; each column of |W|^2 is edge-guarded.  Off resonance the
+    mean is bounded below by about half the per-period interband tunnelling
+    probability, P_LZ / 2 with P_LZ = exp(-pi delta^2 / (2 J F)) and
+    J = (j1 + j2) / 2.
     """
     params = params.with_field(float(f))
     params.require_field()
@@ -337,22 +382,17 @@ def mean_upper_population(params: LatticeParams, f: float,
     _, p_upper = band_projectors(params, n_sites)  # rejects gapless bands first
     chain = build_chain(params, n_sites)
     values, vectors = eigh_tridiagonal(chain.diagonal, chain.off_diagonal)
-    # M = X^H X is real (V is real and time reversal pairs kappa with -kappa
-    # in the projector), so M = Re(X^H X) = Y^T Y with Y = [Re X; Im X]
-    x = p_upper.coefficients(vectors)
-    y = np.concatenate([x.real, x.imag])
-    m_upper = y.T @ y
+    m_upper = _band_overlaps(p_upper, vectors)
 
     kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
-    w = vectors.T @ lower_band_states(params, n_sites, kappas, sigma_cells)
+    psi0 = lower_band_states(params, n_sites, kappas, sigma_cells)
+    # V^T Re Psi0 and V^T Im Psi0 in one real product on the interleaved floats
+    w = (vectors.T @ psi0.view(float)).view(complex)
     _eigen_edge_guard(vectors, np.abs(w) ** 2, chain.positions)
     b = m_upper * (w.conj() @ w.T) / kappa_grid
 
     t_total = n_bloch_periods * math.pi / params.f
-    # window mean of exp(i a) is (exp(i a) - 1) / (i a) = sinc(a/pi) + i (a/2) sinc(a/2pi)^2
-    arg = (values[:, None] - values[None, :]) * t_total
-    mean = float(np.sum(b.real * np.sinc(arg / np.pi))
-                 - np.sum(b.imag * (0.5 * arg) * np.sinc(arg / (2.0 * np.pi)) ** 2))
+    mean = _window_mean(b, values, t_total)
 
     times = np.linspace(0.0, t_total, n_time_samples)
     phases = np.exp(-1j * values[:, None] * times[None, :])

@@ -66,7 +66,9 @@ def per_kappa_population(params, f, n_bloch_periods=20.0, kappa_grid=16,
 
     The loop that mean_upper_population's batched pass replaced: per kappa
     one lower-band state and one N x N pass, with M_upper = V^H (P_up V)
-    from the dense projector application instead of X^H X.
+    from the FFT projector application instead of the half-zone product
+    Y^T Y, and the window mean from the full complex kernel over all i, j
+    instead of the real sum over i < j.
     """
     params = params.with_field(f)
     if n_sites is None:
@@ -414,6 +416,9 @@ class TestMeanUpperPopulation:
         # 129 cells: an odd cell count, one kappa
         (LatticeParams(0.76, 0.76, 0.4), 4.0,
          {"n_sites": 258, "kappa_grid": 1, "sigma_cells": 8.0}),
+        # 128 cells: kappa = 0 is on the grid and self-conjugate
+        (LatticeParams(0.76, 0.76, 0.4), 4.0,
+         {"n_sites": 256, "kappa_grid": 2, "sigma_cells": 8.0}),
     ])
     def test_batched_pass_matches_per_kappa_loop(self, params, inv_f, options):
         trace = dyn.mean_upper_population(params, 1.0 / inv_f, n_time_samples=32,
@@ -422,6 +427,34 @@ class TestMeanUpperPopulation:
                                              **options)
         assert abs(trace.p_upper_mean - mean) < 1e-12
         assert np.max(np.abs(trace.p_upper - p_upper)) < 1e-12
+
+    # 128 cells (4 divides L), 129 (odd), 214 (L / 2 odd)
+    @pytest.mark.parametrize("n_sites", [256, 258, 428])
+    def test_half_zone_overlaps_match_the_projector(self, n_sites):
+        params = LatticeParams(1.0, 0.6, 0.2, 1.0 / 3.15)
+        chain = build_chain(params, n_sites)
+        _, vectors = eigh_tridiagonal(chain.diagonal, chain.off_diagonal)
+        _, p_upper = dyn.band_projectors(params, n_sites)
+        x = p_upper.coefficients(vectors)
+        overlaps = dyn._band_overlaps(p_upper, vectors)
+        assert np.max(np.abs(overlaps - np.real(x.conj().T @ x))) < 1e-13
+
+    def test_window_mean_at_coincident_levels(self):
+        rng = np.random.default_rng(7)
+        n, duration = 40, 3.0
+        values = np.sort(rng.uniform(-4.0, 4.0, n))
+        values[11] = values[10]  # an exactly repeated level
+        values[26] = values[25] + 1e-12  # and a pair 1e-12 apart
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = a + a.conj().T
+        arg = (values[:, None] - values[None, :]) * duration
+        kernel = np.ones((n, n), dtype=complex)
+        nz = arg != 0
+        kernel[nz] = (np.exp(1j * arg[nz]) - 1.0) / (1j * arg[nz])
+        brute = float(np.real(np.sum(b * kernel)))
+        # pytest turns a RuntimeWarning from a 0/0 into an error
+        mean = dyn._window_mean(b, values, duration)
+        assert abs(mean - brute) < 1e-14 * np.sum(np.abs(b))
 
     def test_edge_guard_checks_each_column(self):
         n = 64

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded
-from scipy.optimize import least_squares
 
 # Kinetic prefactor of the dimensionless Hamiltonian: energies are measured
 # in units of the short-lattice recoil (4 pi)^2 / 2, the depth scale of the
@@ -74,6 +72,8 @@ def continuum_bloch_bands(pot: ContinuumPotential, k: float, cutoff: int = 41,
     compares against a basis enlarged by five reciprocal vectors on each
     side; converged means the returned bands moved by less than 1e-10.
     """
+    from scipy.linalg import eigvals_banded
+
     if not 1 <= n_bands <= cutoff:
         raise ValueError(f"n_bands must lie in [1, cutoff = {cutoff}], got {n_bands}")
     lowest = (0, n_bands - 1)
@@ -120,6 +120,8 @@ def fit_tight_binding(bands: ContinuumBands) -> TightBindingFit:
     other (j1, j2, delta) giving the same combinations produces identical
     bands.  A residual above 10% of the doublet bandwidth sets ``poor_fit``.
     """
+    from scipy.optimize import least_squares
+
     if bands.energies.shape[1] < 2:
         raise ValueError("need at least two bands to fit")
     k = bands.k_grid

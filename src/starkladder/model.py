@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe, elliprf, elliprj
 
 from .errors import DegeneracyError
 
@@ -197,6 +196,8 @@ def _tilted_band_mean(params: LatticeParams) -> float:
     sqrt(a + b cos theta), whose mean over theta is the complete elliptic
     integral (2/pi) sqrt(a + b) E(2b/(a + b)).
     """
+    from scipy.special import ellipe
+
     dz = params.delta + 0.5 * params.f
     apb = dz * dz + (params.j1 + params.j2) ** 2
     if apb == 0.0:
@@ -242,6 +243,8 @@ def _zak_plus(params: LatticeParams) -> float:
     (Carlson's symmetric forms; the Pi term vanishes at j1 = j2).  At delta = 0
     Z_+ is exactly 0 or 1/2.  Raises DegeneracyError when the bands touch.
     """
+    from scipy.special import elliprf, elliprj
+
     scale = params.j1 + params.j2 + abs(params.delta)
     if math.hypot(params.delta, params.j1 - params.j2) <= 1e-13 * scale:
         raise DegeneracyError("Berry loop passes through an exact degeneracy")

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 from .errors import NonConvergedError
 from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams, _tilted_band_mean,
@@ -40,6 +38,8 @@ def eigenvalues_symmetric_tridiagonal(matrix: ChainHamiltonian, window=None) -> 
     LAPACK bisection through ``scipy.linalg.eigvalsh_tridiagonal``; ``window``
     restricts the output to eigenvalues inside the closed interval.
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     diag, off = matrix.diagonal, matrix.off_diagonal
     if window is None:
         return eigvalsh_tridiagonal(diag, off)
@@ -354,6 +354,8 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
     relative 1e-6 in 1/F.  Splittings below 1e-12 * F are reported as exact
     crossings (gap 0).
     """
+    from scipy.optimize import minimize_scalar
+
     z_lo, z_hi = float(inv_f_interval[0]), float(inv_f_interval[1])
     if not (0.0 < z_lo < z_hi):
         raise ValueError("inv_f_interval must satisfy 0 < lo < hi")

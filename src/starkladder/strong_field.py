@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy import special
 
 from .errors import NonConvergedError, OutOfValidityError
 from .model import LadderSpectrum, LatticeParams
@@ -93,8 +92,10 @@ class WuYangPhaseSet:
         if t <= 0.0 or epsilon == 0.0:
             return cls(0.0, 0.0, 0.0, 0.0)
 
+        from scipy.special import j0
+
         z = 2.0 * omega
-        big_a = 2.0 * math.pi * epsilon * float(special.j0(z))
+        big_a = 2.0 * math.pi * epsilon * float(j0(z))
         # columns I(x) = int_0^x sin(z sin), K(x) = int_0^x sin(z cos)
         inner = _antiderivative(lambda x: np.sin(z * np.array([np.sin(x), np.cos(x)])), t, z)
 
@@ -161,10 +162,12 @@ def pi_coefficients(params: LatticeParams) -> tuple[float, float]:
     Pi1 = F J0(4J/F); Pi3 = (2F/pi) int_0^pi [I(t, 4J/F) - I(pi, 4J/F)/2]^2
     cos(4J/F sin t) dt.
     """
+    from scipy.special import j0
+
     j = _require_equal_hoppings(params)
     params.require_field()
     zeta = 4.0 * j / params.f
-    pi1 = params.f * float(special.j0(zeta))
+    pi1 = params.f * float(j0(zeta))
 
     i_coef = _antiderivative(lambda x: np.sin(zeta * np.sin(x)), math.pi, zeta)
     half_total = 0.5 * i_coef.sum()
@@ -197,10 +200,12 @@ def averaged_coupling(params: LatticeParams) -> float:
     f_bar = (delta/F) J0(2(j1+j2)/F) + ((j1-j2)/F) J1(2(j1+j2)/F); vanishes
     for the plain lattice delta = 0, j1 = j2.
     """
+    from scipy.special import j0, j1
+
     params.require_field()
     z = 2.0 * (params.j1 + params.j2) / params.f
-    return (params.delta / params.f) * float(special.j0(z)) \
-        + ((params.j1 - params.j2) / params.f) * float(special.j1(z))
+    return (params.delta / params.f) * float(j0(z)) \
+        + ((params.j1 - params.j2) / params.f) * float(j1(z))
 
 
 def spectrum_bm(params: LatticeParams, n_range=range(-8, 9)) -> LadderSpectrum:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe, ellipkm1, elliprd, elliprf
 
 from .errors import DegeneracyError, OutOfValidityError
 from .model import (LadderSpectrum, LatticeParams, _tilted_band_mean, _two_level_eigen,
@@ -87,6 +86,8 @@ def d_coefficient(params: LatticeParams) -> float:
     D = d s^{-3/2} / (16 pi) * [2(1 + p) E(1 - p) - p K(1 - p)] / (3 p^2),
     and K(1 - p) comes from ``ellipkm1(p)`` so p -> 0 keeps its digits.
     """
+    from scipy.special import ellipe, ellipkm1
+
     s = (params.j1 + params.j2) ** 2
     d = (params.j1 - params.j2) ** 2
     if s * d == 0.0:
@@ -138,6 +139,8 @@ def _gap_action(j1: float, j2: float) -> float:
 
     which avoids the cancellation in 1 - q and is 0 at j1 = j2.
     """
+    from scipy.special import elliprd, elliprf
+
     n = (j1 - j2) ** 2 / (4.0 * j1 * j2)
     carlson = elliprf(0.0, 1.0 + n, 1.0) - elliprd(0.0, 1.0 + n, 1.0) / 3.0
     return float((j1 - j2) ** 2 / math.sqrt(j1 * j2) * carlson)

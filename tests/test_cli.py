@@ -294,17 +294,75 @@ def test_adiabatic_at_band_touching_is_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerical:")
 
 
+def fresh_python(*args):
+    """Run a new interpreter that imports this checkout's starkladder."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(starkladder.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def test_adiabatic_near_band_touching_raises_no_warning(tmp_path):
     # warnings are errors here, so a quadrature warning would fail the run;
     # at F = 1e-7 the F^2 correction |D| F^2 = 2.7e-8 is below F/2
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(starkladder.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "starkladder.cli", "spectrum",
-         "--method", "adiabatic", "--order", "2", "--j1", "1", "--j2", "0.9999",
-         "--f", "1e-7", "--workers", "1", "--out", str(tmp_path / "x.csv")],
-        capture_output=True, text=True, env=env)
+    result = fresh_python(
+        "-W", "error", "-m", "starkladder.cli", "spectrum",
+        "--method", "adiabatic", "--order", "2", "--j1", "1", "--j2", "0.9999",
+        "--f", "1e-7", "--workers", "1", "--out", str(tmp_path / "x.csv"))
     assert result.returncode == 0, result.stderr
+
+
+# runs the CLI arguments after it (if any), then lists the scipy modules loaded
+_LIST_SCIPY = """
+import sys
+from starkladder import cli
+if len(sys.argv) > 1 and cli.main(sys.argv[1:]):
+    sys.exit(1)
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+TINY_TRANSFER = ["transfer", "--j1", "1", "--j2", "0.6", "--inv-f-start", "2",
+                 "--inv-f-stop", "1.9", "--periods", "0.1", "--n-sites", "96",
+                 "--sigma-cells", "3", "--samples", "3", "--tol", "1e-4"]
+TINY_RESONANCES = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
+                   "--inv-f", "1:1.1:2", "--periods", "2", "--kappa-grid", "2"]
+
+
+@pytest.mark.parametrize("args, loaded, absent", [
+    ([], [], ["scipy"]),
+    (TINY_TRANSFER, [], ["scipy"]),
+    (TINY_RESONANCES, ["scipy.linalg"], ["scipy.optimize"]),
+])
+def test_scipy_is_loaded_only_by_the_solver_that_needs_it(tmp_path, args, loaded, absent):
+    # a module-level scipy import anywhere in the package loads it at import
+    if args:
+        args = args + ["--workers", "1", "--out", str(tmp_path / "x.csv")]
+    result = fresh_python("-c", _LIST_SCIPY, *args)
+    assert result.returncode == 0, result.stderr
+    modules = result.stdout.split()
+    for name in loaded:
+        assert name in modules
+    for name in absent:
+        assert name not in modules
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--method", "truncated", "--j1", "1", "--j2", "0.6",
+     "--inv-f", "1:2:4", "--n-range=-1:1"],
+    ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
+     "--inv-f", "3.0:3.3:4", "--periods", "2", "--kappa-grid", "2"],
+])
+def test_cold_pool_matches_one_worker(tmp_path, args):
+    # each run starts in a new interpreter without scipy, so the pool
+    # workers load the solver's scipy routines themselves
+    outputs = []
+    for workers in ("2", "1"):
+        out = tmp_path / f"w{workers}.csv"
+        result = fresh_python("-m", "starkladder.cli", *args, "--workers", workers,
+                              "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) > 4
 
 
 def test_adiabatic_second_order_beyond_validity_is_numerical_error(tmp_path, capsys):

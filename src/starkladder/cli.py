@@ -49,10 +49,18 @@ def _split(spec: str, flag: str, *kinds) -> list:
     return values
 
 
-def _inv_f_sweep(spec: str) -> np.ndarray:
+# largest 1/F of a monodromy: its step count grows as 1/F (5e5 steps at 1e4),
+# and its Magnus exponents overflow long before 1/F reaches the float range
+_MAX_INV_F = 1e4
+
+
+def _inv_f_sweep(spec: str, inv_f_max: float = math.inf) -> np.ndarray:
     lo, hi, count = _split(spec, "--inv-f", float, float, int)
     if count < 2 or not 0 < lo < hi < math.inf:
         raise ConfigError(f"--inv-f needs 0 < lo < hi < inf and count >= 2, got {spec!r}")
+    if hi > inv_f_max:
+        raise ConfigError(f"--inv-f needs hi <= {inv_f_max:g} (the monodromy's field "
+                          f"bound), got {spec!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -142,10 +150,14 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
     if (ns.f is None) == (ns.inv_f is None):
         raise ConfigError("choose exactly one of --f or --inv-f")
+    inv_f_max = _MAX_INV_F if ns.method == "floquet" else math.inf
     if ns.f is not None:
         inv_fs = np.array([1.0 / _positive(ns.f, "--f")])
+        if inv_fs[0] > inv_f_max:
+            raise ConfigError(f"--f needs F >= {1.0 / inv_f_max:g} (the monodromy's field "
+                              f"bound), got {ns.f:g}")
     else:
-        inv_fs = _inv_f_sweep(ns.inv_f)
+        inv_fs = _inv_f_sweep(ns.inv_f, inv_f_max)
     lo, hi = _split(ns.n_range, "--n-range", int, int)
     n_range = range(lo, hi + 1)
     options = {"order": ns.order, "n_sites": ns.n_sites}
@@ -159,7 +171,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
 
 def _cmd_crossings(ns: argparse.Namespace) -> None:
     params = _lattice(ns, f=1.0)
-    sweep = _inv_f_sweep(ns.inv_f)
+    sweep = _inv_f_sweep(ns.inv_f, _MAX_INV_F)
     if sweep.size < 100:
         raise ConfigError(f"--inv-f needs at least 100 samples for a crossing search, "
                           f"got {sweep.size}")
@@ -325,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["truncated", "floquet", "wu-yang", "expansion",
                             "bm", "adiabatic"])
-    p.add_argument("--f", type=float, help="single field value")
-    p.add_argument("--inv-f", help="1/F sweep lo:hi:count")
+    p.add_argument("--f", type=float,
+                   help="single field value (at least 1e-4 for the floquet method)")
+    p.add_argument("--inv-f", help="1/F sweep lo:hi:count (hi at most 1e4 for the "
+                                   "floquet method)")
     p.add_argument("--n-range", default="-3:3", help="ladder index range lo:hi")
     p.add_argument("--order", type=int, default=None,
                    help="expansion order (1|3 for expansion, 1|2 for adiabatic)")
@@ -338,7 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("crossings", help="avoided crossings over a 1/F interval")
     _add_lattice_args(p)
-    p.add_argument("--inv-f", required=True, help="1/F sweep lo:hi:count")
+    p.add_argument("--inv-f", required=True,
+                   help="1/F interval lo:hi:count, hi at most 1e4; the splitting is "
+                        "scanned for minima at count (at least 100) equally spaced "
+                        "points of a Chebyshev proxy of the monodromy, not integrated "
+                        "one by one, so minima closer than one step merge")
     _add_common(p)
 
     p = subs.add_parser("gap-estimate", help="multiphoton gap estimate (delta = 0)")

@@ -9,7 +9,8 @@ by one formula that stays accurate where the crossing gaps close.  Both give
 the same ladders; the truncated route carries per-level convergence flags
 and labels its branches from its own levels; the monodromy route is free of
 truncation error and is the workhorse for field sweeps and avoided-crossing
-searches, which scipy's bounded Brent minimizer refines.
+searches, which locate the splitting's minima on one Chebyshev series of the
+monodromy entries over the whole 1/F interval.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import NonConvergedError
 from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams, _tilted_band_mean,
                     _zak_plus, build_chain, fold_interval)
-from .strong_field import averaged_coupling
+from .strong_field import _chebyshev_series, averaged_coupling
 
 _PHASE_TOL = 1e-11
 _LEVEL_TOL = 1e-10  # truncated-chain level agreement
@@ -338,44 +340,72 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
     return LadderSpectrum(eigs, branches, indices, field=params.f, converged=converged)
 
 
+def _splitting(inv_f, a, b) -> np.ndarray:
+    """Minimal inter-ladder splitting (2F/pi) min(phi, pi - phi) at fields
+    1/inv_f from the monodromy entries (a, b) there."""
+    phi = _eigenphase(a, b)
+    return (2.0 / (math.pi * inv_f)) * np.minimum(phi, math.pi - phi)
+
+
 def _gaps(params: LatticeParams, inv_f) -> np.ndarray:
     """Minimal inter-ladder splittings (energy units) at fields 1/inv_f."""
     z = np.asarray(inv_f, dtype=float)
-    phi = _eigenphase(*_converged_propagators(params, 1.0 / z, _PHASE_TOL)[:2])
-    return (2.0 / (math.pi * z)) * np.minimum(phi, math.pi - phi)
+    return _splitting(z, *_converged_propagators(params, 1.0 / z, _PHASE_TOL)[:2])
+
+
+_PROXY_MAX_NODES = 1 << 12  # Chebyshev node cap of the crossing search's proxy
+_ZOOM_POINTS = 65  # proxy samples per bracket; each zoom shrinks it 32x
 
 
 def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, float],
                            resolution: int = 200) -> list[AvoidedCrossing]:
     """Locate minima of the inter-ladder splitting over a 1/F interval.
 
-    Scans ``resolution`` points, keeps interior local minima of the gap and
-    refines each between its neighbours by scipy's bounded Brent search to a
-    relative 1e-6 in 1/F.  Splittings below 1e-12 * F are reported as exact
-    crossings (gap 0).
+    The monodromy entries a and b are analytic in 1/F, so one batched
+    integration at first-kind Chebyshev points gives a series (the proxy) of
+    Re a, Im a, Re b and Im b over the whole interval.  The node count starts
+    at 16 and doubles until the last eighth of the coefficients is below
+    1e-13 of the largest; past 4096 nodes NonConvergedError is raised.  The
+    splitting formula on the proxy's entries is scanned at ``resolution``
+    equally spaced points, which cost no integration, so minima closer than
+    one step merge.  Each interior local minimum is refined on the proxy: a
+    grid of 65 points zooms onto its smallest sample until the bracket is
+    below 1e-13 of 1/F.  That is far inside the relative 1e-6 the location
+    must meet at any interval width, and it resolves the corner of an exact
+    crossing too.  The reported gap comes from one direct integration there;
+    splittings below 1e-12 * F are reported as exact crossings (gap 0).
     """
-    from scipy.optimize import minimize_scalar
-
     z_lo, z_hi = float(inv_f_interval[0]), float(inv_f_interval[1])
     if not (0.0 < z_lo < z_hi):
         raise ValueError("inv_f_interval must satisfy 0 < lo < hi")
     if resolution < 100:
         raise ValueError("resolution must be at least 100 samples")
 
-    z = np.linspace(z_lo, z_hi, resolution)
-    gaps = _gaps(params, z)
+    mid, half = 0.5 * (z_hi + z_lo), 0.5 * (z_hi - z_lo)
 
+    def entries(s):
+        a, b, _ = _converged_propagators(params, 1.0 / (mid + half * s), _PHASE_TOL)
+        return np.array([a.real, a.imag, b.real, b.imag])
+
+    coef = _chebyshev_series(entries, 16, _PROXY_MAX_NODES, 1e-13).T
+
+    def proxy_gaps(z):
+        re_a, im_a, re_b, im_b = chebval((z - mid) / half, coef)
+        return _splitting(z, re_a + 1j * im_a, re_b + 1j * im_b)
+
+    z = np.linspace(z_lo, z_hi, resolution)
+    gaps = proxy_gaps(z)
     crossings = []
     for i in range(1, resolution - 1):
         if not (gaps[i] < gaps[i - 1] and gaps[i] <= gaps[i + 1]):
             continue
-        res = minimize_scalar(lambda x: float(_gaps(params, [x])[0]),
-                              bounds=(z[i - 1], z[i + 1]), method="bounded",
-                              options={"xatol": 1e-6 * z[i]})
-        if not res.success:
-            raise NonConvergedError(
-                f"crossing refinement near 1/F = {z[i]:g} failed: {res.message}")
-        z_star, gap = float(res.x), float(res.fun)
+        lo, hi = z[i - 1], z[i + 1]
+        while hi - lo > 1e-13 * hi:
+            grid = np.linspace(lo, hi, _ZOOM_POINTS)
+            j = int(np.argmin(proxy_gaps(grid)))
+            lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, _ZOOM_POINTS - 1)]
+        z_star = float(0.5 * (lo + hi))
+        gap = float(_gaps(params, [z_star])[0])
         if gap < 1e-12 / z_star:
             gap = 0.0
         crossings.append(AvoidedCrossing(inv_f_star=z_star, gap=gap))

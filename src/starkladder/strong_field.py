@@ -32,6 +32,25 @@ def _chebyshev_transform(n: int):
     return np.cos(np.pi * (k + 0.5) / n), twiddle
 
 
+def _chebyshev_series(sample, n: int, n_max: int, tail: float) -> np.ndarray:
+    """Chebyshev coefficients on [-1, 1] of the functions ``sample`` evaluates.
+
+    ``sample`` maps an array of points s in [-1, 1] to samples, one row per
+    function.  From ``n`` first-kind points the count doubles, up to
+    ``n_max``, until the last eighth of the coefficients is below ``tail``
+    times the largest.  Returns coefficients (functions x nodes): chebval(s,
+    coef.T) gives the values at s.
+    """
+    while n <= n_max:
+        s, twiddle = _chebyshev_transform(n)
+        f = np.atleast_2d(sample(s))
+        coef = (np.fft.fft(np.hstack([f, f[:, ::-1]]))[:, :n] * twiddle).real
+        if np.max(np.abs(coef[:, -n // 8:])) <= tail * np.max(np.abs(coef)):
+            return coef
+        n *= 2
+    raise NonConvergedError(f"Chebyshev series unresolved at {n_max} nodes")
+
+
 def _antiderivative(integrand, t: float, z: float) -> np.ndarray:
     """Chebyshev series of x -> int_0^x integrand on [0, t].
 
@@ -43,20 +62,16 @@ def _antiderivative(integrand, t: float, z: float) -> np.ndarray:
     Returns coefficients in s = 2x/t - 1 along axis 0, one column per row:
     chebval(s, coef) gives interior values and coef.sum(axis=0) the value at t.
     """
-    n = 1 << max(7, int(2.0 * z + 32.0).bit_length())
-    while n <= 1 << 15:
-        s, twiddle = _chebyshev_transform(n)
-        f = np.atleast_2d(integrand(0.5 * t * (s + 1.0)))
-        coef = (np.fft.fft(np.hstack([f, f[:, ::-1]]))[:, :n] * twiddle).real
-        if np.max(np.abs(coef[:, -n // 8:])) <= max(1e-13, 4e-16 * z) * np.max(np.abs(coef)):
-            # chebint's recurrence b_k = (c_{k-1} - c_{k+1}) / 2k with c_0 doubled, as
-            # one array expression: chebint loops in Python over the coefficients
-            c = np.hstack([2.0 * coef[:, :1], coef[:, 1:], np.zeros((len(f), 2))])
-            b = 0.25 * t * (c[:, :-2] - c[:, 2:]) / np.arange(1, n + 1)
-            b0 = b @ (-1.0) ** np.arange(n)  # the antiderivative vanishes at x = 0
-            return np.hstack([b0[:, None], b]).T
-        n *= 2
-    raise NonConvergedError("Chebyshev series unresolved at 2^15 nodes")
+    coef = _chebyshev_series(lambda s: integrand(0.5 * t * (s + 1.0)),
+                             1 << max(7, int(2.0 * z + 32.0).bit_length()), 1 << 15,
+                             max(1e-13, 4e-16 * z))
+    rows, n = coef.shape
+    # chebint's recurrence b_k = (c_{k-1} - c_{k+1}) / 2k with c_0 doubled, as
+    # one array expression: chebint loops in Python over the coefficients
+    c = np.hstack([2.0 * coef[:, :1], coef[:, 1:], np.zeros((rows, 2))])
+    b = 0.25 * t * (c[:, :-2] - c[:, 2:]) / np.arange(1, n + 1)
+    b0 = b @ (-1.0) ** np.arange(n)  # the antiderivative vanishes at x = 0
+    return np.hstack([b0[:, None], b]).T
 
 
 def osc_integral(t: float, z: float) -> float:

@@ -278,6 +278,21 @@ def test_malformed_inv_f_names_the_flag(tmp_path, capsys, args):
     assert err.startswith("error: config:") and "--inv-f" in err
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["crossings", "--inv-f", "1:1e308:100"], "--inv-f"),
+    (["spectrum", "--method", "floquet", "--inv-f", "1:1e308:3"], "--inv-f"),
+    (["spectrum", "--method", "floquet", "--f", "1e-308"], "--f"),
+])
+def test_monodromy_field_bound_names_the_flag(tmp_path, capsys, args, flag):
+    # checked before any integration: 1/F = 1e308 used to overflow in the
+    # Magnus step (warnings are errors here) and exit 3
+    code = run_cli(args + ["--j1", "1", "--j2", "0.6", "--workers", "1",
+                           "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and flag in err and "bound" in err
+
+
 @pytest.mark.parametrize("n_range", ["1", "a:b", "0.5:2", "3:-3"])
 def test_malformed_n_range_names_the_flag(tmp_path, capsys, n_range):
     code = run_cli(["spectrum", "--method", "floquet", "--j1", "1", "--j2", "0.6",
@@ -323,6 +338,7 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 TINY_TRANSFER = ["transfer", "--j1", "1", "--j2", "0.6", "--inv-f-start", "2",
                  "--inv-f-stop", "1.9", "--periods", "0.1", "--n-sites", "96",
                  "--sigma-cells", "3", "--samples", "3", "--tol", "1e-4"]
+TINY_CROSSINGS = ["crossings", "--j1", "1", "--j2", "0.6", "--inv-f", "0.5:0.6:100"]
 TINY_RESONANCES = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
                    "--inv-f", "1:1.1:2", "--periods", "2", "--kappa-grid", "2"]
 
@@ -330,6 +346,7 @@ TINY_RESONANCES = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4
 @pytest.mark.parametrize("args, loaded, absent", [
     ([], [], ["scipy"]),
     (TINY_TRANSFER, [], ["scipy"]),
+    (TINY_CROSSINGS, [], ["scipy"]),
     (TINY_RESONANCES, ["scipy.linalg"], ["scipy.optimize"]),
 ])
 def test_scipy_is_loaded_only_by_the_solver_that_needs_it(tmp_path, args, loaded, absent):

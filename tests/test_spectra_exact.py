@@ -416,6 +416,37 @@ class TestCrossings:
         p = LatticeParams(0.0, 0.0, 0.5, 1.0)
         assert se._gaps(p, [1.0])[0] < 1e-12 * p.f
 
+    def test_two_crossings_in_one_window_match_a_dense_direct_scan(self):
+        p = LatticeParams(1.0, 0.6, 0.0, 1.0)
+        found = se.find_avoided_crossings(p, (12.6, 13.8), resolution=100)
+        assert [round(c.inv_f_star, 1) for c in found] == [12.8, 13.7]
+        for c in found:
+            # integrated directly at 201 points 1e-7 * z apart around the result
+            z = c.inv_f_star * (1.0 + 1e-7 * np.arange(-100, 101))
+            gaps = se._gaps(p, z)
+            best = int(np.argmin(gaps))
+            assert 0 < best < z.size - 1
+            assert abs(c.inv_f_star - z[best]) < 1e-6 * z[best]
+            assert abs(c.gap - gaps[best]) < 1e-8 * gaps[best]
+
+    def test_exact_atomic_crossing_is_found_at_its_corner(self):
+        # the splitting |z - 1| / z is V-shaped: no parabola fits its minimum
+        p = LatticeParams(0.0, 0.0, 0.5, 1.0)
+        (found,) = se.find_avoided_crossings(p, (0.55, 1.7), resolution=100)
+        assert found.gap == 0.0
+        assert abs(found.inv_f_star - 1.0) < 1e-6
+
+    def test_reported_gap_is_one_direct_integration(self):
+        p = LatticeParams(0.76, 0.76, 0.4, 1.0)
+        (found,) = se.find_avoided_crossings(p, (3.0, 3.3), resolution=100)
+        assert found.gap == se._gaps(p, [found.inv_f_star])[0]
+
+    def test_unresolved_proxy_raises(self, monkeypatch):
+        # [4, 30] needs 128 nodes
+        monkeypatch.setattr(se, "_PROXY_MAX_NODES", 64)
+        with pytest.raises(NonConvergedError):
+            se.find_avoided_crossings(LatticeParams(1.0, 0.6, 0.0, 1.0), (4.0, 30.0))
+
     def test_input_validation(self):
         p = LatticeParams(1.0, 0.6, 0.0, 0.1)
         with pytest.raises(ValueError):

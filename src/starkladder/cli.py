@@ -74,6 +74,12 @@ def _positive(value: float, flag: str) -> float:
     return value
 
 
+def _count(value: int, flag: str) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def _parallel_map(fn, items, workers: int):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
@@ -140,7 +146,8 @@ def _resonance_row(task):
 
 def _cmd_bands(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
-    kappa = np.linspace(-np.pi / 2, np.pi / 2, ns.points, endpoint=False)
+    kappa = np.linspace(-np.pi / 2, np.pi / 2, _count(ns.points, "--points"),
+                        endpoint=False)
     e_minus, e_plus = bloch_dispersion(params, kappa)
     _write_csv(ns.out, ["kappa", "e_minus", "e_plus"],
                zip(kappa, e_minus, e_plus))
@@ -194,9 +201,8 @@ def _cmd_gap_estimate(ns: argparse.Namespace) -> None:
 def _cmd_resonances(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
     sweep = _inv_f_sweep(ns.inv_f)
-    if ns.kappa_grid < 1:
-        raise ConfigError(f"--kappa-grid must be at least 1, got {ns.kappa_grid}")
-    options = {"periods": _positive(ns.periods, "--periods"), "kappa_grid": ns.kappa_grid,
+    options = {"periods": _positive(ns.periods, "--periods"),
+               "kappa_grid": _count(ns.kappa_grid, "--kappa-grid"),
                "sigma_cells": _positive(ns.sigma_cells, "--sigma-cells"),
                "n_sites": ns.n_sites}
     tasks = [(params, float(z), options) for z in sweep]
@@ -211,7 +217,7 @@ def _cmd_transfer(ns: argparse.Namespace) -> None:
     result = dynamics.bloch_transfer_experiment(
         params, inv_f_start=ns.inv_f_start, inv_f_stop=ns.inv_f_stop, duration=duration,
         packet_sigma=_positive(ns.sigma_cells, "--sigma-cells"), n_sites=ns.n_sites,
-        n_samples=ns.samples, tol=_positive(ns.tol, "--tol"))
+        n_samples=_count(ns.samples, "--samples"), tol=_positive(ns.tol, "--tol"))
     rows = ((t, site, d) for t, row in zip(result.times.tolist(), result.density.tolist())
             for site, d in enumerate(row))
     _write_csv(ns.out, ["time", "site", "density"], rows)
@@ -224,7 +230,7 @@ def _cmd_transfer(ns: argparse.Namespace) -> None:
 def _continuum_bands(ns: argparse.Namespace, n_bands: int) -> continuum.ContinuumBands:
     pot = continuum.ContinuumPotential(v0=ns.v0, v1=ns.v1, v2=ns.v2,
                                        phi1=ns.phi1, phi2=ns.phi2)
-    ks = np.linspace(-np.pi, np.pi, ns.k_points, endpoint=False)
+    ks = np.linspace(-np.pi, np.pi, _count(ns.k_points, "--k-points"), endpoint=False)
     bands = continuum.band_structure(pot, ks, cutoff=ns.cutoff, n_bands=n_bands)
     if not bands.converged:
         raise NonConvergedError("continuum bands unconverged; raise --cutoff")
@@ -316,7 +322,8 @@ def _add_potential_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--v2", type=float, required=True, help="short-lattice amplitude")
     sub.add_argument("--phi1", type=float, default=0.0, help="long-lattice phase")
     sub.add_argument("--phi2", type=float, default=0.0, help="short-lattice phase")
-    sub.add_argument("--k-points", type=int, default=64, help="quasimomentum samples")
+    sub.add_argument("--k-points", type=int, default=64,
+                     help="quasimomentum samples, at least 1 (tb-fit needs two)")
     sub.add_argument("--cutoff", type=int, default=41, help="plane-wave count (odd)")
 
 
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bands", help="Bloch bands of the untilted lattice")
     _add_lattice_args(p)
-    p.add_argument("--points", type=int, default=256, help="kappa samples")
+    p.add_argument("--points", type=int, default=256, help="kappa samples, at least 1")
     _add_common(p)
 
     p = subs.add_parser("spectrum", help="Wannier-Stark ladder by any method")
@@ -378,17 +385,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("transfer", help="adiabatic band-transfer trajectory")
     _add_lattice_args(p)
-    p.add_argument("--inv-f-start", type=float, default=9.4)
-    p.add_argument("--inv-f-stop", type=float, default=8.7)
+    p.add_argument("--inv-f-start", type=float, default=9.4,
+                   help="1/F at the start of the ramp (default 9.4); 1/F is linear "
+                        "in time and the field is integrated exactly")
+    p.add_argument("--inv-f-stop", type=float, default=8.7,
+                   help="1/F at the end of the ramp (default 8.7)")
     p.add_argument("--periods", type=float, default=120.0,
                    help="ramp duration in Bloch periods at the initial field")
     p.add_argument("--sigma-cells", type=float, default=10.0,
                    help="packet width in cells")
     p.add_argument("--n-sites", type=int, default=512)
-    p.add_argument("--samples", type=int, default=161, help="trajectory samples")
+    p.add_argument("--samples", type=int, default=161,
+                   help="trajectory samples, at least 1 (default 161)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="largest change of a propagator entry in the last step "
-                        "doubling, per piece of the time axis (default 1e-8); it "
+                        "doubling, per sample interval (default 1e-8); it "
                         "bounds only that integration error: chain truncation is "
                         "checked only by the edge guard, edge-zone weight |psi|^2 "
                         "<= 1e-8, so amplitudes up to 1e-4 pass (a 256-site packet "
@@ -424,8 +435,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         ns = build_parser().parse_args(_merge_config_file(argv))
-        if ns.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {ns.workers}")
+        _count(ns.workers, "--workers")
         _DISPATCH[ns.subcommand](ns)
         return 0
     except (ConfigError, ValueError) as exc:

@@ -119,12 +119,16 @@ def fit_tight_binding(bands: ContinuumBands) -> TightBindingFit:
     returns the canonical representative with delta = 0 and j1 >= j2.  Any
     other (j1, j2, delta) giving the same combinations produces identical
     bands.  A residual above 10% of the doublet bandwidth sets ``poor_fit``.
+    The grid must hold at least two distinct values of cos k: at one, the
+    three parameters see only two energies.
     """
     from scipy.optimize import least_squares
 
     if bands.energies.shape[1] < 2:
         raise ValueError("need at least two bands to fit")
     k = bands.k_grid
+    if np.unique(np.cos(k)).size < 2:
+        raise ValueError("need at least two distinct values of cos k to fit the bands")
     lower = bands.energies[:, 0]
     upper = bands.energies[:, 1]
 

@@ -22,14 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeContaminationError, NonConvergedError
-from .model import LatticeParams, _two_level_eigen, build_chain
+from .errors import DegeneracyError, EdgeContaminationError, NonConvergedError
+from .model import LatticeParams, _bands_touch, _two_level_eigen, build_chain
 from .spectra_exact import _START_STEPS, _converged, _magnus_product
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
 # (piece, k) propagators step-doubled at once; the work arrays grow with it (one batch
-# of all 49152 on the benchmark transfer call added 38 MB of peak memory, 2048 adds 5)
+# of all 160 x 256 = 40960 of the CLI transfer default raised the tracemalloc peak of
+# propagate by 31 MB, batches of 2048 by 7 MB)
 _CHUNK = 2048
 
 
@@ -50,7 +51,8 @@ class ChainState:
 
 @dataclass(frozen=True)
 class RampProtocol:
-    """Piecewise-linear field schedule F(t) on [0, duration]."""
+    """Field schedule F(t) on [0, duration] with 1/F linear between the knots,
+    which ``propagate`` integrates exactly: a ramp linear in 1/F needs two."""
 
     times: np.ndarray
     fields: np.ndarray
@@ -66,15 +68,13 @@ class RampProtocol:
             raise ValueError("the field must stay positive and finite along the ramp")
 
     def field_at(self, t):
-        return np.interp(t, self.times, self.fields)
+        return 1.0 / np.interp(t, self.times, 1.0 / self.fields)
 
     @classmethod
     def linear_inv_f(cls, inv_f_start: float, inv_f_stop: float,
                      duration: float) -> "RampProtocol":
-        """Ramp linear in 1/F, tabulated at 257 samples so F(t) interpolation is faithful."""
-        t = np.linspace(0.0, duration, 257)
-        inv = np.linspace(inv_f_start, inv_f_stop, 257)
-        return cls(t, 1.0 / inv)
+        """Ramp linear in 1/F from inv_f_start to inv_f_stop: two knots."""
+        return cls(np.array([0.0, duration]), 1.0 / np.array([inv_f_start, inv_f_stop]))
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +165,20 @@ def _band_overlaps(projector: BandProjector, vectors: np.ndarray) -> np.ndarray:
     return y.T @ y
 
 
+def _check_n_sites(n_sites: int) -> None:
+    if n_sites < 4 or n_sites % 2:
+        raise ValueError(f"n_sites must be even and at least 4, got {n_sites}")
+
+
 def band_projectors(params: LatticeParams, n_sites: int):
     """(lower, upper) band projectors for an n_sites chain at zero field.
 
-    Rejected when the bands touch (delta = 0 and j1 = j2): the band character
-    is undefined at the zone edge there.
+    DegeneracyError when the bands touch (``model._bands_touch``): the band
+    character is undefined at the zone edge there.
     """
-    if n_sites < 4 or n_sites % 2:
-        raise ValueError("n_sites must be even and at least 4")
-    if params.delta == 0.0 and abs(params.j1 - params.j2) < 1e-15:
-        raise ValueError("bands touch for delta = 0, j1 = j2; projectors undefined")
+    _check_n_sites(n_sites)
+    if _bands_touch(params):
+        raise DegeneracyError("bands touch for delta = 0, j1 = j2; projectors undefined")
     lower, upper = _bloch_eigenvectors(params, _kappa_grid(n_sites // 2))
     return BandProjector(n_sites, lower), BandProjector(n_sites, upper)
 
@@ -183,6 +187,7 @@ def lower_band_states(params: LatticeParams, n_sites: int, kappas,
                       sigma_cells: float) -> np.ndarray:
     """Gaussian-envelope Bloch states about the middle cell, projected onto the
     lower band: one normalized column per kappa in ``kappas``."""
+    p_low, _ = band_projectors(params, n_sites)  # checks n_sites before the reshape
     if not (math.isfinite(sigma_cells) and sigma_cells > 0):
         raise ValueError("sigma_cells must be positive and finite")
     kappas = np.asarray(kappas, dtype=float)
@@ -192,7 +197,6 @@ def lower_band_states(params: LatticeParams, n_sites: int, kappas,
     envelope = np.exp(-(cells**2) / (4.0 * sigma_cells**2))
     bloch = envelope[:, None] * np.exp(2j * kappas * cells[:, None])
     psi = (bloch[:, None, :] * lower).reshape(n_sites, kappas.size)
-    p_low, _ = band_projectors(params, n_sites)
     psi = p_low.apply(psi)
     # one vector norm per column, so a column does not depend on its neighbours
     return psi / np.array([np.linalg.norm(column) for column in psi.T])
@@ -217,6 +221,12 @@ def _check_edges(psi: np.ndarray, t: float) -> None:
         )
 
 
+def _gauge_phase(tau, z0, slope):
+    """Integral of F over [t_a, t_a + tau] where 1/F = z0 + slope (t - t_a)."""
+    x = slope * tau / z0
+    return tau / z0 * np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0)
+
+
 def propagate(state: ChainState, params: LatticeParams,
               field: RampProtocol | None, t_grid, tol: float = 1e-8) -> list[ChainState]:
     """Unitary evolution of ``state`` sampled at the times in ``t_grid``.
@@ -225,10 +235,9 @@ def propagate(state: ChainState, params: LatticeParams,
     The chain is closed into a ring and evolved in the acceleration gauge
     psi_i = exp(-i Phi(t) x_i) phi_i, Phi the time integral of F: each cell
     wavevector k obeys i dc/dt = [[-delta, g], [g*, delta]] c with
-    g = j1 exp(-i Phi) + j2 exp(i (Phi - k)).  Cut at the samples and the ramp
-    breakpoints, Phi is quadratic on each piece; a breakpoint within 1e-9 of
-    the time span of a sample (or of the start) is dropped, since it would
-    only split off a sliver as costly as a full piece.  Each (piece, k)
+    g = j1 exp(-i Phi) + j2 exp(i (Phi - k)).  The time axis is cut at the
+    samples and the ramp's knots; 1/F is linear on each piece, so Phi is
+    integrated there in closed form (``_gauge_phase``).  Each (piece, k)
     propagator takes the monodromy's sixth-order Magnus steps, from 64 per
     Bloch period (Phi advancing by pi) of the longest piece, doubled until
     every entry changes by less than ``tol``.  A piece then errs by about
@@ -248,8 +257,7 @@ def propagate(state: ChainState, params: LatticeParams,
     if t_grid[0] < state.time - 1e-12 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be non-decreasing and start at/after state.time")
     n_sites = state.amplitudes.size
-    if n_sites < 4 or n_sites % 2:
-        raise ValueError("n_sites must be even and at least 4")
+    _check_n_sites(n_sites)
     _check_edges(state.amplitudes, state.time)
     if t_grid[-1] <= state.time:
         return [ChainState(state.amplitudes.copy(), float(t)) for t in t_grid]
@@ -258,15 +266,11 @@ def propagate(state: ChainState, params: LatticeParams,
     if field is None:
         field = RampProtocol(np.array([t0, t_grid[-1]]), np.full(2, params.f))
     breaks = field.times[(field.times > t0) & (field.times < t_grid[-1])]
-    cuts = np.concatenate([[t0], samples])
-    after = np.searchsorted(cuts, breaks)  # cuts[after - 1] < break <= cuts[after]
-    near = np.minimum(breaks - cuts[after - 1], cuts[after] - breaks)
-    breaks = breaks[near > 1e-9 * (t_grid[-1] - t0)]
-    edges = np.unique(np.concatenate([cuts, breaks]))
-    f_edges = field.field_at(edges)
+    edges = np.unique(np.concatenate([[t0], samples, breaks]))
+    z_edges = np.interp(edges, field.times, 1.0 / field.fields)
     dt = np.diff(edges)
-    phi_edges = np.concatenate([[0.0], np.cumsum(0.5 * (f_edges[1:] + f_edges[:-1]) * dt)])
-    half_slope = 0.5 * np.diff(f_edges) / dt
+    slope = np.diff(z_edges) / dt
+    phi_edges = np.concatenate([[0.0], np.cumsum(_gauge_phase(dt, z_edges[:-1], slope))])
 
     n_cells = n_sites // 2
     hop = params.j2 * np.exp(-2j * np.pi * np.arange(n_cells) / n_cells)
@@ -274,12 +278,11 @@ def propagate(state: ChainState, params: LatticeParams,
     def propagators(index, n_steps):
         piece, cell = np.divmod(index, n_cells)
         h = dt[piece, None] / n_steps
-        phi0, f0, curve = (x[piece, None, None] for x in (phi_edges, f_edges, half_slope))
+        phi0, z0, dz = (x[piece, None, None] for x in (phi_edges, z_edges, slope))
         hop_k = hop[cell, None, None]
 
         def coupling(s):
-            tau = h[:, :, None] * s
-            e = np.exp(1j * (phi0 + tau * (f0 + curve * tau)))
+            e = np.exp(1j * (phi0 + _gauge_phase(h[:, :, None] * s, z0, dz)))
             return params.j1 * e.conj() + hop_k * e
 
         return _magnus_product(coupling, 1.0, -params.delta, h, n_steps, index.size)
@@ -491,8 +494,9 @@ def bloch_transfer_experiment(params: LatticeParams, inv_f_start: float,
     """Ramp 1/F linearly through (or past) an avoided crossing and record
     site density, mean quasimomentum and band populations versus time.
 
-    The packet starts as a lower-band Gaussian; the final upper-band
-    population is the transfer fraction.
+    The ramp has two knots, so 1/F is exactly linear in t and integrated with
+    no interpolation error.  The packet starts as a lower-band Gaussian; the
+    final upper-band population is the transfer fraction.
     """
     ramp = RampProtocol.linear_inv_f(inv_f_start, inv_f_stop, duration)
 

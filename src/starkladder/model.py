@@ -224,6 +224,13 @@ def _two_level_eigen(dz, h):
     return r, y_minus, y_plus
 
 
+def _bands_touch(params: LatticeParams) -> bool:
+    """Whether the two Bloch bands touch: delta = 0 and j1 = j2, to 1e-13 of
+    the lattice's energy scale j1 + j2 + |delta|."""
+    scale = params.j1 + params.j2 + abs(params.delta)
+    return math.hypot(params.delta, params.j1 - params.j2) <= 1e-13 * scale
+
+
 def _zak_plus(params: LatticeParams) -> float:
     """Zak phase Z_+ (units of 2pi, folded to (-1/2, 1/2]) of the upper band.
 
@@ -245,10 +252,10 @@ def _zak_plus(params: LatticeParams) -> float:
     """
     from scipy.special import elliprf, elliprj
 
-    scale = params.j1 + params.j2 + abs(params.delta)
-    if math.hypot(params.delta, params.j1 - params.j2) <= 1e-13 * scale:
+    if _bands_touch(params):
         raise DegeneracyError("Berry loop passes through an exact degeneracy")
     # Z_+ is scale-free; unit scale keeps the squares below from underflowing
+    scale = params.j1 + params.j2 + abs(params.delta)
     j1, j2, delta = params.j1 / scale, params.j2 / scale, params.delta / scale
     pair = j1 + j2  # A + b = (j1 + j2)^2
     apb = delta * delta + pair * pair

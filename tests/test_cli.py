@@ -227,6 +227,49 @@ def test_exit_code_config_error(tmp_path, capsys):
                     "--inv-f", "9:8:10", "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: config:")
+    # an odd chain is refused before the packet is built
+    code = run_cli(["transfer", "--j1", "1", "--j2", "0.6", "--n-sites", "97",
+                    "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "n_sites" in err
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["bands", "--j1", "1", "--j2", "0.6", "--points", "0"], "--points"),
+    (["continuum-bands", "--v1", "-0.15", "--v2", "0.3", "--k-points", "0"], "--k-points"),
+    (["tb-fit", "--v1", "-0.15", "--v2", "0.3", "--k-points", "-1"], "--k-points"),
+    (["transfer", "--j1", "1", "--j2", "0.6", "--samples", "0"], "--samples"),
+    (["transfer", "--j1", "1", "--j2", "0.6", "--samples", "-2"], "--samples"),
+    (["resonances", "--j1", "1", "--j2", "0.6", "--inv-f", "3:3.3:3",
+      "--kappa-grid", "-1"], "--kappa-grid"),
+])
+def test_counts_below_one_name_the_flag(tmp_path, capsys, args, flag):
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--workers", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and f"{flag} must be at least 1" in err
+    assert not out.exists()
+
+
+def test_tb_fit_on_one_k_point_is_refused(tmp_path, capsys):
+    # one k gives two energies for three parameters
+    code = run_cli(["tb-fit", "--v0", "-0.117", "--v1", "-0.15", "--v2", "0.3",
+                    "--k-points", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "cos k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--method", "adiabatic", "--f", "0.1"],
+    ["resonances", "--inv-f", "3:3.3:3"],
+    ["transfer"],
+])
+def test_touching_bands_are_a_numerical_error(tmp_path, capsys, args):
+    code = run_cli(args + ["--j1", "1", "--j2", "1", "--workers", "1",
+                           "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: numerical:")
 
 
 @pytest.mark.parametrize("args,flag", [

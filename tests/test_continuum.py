@@ -91,6 +91,18 @@ class TestTightBindingFit:
         assert fit.j1**2 + fit.j2**2 == pytest.approx(
             delta**2 + j1**2 + j2**2, abs=1e-8)
 
+    @pytest.mark.parametrize("k", [[-math.pi], [-0.5, 0.5], []])
+    def test_one_value_of_cos_k_is_underdetermined(self, k):
+        # two energies at one cos k cannot fix three parameters
+        k = np.asarray(k, dtype=float)
+        energies = np.stack([-np.ones(k.size), np.ones(k.size)], axis=1)
+        with pytest.raises(ValueError, match="cos k"):
+            ct.fit_tight_binding(ct.ContinuumBands(k, energies, True))
+
+    def test_two_values_of_cos_k_fix_the_fit(self):
+        fit = ct.fit_tight_binding(self.synthetic_bands(1.0, 0.6, 0.0, nk=2))
+        assert (fit.j1, fit.j2) == (pytest.approx(1.0, abs=1e-8), pytest.approx(0.6, abs=1e-8))
+
     def test_paper_lattice_is_tight_binding_like(self):
         k = np.linspace(-np.pi, np.pi, 64, endpoint=False)
         bands = ct.band_structure(PAPER_POTENTIAL, k, cutoff=41, n_bands=2)

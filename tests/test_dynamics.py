@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
-from starkladder.errors import EdgeContaminationError
+from starkladder.errors import DegeneracyError, EdgeContaminationError
 from starkladder.model import LatticeParams, build_chain
 from starkladder import dynamics as dyn
 from starkladder import spectra_exact as se
@@ -109,7 +109,7 @@ class TestBandProjectors:
         assert np.max(np.abs(pl.apply(np.eye(16)) - expected)) < 1e-12
 
     def test_band_touching_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegeneracyError):
             dyn.band_projectors(LatticeParams(0.7, 0.7, 0.0), 32)
 
     def test_untilted_ground_state_lives_in_lower_band(self):
@@ -183,16 +183,18 @@ class TestPropagate:
                 <= 2.0 * np.max(np.abs(wall - reference)))
 
     def test_hopping_free_ramp_phases_are_exact(self):
-        # without hopping the gauge phase exp(-i Phi x) carries the whole tilt
+        # without hopping the gauge phase exp(-i Phi x) carries the whole tilt;
+        # with z = 1/F linear in t, Phi(t) = ln(z(t) / z0) / (dz/dt)
         params = LatticeParams(0.0, 0.0, 0.2, 0.2)
         psi0 = dyn.lower_band_state(LatticeParams(1.0, 0.6, 0.2), 256, 0.3, 8.0).amplitudes
         ramp = dyn.RampProtocol(np.array([0.0, 4.0]), np.array([0.2, 0.24]))
         out = dyn.propagate(dyn.ChainState(psi0), params, ramp, [1.5, 4.0])
         positions = build_chain(params, psi0.size).positions
         stagger = np.tile([-params.delta, params.delta], psi0.size // 2)
+        z0, z_dot = 1 / 0.2, (1 / 0.24 - 1 / 0.2) / 4.0
         for state in out:
             t = state.time
-            tilt = 0.2 * t + 0.5 * 0.01 * t**2
+            tilt = math.log((z0 + z_dot * t) / z0) / z_dot
             exact = np.exp(-1j * (tilt * positions + stagger * t)) * psi0
             assert np.max(np.abs(state.amplitudes - exact)) < 1e-12
 
@@ -244,6 +246,9 @@ class TestPropagate:
         params = LatticeParams(1.0, 0.6, 0.0, 0.2)
         with pytest.raises(ValueError, match="even"):
             dyn.propagate(dyn.ChainState(np.eye(65)[32]), params, None, [1.0])
+        # checked before the packet is shaped into cells
+        with pytest.raises(ValueError, match="n_sites"):
+            dyn.lower_band_state(params, 97, 0.0, 4.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_tolerance_must_be_positive(self, tol):
@@ -300,12 +305,11 @@ class TestPropagate:
             state = dyn.lower_band_state(params, 64, 0.0, 12.0)
             dyn.propagate(state, params, None, np.array([1.0]))
 
-    @pytest.mark.parametrize("periods,samples,pieces", [(120.0, 161, 384), (1.0, 33, 256)])
-    def test_breakpoints_beside_samples_add_no_pieces(self, monkeypatch, periods, samples,
-                                                       pieces):
-        # the default and the benchmark transfer grids: a 257-point ramp and the
-        # samples share 31 interior times, on the default grid 11 of them only up
-        # to rounding; a breakpoint that close to a sample must not cut a sliver
+    @pytest.mark.parametrize("periods,samples,pieces", [(120.0, 161, 160), (1.0, 33, 32)])
+    def test_linear_inv_f_ramp_cuts_only_at_the_samples(self, monkeypatch, periods,
+                                                        samples, pieces):
+        # the default and the benchmark transfer grids: the ramp is one knot
+        # interval, so the pieces are the sample intervals
         sizes = []
 
         def record(propagators, size, tol, n):
@@ -320,6 +324,21 @@ class TestPropagate:
         dyn.propagate(state, params, ramp, np.linspace(0.0, duration, samples))
         assert sum(sizes) == pieces * 64
 
+    def test_linear_inv_f_equals_collinear_knots(self):
+        # 1/F is linear between knots, so knots collinear in 1/F cut the ramp
+        # into pieces without changing it
+        params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 9.4)
+        duration = 2.0 * math.pi * 9.4
+        state = dyn.lower_band_state(params, 256, 0.0, 6.0)
+        t_grid = np.linspace(0.0, duration, 5)
+        two = dyn.RampProtocol.linear_inv_f(9.4, 8.7, duration)
+        nine = dyn.RampProtocol(np.linspace(0.0, duration, 9),
+                                1.0 / np.linspace(9.4, 8.7, 9))
+        a, b = (dyn.propagate(state, params, ramp, t_grid, tol=1e-10)
+                for ramp in (two, nine))
+        for x, y in zip(a, b):
+            assert np.max(np.abs(x.amplitudes - y.amplitudes)) <= 1e-9
+
     def test_time_grid_validation(self):
         params = LatticeParams(1.0, 0.6, 0.0, 0.2)
         state = dyn.lower_band_state(params, 256, 0.0, 8.0)
@@ -330,6 +349,8 @@ class TestPropagate:
 class TestRampProtocol:
     def test_linear_inv_f_endpoints(self):
         ramp = dyn.RampProtocol.linear_inv_f(9.4, 8.7, 100.0)
+        assert ramp.times.size == 2
+        assert 1 / ramp.field_at(25.0) == pytest.approx(9.4 - 0.7 / 4)
         assert ramp.field_at(0.0) == pytest.approx(1 / 9.4)
         assert ramp.field_at(100.0) == pytest.approx(1 / 8.7)
         assert (ramp.times[0], ramp.times[-1]) == (0.0, 100.0)
@@ -472,7 +493,7 @@ class TestMeanUpperPopulation:
     def test_gapless_rejected(self, monkeypatch):
         # rejected by the band projectors, before the O(N^2) eigensolve
         monkeypatch.setattr(dyn, "eigh_tridiagonal", None)
-        with pytest.raises(ValueError, match="bands touch"):
+        with pytest.raises(DegeneracyError, match="bands touch"):
             dyn.mean_upper_population(LatticeParams(0.7, 0.7, 0.0), 0.1)
 
     def test_zero_field_rejected(self):

@@ -10,32 +10,18 @@ zero work.  These checks load the tracer's table without running it.
 import ast
 import dataclasses
 import importlib
-import importlib.util
 import inspect
-import sys
 import typing
-from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 # removed with the hand-rolled Jacobi solver; the benchmark keeps its columns
 GONE = {"continuum.hermitian_eigen_small"}
 
 
 @pytest.fixture(scope="module")
-def tracer():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave perfbench/ as it is
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-        del sys.modules[spec.name]
-    return module
+def tracer(perfbench):
+    return perfbench("tracer")
 
 
 def resolve(tracer, module, path):

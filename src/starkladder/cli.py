@@ -13,6 +13,7 @@ loads numpy alone: scipy is loaded by the solver that needs it.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -25,13 +26,18 @@ from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
 from .model import LatticeParams, bloch_dispersion
 
 
+@functools.cache
+def _row_template(kinds: tuple) -> str:
+    """%-template of a CSV row whose values have the types ``kinds``: %.17g for
+    floats (np.float64 is one), str for the rest (ints, names, np.float32)."""
+    return ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:  # np.float64 is a float; ints and names print as str
-                fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+            fh.writelines(_row_template(tuple(map(type, row))) % tuple(row) for row in rows)
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
@@ -399,8 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trajectory samples, at least 1 (default 161)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="largest change of a propagator entry in the last step "
-                        "doubling, per sample interval (default 1e-8); it "
-                        "bounds only that integration error: chain truncation is "
+                        "doubling, per sample interval (default 1e-8); cell "
+                        "wavevectors of summed weight at most (tol/64)^2 are not "
+                        "propagated, an error of at most tol/64 in psi; it bounds "
+                        "only these two errors: chain truncation is "
                         "checked only by the edge guard, edge-zone weight |psi|^2 "
                         "<= 1e-8, so amplitudes up to 1e-4 pass (a 256-site packet "
                         "ends 1.5e-6 from the 1024-site answer at tol 1e-8)")

@@ -5,9 +5,10 @@ quasimomentum grid of the chain, applied to states in O(N log N) through
 cell-space FFTs.  Propagation under a (possibly ramped) field closes the
 chain into a ring and works in the acceleration gauge, where the field only
 twists the bond phases: every cell wavevector then follows the driven two-level
-equation of the monodromy, and the monodromy's sixth-order Magnus step and
-step-doubling rule integrate it; an edge guard makes sure the packet never
-feels the ring's seam.  Constant-field population statistics bypass time
+equation of the monodromy and keeps its weight, so only the wavevectors the
+initial state occupies are integrated, by the monodromy's sixth-order Magnus
+step and step-doubling rule; an edge guard makes sure the packet never feels
+the ring's seam.  Constant-field population statistics bypass time
 stepping entirely through the exact eigenbasis representation in one
 batched pass per field, in real arithmetic on the real eigenbasis V:
 W = V^T Psi0, M_upper = Y^T Y with Y = Q V from the half quasimomentum
@@ -28,9 +29,10 @@ from .spectra_exact import _START_STEPS, _converged, _magnus_product
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
-# (piece, k) propagators step-doubled at once; the work arrays grow with it (one batch
-# of all 160 x 256 = 40960 of the CLI transfer default raised the tracemalloc peak of
-# propagate by 31 MB, batches of 2048 by 7 MB)
+# (piece, k) propagators step-doubled at once; the work arrays grow with it.  The CLI
+# transfer default keeps 39 of 256 k, 160 x 39 = 6240 propagators: one batch gave
+# propagate a tracemalloc peak of 5.8 MB, batches of 2048 gave 4.6 MB.  A state that
+# fills every k needs all 160 x 256 = 40960: 31 MB more in one batch, 7 MB in 2048s.
 _CHUNK = 2048
 
 
@@ -237,20 +239,27 @@ def propagate(state: ChainState, params: LatticeParams,
     wavevector k obeys i dc/dt = [[-delta, g], [g*, delta]] c with
     g = j1 exp(-i Phi) + j2 exp(i (Phi - k)).  The time axis is cut at the
     samples and the ramp's knots; 1/F is linear on each piece, so Phi is
-    integrated there in closed form (``_gauge_phase``).  Each (piece, k)
-    propagator takes the monodromy's sixth-order Magnus steps, from 64 per
-    Bloch period (Phi advancing by pi) of the longest piece, doubled until
-    every entry changes by less than ``tol``.  A piece then errs by about
-    tol / 63 and a sample by the sum over the pieces before it; the norm is
-    kept to roundoff.  ``tol`` bounds only this integration error of each
-    piece.  Truncation of the chain is checked only by the edge guard: the
-    ring acts as the open chain while the weight |psi|^2 in the 10-site edge
-    zones stays at most 1e-8, checked at every sample
-    (EdgeContaminationError), so amplitudes up to 1e-4 pass.  A packet can
-    thus end much further than tol from the infinite-chain answer: the
-    256-site, sigma = 8 cell packet at (j1, j2, F) = (1, 0.6, 1/9) ends one
-    Bloch period 1.5e-6 from the same packet in 1024 sites at tol 1e-8.
+    integrated there in closed form (``_gauge_phase``).  Each k keeps its
+    weight (|c_a|^2 + |c_b|^2) / L, so the lightest k are dropped while their
+    summed weight stays at most (tol / 64)^2: that changes psi by exactly the
+    square root of the dropped weight, at most tol / 64, at every time.  Each
+    (piece, kept k) propagator takes the monodromy's sixth-order Magnus
+    steps, from 64 per Bloch period (Phi advancing by pi) of the longest
+    piece, doubled until every entry changes by less than ``tol``, so a piece
+    errs by about tol / 63.  A sample thus errs in the 2-norm by at most
+    tol / 64 from the cut plus about tol / 63 per piece before it; the norm
+    loses the dropped weight and is otherwise kept to roundoff.  ``tol``
+    bounds only these two errors.  Truncation of the chain is checked only
+    by the edge guard: the ring acts as the open chain while the weight
+    |psi|^2 in the 10-site edge zones stays at most 1e-8, checked at every
+    sample (EdgeContaminationError), so amplitudes up to 1e-4 pass.  A
+    packet can thus end much further than tol from the infinite-chain
+    answer: the 256-site, sigma = 8 cell packet at (j1, j2, F) =
+    (1, 0.6, 1/9) ends one Bloch period 1.5e-6 from the same packet in 1024
+    sites at tol 1e-8.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol:g}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
         raise ValueError("t_grid must be a non-empty 1D array of times")
@@ -272,14 +281,20 @@ def propagate(state: ChainState, params: LatticeParams,
     slope = np.diff(z_edges) / dt
     phi_edges = np.concatenate([[0.0], np.cumsum(_gauge_phase(dt, z_edges[:-1], slope))])
 
+    # the k cut of the docstring; the heaviest k always stays, so no batch is empty
     n_cells = n_sites // 2
-    hop = params.j2 * np.exp(-2j * np.pi * np.arange(n_cells) / n_cells)
+    c_0 = np.fft.fft(state.amplitudes.reshape(n_cells, 2), axis=0)
+    weight = np.sum(np.abs(c_0) ** 2, axis=1) / n_cells
+    order = np.argsort(weight)
+    cut = np.searchsorted(np.cumsum(weight[order]), (tol / 64.0) ** 2, side="right")
+    kept = np.sort(order[min(cut, n_cells - 1):])
+    hop = params.j2 * np.exp(-2j * np.pi * kept / n_cells)
 
     def propagators(index, n_steps):
-        piece, cell = np.divmod(index, n_cells)
+        piece, k = np.divmod(index, kept.size)
         h = dt[piece, None] / n_steps
         phi0, z0, dz = (x[piece, None, None] for x in (phi_edges, z_edges, slope))
-        hop_k = hop[cell, None, None]
+        hop_k = hop[k, None, None]
 
         def coupling(s):
             e = np.exp(1j * (phi0 + _gauge_phase(h[:, :, None] * s, z0, dz)))
@@ -289,20 +304,22 @@ def propagate(state: ChainState, params: LatticeParams,
 
     bloch_periods = float(np.max(np.diff(phi_edges))) / math.pi
     start = 1 << math.ceil(math.log2(max(1.0, _START_STEPS * bloch_periods)))
-    a, b = np.empty((2, dt.size * n_cells), dtype=complex)
+    a, b = np.empty((2, dt.size * kept.size), dtype=complex)
     for chunk in np.array_split(np.arange(a.size), -(-a.size // _CHUNK)):
         a[chunk], b[chunk], _ = _converged(lambda i, n: propagators(chunk[i], n),
                                            chunk.size, tol, start)
-    a, b = a.reshape(dt.size, n_cells), b.reshape(dt.size, n_cells)
+    a, b = a.reshape(dt.size, kept.size), b.reshape(dt.size, kept.size)
 
     positions = build_chain(params, n_sites).positions
-    c_a, c_b = np.fft.fft(state.amplitudes.reshape(n_cells, 2), axis=0).T
+    c_a, c_b = c_0[kept].T
+    c_t = np.zeros_like(c_0)  # the dropped k stay zero
     states, edge = [], 0
     for t, stop in zip(t_grid, np.searchsorted(edges, samples)):
         for p in range(edge, stop):
             c_a, c_b = a[p] * c_a + b[p] * c_b, np.conj(a[p]) * c_b - np.conj(b[p]) * c_a
         edge = stop
-        cells = np.fft.ifft(np.stack([c_a, c_b], axis=1), axis=0)
+        c_t[kept, 0], c_t[kept, 1] = c_a, c_b
+        cells = np.fft.ifft(c_t, axis=0)
         psi = np.exp(-1j * phi_edges[stop] * positions) * cells.ravel()
         states.append(ChainState(psi, float(t)))
         _check_edges(psi, float(t))

@@ -134,6 +134,21 @@ def test_write_csv_cells(tmp_path):
         assert math.copysign(1.0, float(cell)) == math.copysign(1.0, value)
 
 
+def test_write_csv_bytes_follow_the_per_value_rule(tmp_path):
+    # rows of one and of mixed value types, edge values included; np.float32
+    # is no float subclass and prints through str
+    edge = [np.float64(0.1), np.float32(0.1), -0.0, math.inf, -math.inf, math.nan,
+            5e-324, 1e300, True, np.int64(-7), 10**17 + 1, "minus", np.float32(-0.0)]
+    rows = [tuple(edge), tuple(reversed(edge)), (0.5, 3, 0.25), (np.float64(0.5), 3, 0.25),
+            (0.5, np.int64(3), np.float32(0.25)), ("plus", False, 2.0 / 3.0)]
+    out = tmp_path / "edge.csv"
+    _write_csv(str(out), ["x"], rows)
+    expected = "x\n" + "".join(
+        ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
+    assert out.read_bytes() == expected.encode()
+
+
 def test_truncated_spectrum_with_an_empty_window_writes_only_the_header(tmp_path):
     out = tmp_path / "empty.csv"
     code = run_cli(["spectrum", "--method", "truncated", "--j1", "1", "--j2", "0.6",
@@ -190,6 +205,19 @@ def test_transfer_writes_trajectory_and_observables(tmp_path):
     obs = companion.read_text().splitlines()
     assert obs[0] == "time,mean_kappa,p_upper"
     assert len(obs) == 6
+
+
+def test_transfer_at_the_cli_defaults(tmp_path):
+    # the paper-scale run: 120 Bloch periods on 512 sites, 161 samples, tol 1e-8
+    out = tmp_path / "traj.csv"
+    assert run_cli(["transfer", "--j1", "1", "--j2", "0.6", "--out", str(out)]) == 0
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert table.shape == (161 * 512, 3)
+    density = table[:, 2].reshape(161, 512)
+    assert np.max(np.abs(density.sum(axis=1) - 1.0)) <= 1e-10
+    obs = np.loadtxt(tmp_path / "traj_observables.csv", delimiter=",", skiprows=1)
+    assert obs.shape == (161, 3)
+    assert np.all((obs[:, 2] >= 0.0) & (obs[:, 2] <= 1.0))
 
 
 def test_continuum_bands_and_fit(tmp_path):
@@ -264,6 +292,7 @@ def test_tb_fit_on_one_k_point_is_refused(tmp_path, capsys):
     ["spectrum", "--method", "adiabatic", "--f", "0.1"],
     ["resonances", "--inv-f", "3:3.3:3"],
     ["transfer"],
+    ["gap-estimate", "--inv-f", "8:10:3"],
 ])
 def test_touching_bands_are_a_numerical_error(tmp_path, capsys, args):
     code = run_cli(args + ["--j1", "1", "--j2", "1", "--workers", "1",

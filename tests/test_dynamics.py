@@ -339,6 +339,53 @@ class TestPropagate:
         for x, y in zip(a, b):
             assert np.max(np.abs(x.amplitudes - y.amplitudes)) <= 1e-9
 
+    def test_cut_keeps_every_k_of_a_site_localized_state(self, monkeypatch):
+        # one site puts weight 1/L on every k, far above (tol / 64)^2: every k
+        # is propagated and the norm stays 1 to roundoff
+        sizes, converged = [], dyn._converged
+
+        def record(propagators, size, tol, n):
+            sizes.append(size)
+            return converged(propagators, size, tol, n)
+
+        monkeypatch.setattr(dyn, "_converged", record)
+        params = LatticeParams(1.0, 0.6, 0.0, 0.2)
+        psi0 = np.eye(128, dtype=complex)[64]
+        out = dyn.propagate(dyn.ChainState(psi0), params, None, [1.0, 2.0])
+        assert sum(sizes) == 2 * 64
+        for state in out:
+            assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-14
+
+    @staticmethod
+    def transfer_packet(tol):
+        # the benchmark's transfer call: 384 sites, sigma = 10 cells, one
+        # Bloch period ramped from 1/F = 9.4 to 8.7, 33 samples
+        params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 9.4)
+        duration = math.pi * 9.4
+        ramp = dyn.RampProtocol.linear_inv_f(9.4, 8.7, duration)
+        state = dyn.lower_band_state(params, 384, 0.0, 10.0)
+        return dyn.propagate(state, params, ramp, np.linspace(0.0, duration, 33), tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6])
+    def test_cut_loses_at_most_the_dropped_weight(self, tol):
+        # the dropped k take the same weight away at every sample; 1e-14
+        # allows for the roundoff of the norm (2e-15 here without a cut)
+        loss = np.array([1.0 - np.vdot(s.amplitudes, s.amplitudes).real
+                         for s in self.transfer_packet(tol)])
+        assert np.all(loss <= (tol / 64.0) ** 2 + 1e-14)
+        assert np.ptp(loss) <= 1e-14
+
+    def test_cut_stays_within_the_error_budget(self):
+        # psi errs by at most tol / 64 from the cut plus tol / 63 per piece
+        # before the sample, in both runs; sample i has i pieces before it
+        def budget(tol):
+            return tol / 64.0 + np.arange(33) * tol / 63.0
+
+        coarse, fine = self.transfer_packet(1e-6), self.transfer_packet(1e-10)
+        errors = np.array([np.linalg.norm(x.amplitudes - y.amplitudes)
+                           for x, y in zip(coarse, fine)])
+        assert np.all(errors <= budget(1e-6) + budget(1e-10))
+
     def test_time_grid_validation(self):
         params = LatticeParams(1.0, 0.6, 0.0, 0.2)
         state = dyn.lower_band_state(params, 256, 0.0, 8.0)

@@ -291,8 +291,13 @@ class TestDCoefficient:
 
 class TestGapEstimate:
     def test_equal_hoppings_limit(self):
-        est = wf.gap_estimate(LatticeParams(0.7, 0.7, 0.0, 0.2))
-        assert est.theta0 == 0.0
+        # touching bands have no gap to estimate; just off them the action
+        # vanishes and the ratio reaches its S = 0 limit 2/pi
+        with pytest.raises(DegeneracyError):
+            wf.gap_estimate(LatticeParams(0.7, 0.7, 0.0, 0.2))
+        assert wf._gap_action(0.7, 0.7) == 0.0
+        est = wf.gap_estimate(LatticeParams(0.7, 0.7 * (1.0 + 1e-9), 0.0, 0.2))
+        assert est.theta0 < 1e-8
         assert est.ratio == pytest.approx(2.0 / math.pi, abs=1e-15)
 
     def test_turning_point(self):

@@ -86,6 +86,12 @@ def _count(value: int, flag: str) -> int:
     return value
 
 
+def _finite(values):
+    if not np.isfinite(values).all():  # one array test, not one per written value
+        raise FloatingPointError("non-finite result: the energy scale overflows")
+    return values
+
+
 def _parallel_map(fn, items, workers: int):
     items = list(items)
     if workers <= 1 or len(items) <= 1:
@@ -128,6 +134,7 @@ def _spectrum_rows(task):
         spectrum = weak_field.adiabatic_spectrum(p, n_range, **order)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown method {method}")
+    _finite(spectrum.energies)
     rows = []
     order = np.lexsort((spectrum.indices, -spectrum.branches))
     for idx in order:
@@ -154,7 +161,7 @@ def _cmd_bands(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
     kappa = np.linspace(-np.pi / 2, np.pi / 2, _count(ns.points, "--points"),
                         endpoint=False)
-    e_minus, e_plus = bloch_dispersion(params, kappa)
+    e_minus, e_plus = _finite(bloch_dispersion(params, kappa))
     _write_csv(ns.out, ["kappa", "e_minus", "e_plus"],
                zip(kappa, e_minus, e_plus))
 
@@ -212,7 +219,7 @@ def _cmd_resonances(ns: argparse.Namespace) -> None:
                "sigma_cells": _positive(ns.sigma_cells, "--sigma-cells"),
                "n_sites": ns.n_sites}
     tasks = [(params, float(z), options) for z in sweep]
-    rows = _parallel_map(_resonance_row, tasks, ns.workers)
+    rows = _finite(_parallel_map(_resonance_row, tasks, ns.workers))
     _write_csv(ns.out, ["inv_f", "p_upper_mean"], rows)
 
 
@@ -333,6 +340,7 @@ def _add_potential_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cutoff", type=int, default=41, help="plane-wave count (odd)")
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starkladder",
@@ -449,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (NonConvergedError, OutOfValidityError, DegeneracyError) as exc:
+    except (NonConvergedError, OutOfValidityError, DegeneracyError, ArithmeticError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
     except EdgeContaminationError as exc:

@@ -1,19 +1,19 @@
 """Time-domain engine on the truncated chain.
 
-Band projectors are assembled from the Bloch eigenvectors on the full
-quasimomentum grid of the chain, applied to states in O(N log N) through
-cell-space FFTs.  Propagation under a (possibly ramped) field closes the
-chain into a ring and works in the acceleration gauge, where the field only
-twists the bond phases: every cell wavevector then follows the driven two-level
-equation of the monodromy and keeps its weight, so only the wavevectors the
-initial state occupies are integrated, by the monodromy's sixth-order Magnus
-step and step-doubling rule; an edge guard makes sure the packet never feels
-the ring's seam.  Constant-field population statistics bypass time
-stepping entirely through the exact eigenbasis representation in one
-batched pass per field, in real arithmetic on the real eigenbasis V:
-W = V^T Psi0, M_upper = Y^T Y with Y = Q V from the half quasimomentum
-zone (no FFT of V), a column-wise edge guard and a window mean summed over
-i < j; the two engines are cross-checked in the test suite.
+One unitary cell transform (``_reduced_zone``) reads the chain as a ring of L
+cells on kappa_k = pi k / L, self-conjugate at kappa = 0 and (L even) pi / 2;
+band projectors hold the Bloch eigenvectors there and apply in O(N log N).
+Propagation under a (possibly ramped) field works on that ring in the
+acceleration gauge, where the field only twists the bond phases: every kappa_k
+then follows the driven two-level equation of the monodromy and keeps its
+weight, so only the wavevectors the initial state occupies are integrated, by
+the monodromy's sixth-order Magnus step and step-doubling rule; an edge guard
+keeps the packet off the ring's seam.  Constant-field population statistics
+bypass time stepping through the exact eigenbasis in one batched pass per
+field, in real arithmetic on the real eigenbasis V: W = V^T Psi0,
+M_upper = Y^T Y with Y = Q V from the half quasimomentum zone (no FFT of V), a
+column-wise edge guard and a window mean summed over i < j; the two engines
+are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, EdgeContaminationError, NonConvergedError
-from .model import LatticeParams, _bands_touch, _two_level_eigen, build_chain
+from .model import (ChainHamiltonian, LatticeParams, _bands_touch, _two_level_eigen,
+                    build_chain, site_positions)
 from .spectra_exact import _START_STEPS, _converged, _magnus_product
 
 _EDGE_ZONE = 10
@@ -94,23 +95,23 @@ def _bloch_eigenvectors(params: LatticeParams, kappa):
     return y_minus[::-1].conj(), y_plus[::-1].conj()
 
 
-def _twist(n_cells: int) -> np.ndarray:
-    # kappa_m = -pi/2 + pi m / L  ->  phase twist (-1)^l times a plain DFT
-    return ((-1.0) ** np.arange(n_cells))[:, None, None]
-
-
 def _kappa_grid(n_cells: int) -> np.ndarray:
-    """Reduced-zone quasimomenta kappa_m = -pi/2 + pi m / L of an L-cell chain."""
-    return -np.pi / 2 + np.pi * np.arange(n_cells) / n_cells
+    """Reduced-zone quasimomenta kappa_k = pi k / L of an L-cell ring."""
+    return np.pi * np.arange(n_cells) / n_cells
 
 
 def _reduced_zone(psi: np.ndarray):
-    """The kappa grid of the chain psi lives on and the unitary cell transform
-    of psi onto it: tilde[m, s, k] is the amplitude of cell site s at kappa_m
-    in column k of psi."""
+    """The kappa grid of the ring psi lives on and the unitary cell transform
+    of psi onto it: tilde[k, s, ...] = L^(-1/2) sum_l psi[2l + s, ...]
+    exp(-2i kappa_k l) is the amplitude of cell site s at kappa_k."""
     n_cells = psi.shape[0] // 2
-    tilde = np.fft.fft(psi.reshape(n_cells, 2, -1) * _twist(n_cells), axis=0)
-    return _kappa_grid(n_cells), tilde / math.sqrt(n_cells)
+    return _kappa_grid(n_cells), np.fft.fft(psi.reshape(n_cells, 2, *psi.shape[1:]),
+                                            axis=0, norm="ortho")
+
+
+def _from_reduced_zone(tilde: np.ndarray) -> np.ndarray:
+    """Site amplitudes from tilde[k, s, ...]: the inverse of ``_reduced_zone``."""
+    return np.fft.ifft(tilde, axis=0, norm="ortho").reshape(-1, *tilde.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -126,17 +127,12 @@ class BandProjector:
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
         """Band amplitudes <u_kappa|psi>: a row per kappa, a column per column of psi."""
-        psi = np.asarray(psi, dtype=complex)
-        _, tilde = _reduced_zone(psi)
-        coeff = np.einsum("sm,msk->mk", self.vectors.conj(), tilde)
-        return coeff[:, 0] if psi.ndim == 1 else coeff
+        _, tilde = _reduced_zone(np.asarray(psi, dtype=complex))
+        return np.einsum("sk,ks...->k...", self.vectors.conj(), tilde)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         coeff = self.coefficients(psi)
-        n_cells = self.n_sites // 2
-        proj = np.einsum("sm,mk->msk", self.vectors, coeff.reshape(n_cells, -1))
-        out = np.fft.ifft(proj, axis=0) * math.sqrt(n_cells) * _twist(n_cells)
-        return out.reshape(self.n_sites, *coeff.shape[1:])
+        return _from_reduced_zone(np.einsum("sk,k...->ks...", self.vectors, coeff))
 
     def population(self, psi: np.ndarray):
         """Band weight <psi|P|psi> = sum_kappa |<u_kappa|psi>|^2, per column of psi."""
@@ -146,23 +142,22 @@ class BandProjector:
 def _band_overlaps(projector: BandProjector, vectors: np.ndarray) -> np.ndarray:
     """The real matrix <V|P|V> for real columns V, from the half zone.
 
-    The band amplitudes of V are X = R V / sqrt(L), with rows
-    r_m = conj(u(kappa_m)) x exp(-2i kappa_m l) over the sites (l, s).  Time
-    reversal makes u(-kappa) the conjugate of u(kappa) up to a phase, so
-    the rows at kappa_m and -kappa_m = kappa_{L-m} add the same Re(X^H X)
-    term.  The rows sqrt(w_m) Re r_m and sqrt(w_m) Im r_m for
-    m = 0 .. L // 2, w_m = 2 / L (1 / L at the self-conjugate kappa_0 and,
-    L even, kappa_{L/2}), form a real Q with <V|P|V> = Y^T Y, Y = Q V.
+    With kappa_k = pi k / L, the band amplitudes of V are X = R V / sqrt(L),
+    with rows r_k = conj(u(kappa_k)) x exp(-2i kappa_k l) over the sites (l, s).
+    Time reversal makes u(-kappa) the conjugate of u(kappa) up to a phase, so
+    the rows at kappa_k and -kappa_k = kappa_{L-k} (mod pi) add the same
+    Re(X^H X) term.  The rows sqrt(w_k) Re r_k and sqrt(w_k) Im r_k for
+    k = 0 .. L // 2, w_k = 2 / L (1 / L at the self-conjugate kappa = 0 and,
+    L even, kappa = pi / 2), form a real Q with <V|P|V> = Y^T Y, Y = Q V.
     """
     n_cells = projector.n_sites // 2
-    m, cells = np.arange(n_cells // 2 + 1), np.arange(n_cells)
-    weight = np.where(2 * m % n_cells == 0, 1.0, 2.0) / n_cells
-    # exp(-2i kappa_m l) = (-1)^l exp(-2 pi i m l / L), with m l reduced mod L in
-    # integers: the unreduced phase 2 kappa_m l puts 3e-14 errors into M at L = 512
-    roots = np.exp(-2j * np.pi * cells / n_cells)
-    waves = (-1.0) ** cells * roots[np.outer(m, cells) % n_cells]
+    k, cells = np.arange(n_cells // 2 + 1), np.arange(n_cells)
+    weight = np.where(2 * k % n_cells == 0, 1.0, 2.0) / n_cells
+    # exp(-2i kappa_k l) = exp(-2 pi i k l / L), with k l reduced mod L in integers:
+    # the unreduced phase 2 kappa_k l puts 3e-14 errors into M at L = 512
+    waves = np.exp(-2j * np.pi * cells / n_cells)[np.outer(k, cells) % n_cells]
     rows = (np.sqrt(weight)[:, None, None] * waves[:, :, None]
-            * projector.vectors[:, m].T.conj()[:, None, :]).reshape(m.size, -1)
+            * projector.vectors[:, k].T.conj()[:, None, :]).reshape(k.size, -1)
     y = np.concatenate([rows.real, rows.imag]) @ vectors
     return y.T @ y
 
@@ -193,9 +188,8 @@ def lower_band_states(params: LatticeParams, n_sites: int, kappas,
     if not (math.isfinite(sigma_cells) and sigma_cells > 0):
         raise ValueError("sigma_cells must be positive and finite")
     kappas = np.asarray(kappas, dtype=float)
-    n_cells = n_sites // 2
     lower, _ = _bloch_eigenvectors(params, kappas)
-    cells = np.arange(n_cells) - n_cells // 2
+    cells = (site_positions(n_sites)[0::2] + 0.5) / 2  # A of cell l sits at 2l - 1/2
     envelope = np.exp(-(cells**2) / (4.0 * sigma_cells**2))
     bloch = envelope[:, None] * np.exp(2j * kappas * cells[:, None])
     psi = (bloch[:, None, :] * lower).reshape(n_sites, kappas.size)
@@ -235,12 +229,12 @@ def propagate(state: ChainState, params: LatticeParams,
 
     ``field`` is a RampProtocol, or None for the constant field params.f.
     The chain is closed into a ring and evolved in the acceleration gauge
-    psi_i = exp(-i Phi(t) x_i) phi_i, Phi the time integral of F: each cell
-    wavevector k obeys i dc/dt = [[-delta, g], [g*, delta]] c with
-    g = j1 exp(-i Phi) + j2 exp(i (Phi - k)).  The time axis is cut at the
-    samples and the ramp's knots; 1/F is linear on each piece, so Phi is
+    psi_i = exp(-i Phi(t) x_i) phi_i, Phi the time integral of F: each kappa_k
+    of ``_reduced_zone`` obeys i dc/dt = [[-delta, g], [g*, delta]] c with
+    g = j1 exp(-i Phi) + j2 exp(i (Phi - 2 kappa_k)).  The time axis is cut
+    at the samples and the ramp's knots; 1/F is linear on each piece, so Phi is
     integrated there in closed form (``_gauge_phase``).  Each k keeps its
-    weight (|c_a|^2 + |c_b|^2) / L, so the lightest k are dropped while their
+    weight |c_a|^2 + |c_b|^2, so the lightest k are dropped while their
     summed weight stays at most (tol / 64)^2: that changes psi by exactly the
     square root of the dropped weight, at most tol / 64, at every time.  Each
     (piece, kept k) propagator takes the monodromy's sixth-order Magnus
@@ -282,13 +276,12 @@ def propagate(state: ChainState, params: LatticeParams,
     phi_edges = np.concatenate([[0.0], np.cumsum(_gauge_phase(dt, z_edges[:-1], slope))])
 
     # the k cut of the docstring; the heaviest k always stays, so no batch is empty
-    n_cells = n_sites // 2
-    c_0 = np.fft.fft(state.amplitudes.reshape(n_cells, 2), axis=0)
-    weight = np.sum(np.abs(c_0) ** 2, axis=1) / n_cells
+    kappa, c_0 = _reduced_zone(state.amplitudes)
+    weight = np.sum(np.abs(c_0) ** 2, axis=1)
     order = np.argsort(weight)
     cut = np.searchsorted(np.cumsum(weight[order]), (tol / 64.0) ** 2, side="right")
-    kept = np.sort(order[min(cut, n_cells - 1):])
-    hop = params.j2 * np.exp(-2j * np.pi * kept / n_cells)
+    kept = np.sort(order[min(cut, kappa.size - 1):])
+    hop = params.j2 * np.exp(-2j * kappa[kept])
 
     def propagators(index, n_steps):
         piece, k = np.divmod(index, kept.size)
@@ -310,7 +303,7 @@ def propagate(state: ChainState, params: LatticeParams,
                                            chunk.size, tol, start)
     a, b = a.reshape(dt.size, kept.size), b.reshape(dt.size, kept.size)
 
-    positions = build_chain(params, n_sites).positions
+    positions = site_positions(n_sites)
     c_a, c_b = c_0[kept].T
     c_t = np.zeros_like(c_0)  # the dropped k stay zero
     states, edge = [], 0
@@ -319,8 +312,7 @@ def propagate(state: ChainState, params: LatticeParams,
             c_a, c_b = a[p] * c_a + b[p] * c_b, np.conj(a[p]) * c_b - np.conj(b[p]) * c_a
         edge = stop
         c_t[kept, 0], c_t[kept, 1] = c_a, c_b
-        cells = np.fft.ifft(c_t, axis=0)
-        psi = np.exp(-1j * phi_edges[stop] * positions) * cells.ravel()
+        psi = np.exp(-1j * phi_edges[stop] * positions) * _from_reduced_zone(c_t)
         states.append(ChainState(psi, float(t)))
         _check_edges(psi, float(t))
     return states
@@ -375,10 +367,10 @@ def _window_mean(b: np.ndarray, values: np.ndarray, duration: float) -> float:
     return float(np.trace(b.real) + 2.0 * pairs)
 
 
-def eigh_tridiagonal(diagonal, off_diagonal):
-    """``scipy.linalg.eigh_tridiagonal``, imported when first called."""
+def eigh_tridiagonal(chain: ChainHamiltonian):
+    """``scipy.linalg.eigh_tridiagonal`` of a chain, imported when first called."""
     from scipy.linalg import eigh_tridiagonal as solve
-    return solve(diagonal, off_diagonal)
+    return solve(chain.diagonal, chain.off_diagonal)
 
 
 def mean_upper_population(params: LatticeParams, f: float,
@@ -410,7 +402,7 @@ def mean_upper_population(params: LatticeParams, f: float,
 
     _, p_upper = band_projectors(params, n_sites)  # rejects gapless bands first
     chain = build_chain(params, n_sites)
-    values, vectors = eigh_tridiagonal(chain.diagonal, chain.off_diagonal)
+    values, vectors = eigh_tridiagonal(chain)
     m_upper = _band_overlaps(p_upper, vectors)
 
     kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
@@ -500,8 +492,8 @@ def mean_quasimomentum(psi: np.ndarray):
     column of psi."""
     kappa, tilde = _reduced_zone(psi)
     weight = np.sum(np.abs(tilde) ** 2, axis=1)
-    mean = 0.5 * np.angle(np.sum(weight * np.exp(2j * kappa)[:, None], axis=0))
-    return mean if psi.ndim > 1 else float(mean[0])
+    mean = 0.5 * np.angle(np.exp(2j * kappa) @ weight)
+    return mean if psi.ndim > 1 else float(mean)
 
 
 def bloch_transfer_experiment(params: LatticeParams, inv_f_start: float,

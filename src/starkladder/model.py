@@ -79,8 +79,13 @@ class ChainHamiltonian:
     @property
     def positions(self) -> np.ndarray:
         """Site coordinates x_i; the potential energy is f * x_i."""
-        n_cells = self.size // 2
-        return np.arange(self.size) - 2 * (n_cells // 2) - 0.5
+        return site_positions(self.size)
+
+
+def site_positions(n_sites: int) -> np.ndarray:
+    """Coordinates x_i of an n_sites chain: site i is in cell l = i // 2 - L // 2
+    of L = n_sites // 2 cells, with A at x = 2l - 1/2 and B at x = 2l + 1/2."""
+    return np.arange(n_sites) - 2 * (n_sites // 4) - 0.5
 
 
 def fold_interval(values, width):
@@ -174,13 +179,8 @@ def build_chain(params: LatticeParams, n_sites: int) -> ChainHamiltonian:
     """
     if n_sites < 2 or n_sites % 2 != 0:
         raise ValueError("n_sites must be even and at least 2")
-    n_cells = n_sites // 2
-    cells = np.arange(n_cells) - n_cells // 2
-
-    diagonal = np.empty(n_sites)
-    diagonal[0::2] = 2.0 * params.f * (cells - 0.25) - params.delta
-    diagonal[1::2] = 2.0 * params.f * (cells + 0.25) + params.delta
-
+    stagger = np.tile([-params.delta, params.delta], n_sites // 2)
+    diagonal = params.f * site_positions(n_sites) + stagger
     off_diagonal = np.empty(n_sites - 1)
     off_diagonal[0::2] = params.j1
     off_diagonal[1::2] = params.j2

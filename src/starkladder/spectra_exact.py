@@ -46,8 +46,8 @@ def eigenvalues_symmetric_tridiagonal(matrix: ChainHamiltonian, window=None) -> 
     if window is None:
         return eigvalsh_tridiagonal(diag, off)
     w_lo, w_hi = float(window[0]), float(window[1])
-    if w_hi < w_lo:
-        raise ValueError("window must be an increasing interval")
+    if not w_lo <= w_hi:  # NaN fails here too, before it reaches LAPACK
+        raise ValueError(f"window must be an increasing interval, got {tuple(window)}")
     # scipy selects the half-open (lo, hi]; one ulp down closes it
     return eigvalsh_tridiagonal(diag, off, select="v",
                                 select_range=(np.nextafter(w_lo, -np.inf), w_hi))
@@ -165,8 +165,8 @@ def _converged(propagators, size: int, tol: float, n: int = _START_STEPS):
     is below ``_ASYMPTOTIC``, a doubling that cuts it less than 4x (sixth
     order gives 64x) raises.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol:g}")
     a_out = np.empty(size, dtype=complex)
     b_out = np.empty(size, dtype=complex)
     steps = np.empty(size, dtype=int)

@@ -381,6 +381,49 @@ def test_adiabatic_at_band_touching_is_numerical_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: numerical:")
 
 
+@pytest.mark.parametrize("args", [
+    ["bands", "--j1", "1e200", "--j2", "0.6"],
+    ["gap-estimate", "--j1", "1e200", "--j2", "0.6", "--inv-f", "1:2:2"],
+    ["spectrum", "--method", "truncated", "--j1", "1e200", "--j2", "0.6", "--f", "0.5"],
+    ["spectrum", "--method", "adiabatic", "--j1", "1e200", "--j2", "0.6", "--f", "0.5"],
+    # here the Python float sum rounds to inf, and the energies are checked
+    ["spectrum", "--method", "adiabatic", "--j1", "1", "--j2", "0.6", "--delta", "1e200",
+     "--f", "0.5"],
+])
+def test_overflowing_energy_scale_is_a_numerical_error(tmp_path, capsys, args):
+    # squaring 1e200 as a Python float raises OverflowError
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--workers", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: numerical:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["resonances", "--j1", "1e200", "--j2", "0.6", "--inv-f", "1:2:2", "--n-sites", "64"],
+    ["bands", "--j1", "1e154", "--j2", "1e154"],
+])
+def test_non_finite_results_are_a_numerical_error(tmp_path, capsys, args):
+    # numpy arithmetic overflows to inf and nan with a RuntimeWarning instead of
+    # raising; the result arrays are checked before any row is written
+    out = tmp_path / "x.csv"
+    with pytest.warns(RuntimeWarning):
+        code = run_cli(args + ["--workers", "1", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: numerical:")
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    assert build_parser() is build_parser()
+    out = tmp_path / "x.csv"
+    assert run_cli(["bands", "--j1", "1", "--j2", "0.6", "--points", "8",
+                    "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 9
+    # the flag of the call before does not carry over: --points is 256 again
+    assert run_cli(["bands", "--j1", "1", "--j2", "0.6", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 257
+
+
 def fresh_python(*args):
     """Run a new interpreter that imports this checkout's starkladder."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

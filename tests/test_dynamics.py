@@ -94,12 +94,13 @@ def per_kappa_population(params, f, n_bloch_periods=20.0, kappa_grid=16,
 
 
 class TestBandProjectors:
-    def test_invariants(self):
-        pl, pu = dyn.band_projectors(LatticeParams(1.0, 0.6, 0.0), 64)
-        p = pl.apply(np.eye(64))
-        q = pu.apply(np.eye(64))
+    @pytest.mark.parametrize("n_sites", [64, 258])  # 258: an odd cell count
+    def test_invariants(self, n_sites):
+        pl, pu = dyn.band_projectors(LatticeParams(1.0, 0.6, 0.0), n_sites)
+        p = pl.apply(np.eye(n_sites))
+        q = pu.apply(np.eye(n_sites))
         assert np.max(np.abs(p @ p - p)) < 1e-10
-        assert np.max(np.abs(p + q - np.eye(64))) < 1e-10
+        assert np.max(np.abs(p + q - np.eye(n_sites))) < 1e-10
         assert np.max(np.abs(p @ q)) < 1e-10
 
     def test_atomic_limit_selects_a_sites(self):
@@ -198,12 +199,17 @@ class TestPropagate:
             exact = np.exp(-1j * (tilt * positions + stagger * t)) * psi0
             assert np.max(np.abs(state.amplitudes - exact)) < 1e-12
 
-    def test_ramp_matches_an_ode_solve_on_the_open_chain(self):
+    # 258 sites is an odd cell count, L = 129, where the ring's kappa grid holds
+    # no pi / 2; the packet is narrower there so that its tails at the ends stay
+    # below roundoff (an 8-cell packet has 1.6e-8 there, which the open chain
+    # and the ring feel differently)
+    @pytest.mark.parametrize("n_sites,sigma_cells", [(384, 8.0), (258, 5.0)])
+    def test_ramp_matches_an_ode_solve_on_the_open_chain(self, n_sites, sigma_cells):
         # an adaptive Runge-Kutta integration in the site basis of the open
         # chain, one call per linear segment of the ramp, shares no gauge,
         # ring, step or doubling rule with propagate
         params = LatticeParams(1.0, 0.6, 0.2, 0.2)
-        psi0 = dyn.lower_band_state(params, 384, 0.3, 8.0).amplitudes
+        psi0 = dyn.lower_band_state(params, n_sites, 0.3, sigma_cells).amplitudes
         ramp = dyn.RampProtocol(np.arange(5.0), np.array([0.2, 0.25, 0.22, 0.3, 0.2]))
         out = dyn.propagate(dyn.ChainState(psi0), params, ramp, [2.5, 4.0], tol=1e-10)
         chain = build_chain(params.with_field(0.0), psi0.size)

@@ -55,6 +55,9 @@ class TestSturm:
         expected = EIGS8[(EIGS8 >= window[0]) & (EIGS8 <= window[1])]
         assert eigs.size == expected.size
         assert np.max(np.abs(eigs - expected)) < 1e-10
+        # NaN compares false both ways; it is refused by name, not left to LAPACK
+        with pytest.raises(ValueError, match="window"):
+            se.eigenvalues_symmetric_tridiagonal(seeded_tridiag(), window=(math.nan, 0.5))
 
     def test_tolerance_scales_with_radius(self):
         chain = build_chain(LatticeParams(0.76, 0.76, 0.0, 0.5), 512)
@@ -178,9 +181,12 @@ class TestMonodromy:
         assert abs(se._gaps(params, [1.0])[0] - eps) < 1e-14
 
     def test_tolerance_must_be_positive(self):
-        for tol in (0.0, -1e-9, math.nan):
-            with pytest.raises(ValueError):
-                se.monodromy(LatticeParams(1.0, 0.6, 0.0, 0.1), tol=tol)
+        # tol = inf would stop after one doubling (128 steps): at F = 1/9 that
+        # eigenphase is 2.8e-8 from the converged one
+        for tol in (0.0, -1e-9, math.nan, math.inf):
+            for solve in (se.monodromy, se.ws_spectrum_floquet):
+                with pytest.raises(ValueError, match="tol"):
+                    solve(LatticeParams(1.0, 0.6, 0.0, 0.1), tol=tol)
 
     def test_step_doubling_fails_fast_below_roundoff(self, monkeypatch):
         # at 1/F = 20 the entries cannot settle to 1e-15: once the truncation
@@ -389,6 +395,9 @@ class TestTruncated:
         p = LatticeParams(1.0, 0.6, 0.0, 0.2)
         with pytest.raises(ValueError):
             se.ws_spectrum_truncated(p, n_sites=64, window=(-50, 50))
+        # LAPACK's LinAlgError is a ValueError too, so the match tells them apart
+        with pytest.raises(ValueError, match="window"):
+            se.ws_spectrum_truncated(p, n_sites=64, window=(math.nan, 1.0))
 
 
 class TestCrossings:

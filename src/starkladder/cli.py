@@ -178,6 +178,11 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
                               f"bound), got {ns.f:g}")
     else:
         inv_fs = _inv_f_sweep(ns.inv_f, inv_f_max)
+    for flag, value, methods in (("--order", ns.order, ("expansion", "adiabatic")),
+                                 ("--n-sites", ns.n_sites, ("truncated",)),
+                                 ("--window", ns.window, ("truncated",))):
+        if value is not None and ns.method not in methods:
+            raise ConfigError(f"{flag} does not apply to --method {ns.method}")
     lo, hi = _split(ns.n_range, "--n-range", int, int)
     n_range = range(lo, hi + 1)
     options = {"order": ns.order, "n_sites": ns.n_sites}

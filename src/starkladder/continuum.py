@@ -34,6 +34,11 @@ class ContinuumPotential:
     phi1: float = 0.0
     phi2: float = 0.0
 
+    def __post_init__(self):
+        for name in ("v0", "v1", "v2", "phi1", "phi2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+
 
 @dataclass
 class ContinuumBands:

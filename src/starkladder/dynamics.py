@@ -23,18 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, EdgeContaminationError, NonConvergedError
-from .model import (ChainHamiltonian, LatticeParams, _bands_touch, _two_level_eigen,
+from .errors import EdgeContaminationError, NonConvergedError
+from .model import (ChainHamiltonian, LatticeParams, _check_gap, _two_level_eigen,
                     build_chain, site_positions)
 from .spectra_exact import _START_STEPS, _converged, _magnus_product
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
-# (piece, k) propagators step-doubled at once; the work arrays grow with it.  The CLI
-# transfer default keeps 39 of 256 k, 160 x 39 = 6240 propagators: one batch gave
-# propagate a tracemalloc peak of 5.8 MB, batches of 2048 gave 4.6 MB.  A state that
-# fills every k needs all 160 x 256 = 40960: 31 MB more in one batch, 7 MB in 2048s.
-_CHUNK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +117,6 @@ class BandProjector:
     cell-space FFT, so the dense matrix is never materialized.
     """
 
-    n_sites: int
     vectors: np.ndarray  # shape (2, n_cells)
 
     def coefficients(self, psi: np.ndarray) -> np.ndarray:
@@ -150,7 +144,7 @@ def _band_overlaps(projector: BandProjector, vectors: np.ndarray) -> np.ndarray:
     k = 0 .. L // 2, w_k = 2 / L (1 / L at the self-conjugate kappa = 0 and,
     L even, kappa = pi / 2), form a real Q with <V|P|V> = Y^T Y, Y = Q V.
     """
-    n_cells = projector.n_sites // 2
+    n_cells = projector.vectors.shape[1]
     k, cells = np.arange(n_cells // 2 + 1), np.arange(n_cells)
     weight = np.where(2 * k % n_cells == 0, 1.0, 2.0) / n_cells
     # exp(-2i kappa_k l) = exp(-2 pi i k l / L), with k l reduced mod L in integers:
@@ -162,22 +156,16 @@ def _band_overlaps(projector: BandProjector, vectors: np.ndarray) -> np.ndarray:
     return y.T @ y
 
 
-def _check_n_sites(n_sites: int) -> None:
-    if n_sites < 4 or n_sites % 2:
-        raise ValueError(f"n_sites must be even and at least 4, got {n_sites}")
-
-
 def band_projectors(params: LatticeParams, n_sites: int):
     """(lower, upper) band projectors for an n_sites chain at zero field.
 
-    DegeneracyError when the bands touch (``model._bands_touch``): the band
+    DegeneracyError when the bands touch (``model._check_gap``): the band
     character is undefined at the zone edge there.
     """
-    _check_n_sites(n_sites)
-    if _bands_touch(params):
-        raise DegeneracyError("bands touch for delta = 0, j1 = j2; projectors undefined")
-    lower, upper = _bloch_eigenvectors(params, _kappa_grid(n_sites // 2))
-    return BandProjector(n_sites, lower), BandProjector(n_sites, upper)
+    kappa = _kappa_grid(site_positions(n_sites).size // 2)
+    _check_gap(params)
+    lower, upper = _bloch_eigenvectors(params, kappa)
+    return BandProjector(lower), BandProjector(upper)
 
 
 def lower_band_states(params: LatticeParams, n_sites: int, kappas,
@@ -259,8 +247,7 @@ def propagate(state: ChainState, params: LatticeParams,
         raise ValueError("t_grid must be a non-empty 1D array of times")
     if t_grid[0] < state.time - 1e-12 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be non-decreasing and start at/after state.time")
-    n_sites = state.amplitudes.size
-    _check_n_sites(n_sites)
+    positions = site_positions(state.amplitudes.size)
     _check_edges(state.amplitudes, state.time)
     if t_grid[-1] <= state.time:
         return [ChainState(state.amplitudes.copy(), float(t)) for t in t_grid]
@@ -297,13 +284,9 @@ def propagate(state: ChainState, params: LatticeParams,
 
     bloch_periods = float(np.max(np.diff(phi_edges))) / math.pi
     start = 1 << math.ceil(math.log2(max(1.0, _START_STEPS * bloch_periods)))
-    a, b = np.empty((2, dt.size * kept.size), dtype=complex)
-    for chunk in np.array_split(np.arange(a.size), -(-a.size // _CHUNK)):
-        a[chunk], b[chunk], _ = _converged(lambda i, n: propagators(chunk[i], n),
-                                           chunk.size, tol, start)
+    a, b, _ = _converged(propagators, dt.size * kept.size, tol, start)
     a, b = a.reshape(dt.size, kept.size), b.reshape(dt.size, kept.size)
 
-    positions = site_positions(n_sites)
     c_a, c_b = c_0[kept].T
     c_t = np.zeros_like(c_0)  # the dropped k stay zero
     states, edge = [], 0

@@ -84,7 +84,10 @@ class ChainHamiltonian:
 
 def site_positions(n_sites: int) -> np.ndarray:
     """Coordinates x_i of an n_sites chain: site i is in cell l = i // 2 - L // 2
-    of L = n_sites // 2 cells, with A at x = 2l - 1/2 and B at x = 2l + 1/2."""
+    of L = n_sites // 2 cells, with A at x = 2l - 1/2 and B at x = 2l + 1/2.
+    Every chain of the package is checked here, so this is its one size rule."""
+    if n_sites < 2 or n_sites % 2:
+        raise ValueError(f"n_sites must be even and at least 2, got {n_sites}")
     return np.arange(n_sites) - 2 * (n_sites // 4) - 0.5
 
 
@@ -173,14 +176,9 @@ def band_mean_energy(params: LatticeParams) -> float:
 
 
 def build_chain(params: LatticeParams, n_sites: int) -> ChainHamiltonian:
-    """Truncated chain Hamiltonian with n_sites sites (n_sites even, >= 2).
-
-    f = 0 is allowed (band-projector construction); odd n_sites is rejected.
-    """
-    if n_sites < 2 or n_sites % 2 != 0:
-        raise ValueError("n_sites must be even and at least 2")
-    stagger = np.tile([-params.delta, params.delta], n_sites // 2)
-    diagonal = params.f * site_positions(n_sites) + stagger
+    """Truncated chain Hamiltonian on the ``site_positions`` layout; f = 0 is allowed."""
+    diagonal = params.f * site_positions(n_sites) + np.tile([-params.delta, params.delta],
+                                                            n_sites // 2)
     off_diagonal = np.empty(n_sites - 1)
     off_diagonal[0::2] = params.j1
     off_diagonal[1::2] = params.j2
@@ -224,11 +222,12 @@ def _two_level_eigen(dz, h):
     return r, y_minus, y_plus
 
 
-def _bands_touch(params: LatticeParams) -> bool:
-    """Whether the two Bloch bands touch: delta = 0 and j1 = j2, to 1e-13 of
-    the lattice's energy scale j1 + j2 + |delta|."""
+def _check_gap(params: LatticeParams) -> None:
+    """Raise DegeneracyError if the Bloch bands touch: their zone-edge half gap
+    hypot(delta, j1 - j2) is at most 1e-13 of the energy scale j1 + j2 + |delta|."""
     scale = params.j1 + params.j2 + abs(params.delta)
-    return math.hypot(params.delta, params.j1 - params.j2) <= 1e-13 * scale
+    if math.hypot(params.delta, params.j1 - params.j2) <= 1e-13 * scale:
+        raise DegeneracyError("bands touch: hypot(delta, j1 - j2) <= 1e-13 (j1 + j2 + |delta|)")
 
 
 def _zak_plus(params: LatticeParams) -> float:
@@ -252,8 +251,7 @@ def _zak_plus(params: LatticeParams) -> float:
     """
     from scipy.special import elliprf, elliprj
 
-    if _bands_touch(params):
-        raise DegeneracyError("Berry loop passes through an exact degeneracy")
+    _check_gap(params)
     # Z_+ is scale-free; unit scale keeps the squares below from underflowing
     scale = params.j1 + params.j2 + abs(params.delta)
     j1, j2, delta = params.j1 / scale, params.j2 / scale, params.delta / scale

@@ -163,19 +163,27 @@ def _converged(propagators, size: int, tol: float, n: int = _START_STEPS):
     batch, and the batch doubles its step count; an element leaves it once
     each entry changes by less than ``tol``.  Once the largest pending change
     is below ``_ASYMPTOTIC``, a doubling that cuts it less than 4x (sixth
-    order gives 64x) raises.
+    order gives 64x) raises.  A ``propagators`` call gets at most
+    ``_BLOCK_MATRICES`` elements, the kernel's bound along its step axis too.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
+
+    def integrate(index, n_steps):
+        if index.size <= _BLOCK_MATRICES:
+            return propagators(index, n_steps)
+        parts = np.array_split(index, -(-index.size // _BLOCK_MATRICES))
+        return tuple(map(np.concatenate, zip(*(propagators(p, n_steps) for p in parts))))
+
     a_out = np.empty(size, dtype=complex)
     b_out = np.empty(size, dtype=complex)
     steps = np.empty(size, dtype=int)
     pending = np.arange(size)
-    prev = propagators(pending, n)
+    prev = integrate(pending, n)
     last = np.inf
     while pending.size:
         n *= 2
-        a, b = propagators(pending, n)
+        a, b = integrate(pending, n)
         change = np.maximum(np.abs(a - prev[0]), np.abs(b - prev[1]))
         done = change < tol
         a_out[pending[done]], b_out[pending[done]] = a[done], b[done]

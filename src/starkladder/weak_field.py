@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, OutOfValidityError
-from .model import (LadderSpectrum, LatticeParams, _bands_touch, _tilted_band_mean,
+from .model import (LadderSpectrum, LatticeParams, _check_gap, _tilted_band_mean,
                     _two_level_eigen, _zak_plus, fold_interval)
 
 
@@ -66,7 +66,7 @@ def adiabatic_constants(params: LatticeParams) -> tuple[AdiabaticLadder, Adiabat
     C_+ is the mean of the shifted instantaneous eigenvalue (its mirror
     C_- = -C_+ exactly) and c_+ = -c_- the field-free Zak phase, both
     complete elliptic integrals in closed form.  Raises DegeneracyError when
-    the field-free bands touch (delta = 0, j1 = j2).
+    the field-free bands touch (``model._check_gap``).
     """
     params.require_field()
     c_plus = _tilted_band_mean(params)
@@ -152,14 +152,13 @@ def gap_estimate(params: LatticeParams) -> GapEstimate:
     Delta E / F = (2/pi) exp(-S/F) with the tunnelling action S of
     ``_gap_action``; the turning point is cosh(theta0) = 1/q with
     q = 2 j1 j2/(j1^2 + j2^2).  Raises DegeneracyError when the bands touch
-    (``model._bands_touch``): there is no gap to cross and no ladder pair.
+    (``model._check_gap``): there is no gap to cross and no ladder pair.
     """
     if params.delta != 0.0:
         raise ValueError("the gap formula is derived for delta = 0 only")
     if params.j1 <= 0 or params.j2 <= 0:
         raise ValueError("both hoppings must be positive")
-    if _bands_touch(params):
-        raise DegeneracyError("bands touch for delta = 0, j1 = j2; no avoided crossing")
+    _check_gap(params)
     params.require_field()
     q = 2.0 * params.j1 * params.j2 / (params.j1**2 + params.j2**2)
     theta0 = math.acosh(1.0 / q) if q < 1.0 else 0.0

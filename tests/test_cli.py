@@ -374,6 +374,18 @@ def test_malformed_n_range_names_the_flag(tmp_path, capsys, n_range):
     assert err.startswith("error: config:") and "--n-range" in err
 
 
+def test_relative_band_touching_states_the_rule(tmp_path, capsys):
+    # delta = 1 is below 1e-13 of j1 + j2 = 2e154: the bands touch by the
+    # relative rule, though delta is not 0
+    code = run_cli(["resonances", "--j1", "1e154", "--j2", "1e154", "--delta", "1",
+                    "--inv-f", "1:2:2", "--n-sites", "64", "--workers", "1",
+                    "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical: bands touch: hypot(delta, j1 - j2) <= 1e-13")
+    assert "delta = 0" not in err
+
+
 def test_adiabatic_at_band_touching_is_numerical_error(tmp_path, capsys):
     code = run_cli(["spectrum", "--method", "adiabatic", "--j1", "0.76", "--j2", "0.76",
                     "--f", "0.1", "--out", str(tmp_path / "x.csv")])
@@ -506,6 +518,33 @@ def test_adiabatic_second_order_beyond_validity_is_numerical_error(tmp_path, cap
     assert capsys.readouterr().err.startswith("error: numerical:")
 
 
+@pytest.mark.parametrize("method,extra,flag", [
+    ("bm", ["--order", "3", "--n-sites", "7", "--window=1:2"], "--order"),
+    ("floquet", ["--order", "3"], "--order"),
+    ("adiabatic", ["--window=0:1"], "--window"),
+    ("bm", ["--n-sites", "64"], "--n-sites"),
+])
+def test_spectrum_refuses_flags_its_method_does_not_read(tmp_path, capsys, method,
+                                                          extra, flag):
+    out = tmp_path / "x.csv"
+    code = run_cli(["spectrum", "--method", method, "--j1", "1", "--j2", "0.6",
+                    "--f", "0.2", *extra, "--workers", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config: {flag} does not apply to --method {method}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,field", [
+    (["continuum-bands", "--v1", "-0.15", "--v2", "0.3", "--phi1", "inf"], "phi1"),
+    (["tb-fit", "--v0", "nan", "--v1", "-0.15", "--v2", "0.3"], "v0"),
+])
+def test_non_finite_potential_names_the_field(tmp_path, capsys, args, field):
+    code = run_cli(args + ["--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config: {field} must be finite\n"
+
+
 def test_exit_code_requires_one_field_spec(tmp_path, capsys):
     code = run_cli(["spectrum", "--method", "floquet", "--j1", "1", "--j2", "0.6",
                     "--out", str(tmp_path / "x.csv")])
@@ -515,6 +554,11 @@ def test_exit_code_requires_one_field_spec(tmp_path, capsys):
 def test_exit_code_edge_contamination(tmp_path, capsys):
     code = run_cli(["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
                     "--inv-f", "3.0:3.2:2", "--n-sites", "64", "--workers", "1",
+                    "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: edge-contamination:")
+    # one cell passes the size rule, and its packet fills the edge zones
+    code = run_cli(["transfer", "--j1", "1", "--j2", "0.6", "--n-sites", "2",
                     "--out", str(tmp_path / "x.csv")])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: edge-contamination:")

@@ -62,6 +62,13 @@ class TestBlochBands:
         with pytest.raises(ValueError, match="n_bands"):
             ct.continuum_bloch_bands(PAPER_POTENTIAL, 0.0, cutoff=21, n_bands=n_bands)
 
+    @pytest.mark.parametrize("field,value", [("v0", math.nan), ("v1", math.inf),
+                                             ("v2", -math.inf), ("phi1", math.inf),
+                                             ("phi2", math.nan)])
+    def test_potential_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            ct.ContinuumPotential(**{field: value})
+
 
 class TestTightBindingFit:
     def synthetic_bands(self, j1, j2, delta, offset=0.13, nk=64):

@@ -249,12 +249,20 @@ class TestPropagate:
         assert np.all(errors[:-1] / errors[1:] >= 40.0)
 
     def test_odd_chain_rejected(self):
+        # one size rule (model.site_positions) and one message at every entry
+        # point; lower_band_states checks it before shaping the packet into cells
         params = LatticeParams(1.0, 0.6, 0.0, 0.2)
-        with pytest.raises(ValueError, match="even"):
-            dyn.propagate(dyn.ChainState(np.eye(65)[32]), params, None, [1.0])
-        # checked before the packet is shaped into cells
-        with pytest.raises(ValueError, match="n_sites"):
-            dyn.lower_band_state(params, 97, 0.0, 4.0)
+        for call in (lambda: build_chain(params, 7),
+                     lambda: dyn.band_projectors(params, 7),
+                     lambda: dyn.lower_band_states(params, 7, [0.0], 4.0),
+                     lambda: dyn.propagate(dyn.ChainState(np.eye(7)[3]), params, None, [1.0]),
+                     lambda: dyn.mean_upper_population(params, 0.2, n_sites=7)):
+            with pytest.raises(ValueError, match="^n_sites must be even and at least 2, got 7$"):
+                call()
+        # one cell is a chain
+        site = np.array([1.0, 0.0])
+        assert sum(p.population(site) for p in dyn.band_projectors(params, 2)) == pytest.approx(
+            1.0, abs=1e-15)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
     def test_tolerance_must_be_positive(self, tol):
@@ -361,6 +369,25 @@ class TestPropagate:
         assert sum(sizes) == 2 * 64
         for state in out:
             assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-14
+
+    def test_kernel_batch_stays_within_the_block_bound(self, monkeypatch):
+        # a site-localized state keeps all 64 k, so two samples make 128
+        # propagators; with the bound at 64 no kernel call may see more
+        params = LatticeParams(1.0, 0.6, 0.0, 0.2)
+        state = dyn.ChainState(np.eye(128, dtype=complex)[64])
+        reference = dyn.propagate(state, params, None, [1.0, 2.0])
+        batches, kernel = [], dyn._magnus_product
+
+        def spy(*args):
+            batches.append(args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(se, "_BLOCK_MATRICES", 64)
+        monkeypatch.setattr(dyn, "_magnus_product", spy)
+        out = dyn.propagate(state, params, None, [1.0, 2.0])
+        assert 0 < max(batches) <= 64
+        for x, y in zip(out, reference):
+            assert np.max(np.abs(x.amplitudes - y.amplitudes)) <= 1e-13
 
     @staticmethod
     def transfer_packet(tol):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import starkladder
-from starkladder.model import (LatticeParams, _tilted_band_mean, band_mean_energy,
+from starkladder import dynamics, weak_field
+from starkladder.errors import DegeneracyError
+from starkladder.model import (LatticeParams, _tilted_band_mean, _zak_plus, band_mean_energy,
                                bloch_dispersion, build_chain, fold_interval, reduce_zone)
 from starkladder.spectra_exact import eigenvalues_symmetric_tridiagonal
 
@@ -89,6 +91,17 @@ def test_band_mean_where_elliptic_parameter_rounds_above_one():
 def test_band_mean_against_riemann_oracle():
     assert band_mean_energy(LatticeParams(1.0, 0.6, 0.0)) == pytest.approx(
         BAND_MEAN_1_06, abs=1e-10)
+
+
+def test_touching_bands_raise_one_message():
+    # model._check_gap is the one band-touching rule behind the projectors,
+    # the Zak phase and the gap estimate
+    p = LatticeParams(0.7, 0.7, 0.0, 0.2)
+    rule = r"^bands touch: hypot\(delta, j1 - j2\) <= 1e-13 \(j1 \+ j2 \+ \|delta\|\)"
+    for call in (lambda: dynamics.band_projectors(p, 8), lambda: _zak_plus(p),
+                 lambda: weak_field.gap_estimate(p)):
+        with pytest.raises(DegeneracyError, match=rule):
+            call()
 
 
 def test_build_chain_single_cell():

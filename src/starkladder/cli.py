@@ -399,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quasimomentum samples of the initial band")
     p.add_argument("--sigma-cells", type=float, default=12.0,
                    help="envelope width in cells")
-    p.add_argument("--n-sites", type=int, default=None, help="chain size override")
+    p.add_argument("--n-sites", type=int, default=None,
+                   help="sites of the chain the packets are built on, which set the "
+                        "kappa grid; packets near an end exit 4")
     _add_common(p)
 
     p = subs.add_parser("transfer", help="adiabatic band-transfer trajectory")

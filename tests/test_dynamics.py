@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
-from starkladder.errors import DegeneracyError, EdgeContaminationError
+from starkladder.errors import DegeneracyError, EdgeContaminationError, NonConvergedError
 from starkladder.model import LatticeParams, build_chain
 from starkladder import dynamics as dyn
 from starkladder import spectra_exact as se
@@ -64,11 +64,11 @@ def per_kappa_population(params, f, n_bloch_periods=20.0, kappa_grid=16,
                          n_sites=None, sigma_cells=12.0, n_time_samples=256):
     """(window mean, trace) of the upper-band population, one kappa at a time.
 
-    The loop that mean_upper_population's batched pass replaced: per kappa
-    one lower-band state and one N x N pass, with M_upper = V^H (P_up V)
-    from the FFT projector application instead of the half-zone product
-    Y^T Y, and the window mean from the full complex kernel over all i, j
-    instead of the real sum over i < j.
+    The open-chain oracle for mean_upper_population, which works on the ring
+    and its Floquet modes: per kappa one lower-band state in the eigenbasis
+    of the open N-site chain (no ring, no time stepping), with
+    M_upper = V^H (P_up V) and the window mean from the full complex kernel
+    over all pairs of chain levels.
     """
     params = params.with_field(f)
     if n_sites is None:
@@ -466,6 +466,8 @@ class TestMeanUpperPopulation:
                  for z in zs]
         floor = min(means)
         f = 1.0 / zs[int(np.argmin(means))]
+        assert floor == pytest.approx(per_kappa_population(params, f, n_time_samples=1)[0],
+                                      abs=1e-12)
         assert floor == pytest.approx(two_level_upper_mean(params, f), abs=3e-4)
         j = 0.5 * (params.j1 + params.j2)
         p_lz = math.exp(-math.pi * params.delta**2 / (2.0 * j * f))
@@ -529,50 +531,68 @@ class TestMeanUpperPopulation:
         assert abs(trace.p_upper_mean - mean) < 1e-12
         assert np.max(np.abs(trace.p_upper - p_upper)) < 1e-12
 
-    # 128 cells (4 divides L), 129 (odd), 214 (L / 2 odd)
-    @pytest.mark.parametrize("n_sites", [256, 258, 428])
-    def test_half_zone_overlaps_match_the_projector(self, n_sites):
-        params = LatticeParams(1.0, 0.6, 0.2, 1.0 / 3.15)
-        chain = build_chain(params, n_sites)
-        _, vectors = eigh_tridiagonal(chain.diagonal, chain.off_diagonal)
-        _, p_upper = dyn.band_projectors(params, n_sites)
-        x = p_upper.coefficients(vectors)
-        overlaps = dyn._band_overlaps(p_upper, vectors)
-        assert np.max(np.abs(overlaps - np.real(x.conj().T @ x))) < 1e-13
+    def test_near_band_touching_the_default_chain_does_not_set_the_answer(self,
+                                                                           monkeypatch):
+        # (1, 0.97, 0) has a zone-edge gap of 0.06; the ring's answer on the
+        # default 448 sites must match the open chain of 1024 sites, whose own
+        # eigenbasis at 448 sites is 3.2e-7 off; the Floquet-mode grid doubles
+        # from 256 pieces until its harmonics are resolved
+        params = LatticeParams(1.0, 0.97, 0.0)
+        pieces, overlaps = [], dyn._floquet_overlaps
+
+        def record(params, n_pieces):
+            pieces.append(n_pieces)
+            return overlaps(params, n_pieces)
+
+        monkeypatch.setattr(dyn, "_floquet_overlaps", record)
+        assert dyn._chain_size_for_population(params.with_field(0.2), 12.0) == 448
+        mean = dyn.mean_upper_population(params, 0.2, kappa_grid=4,
+                                         n_time_samples=0).p_upper_mean
+        assert pieces == [256, 512, 1024, 2048]
+        oracle, _ = per_kappa_population(params, 0.2, kappa_grid=4, n_sites=1024,
+                                         n_time_samples=1)
+        assert oracle == pytest.approx(0.4960992436689, abs=1e-12)
+        assert abs(mean - oracle) < 1e-9
+        # below the grid this lattice needs, the doubling stops at the cap
+        monkeypatch.setattr(dyn, "_MAX_PIECES", 1024)
+        with pytest.raises(NonConvergedError, match="unresolved at 1024 pieces"):
+            dyn.mean_upper_population(params, 0.2, kappa_grid=4, n_time_samples=0)
 
     def test_window_mean_at_coincident_levels(self):
-        rng = np.random.default_rng(7)
-        n, duration = 40, 3.0
-        values = np.sort(rng.uniform(-4.0, 4.0, n))
-        values[11] = values[10]  # an exactly repeated level
-        values[26] = values[25] + 1e-12  # and a pair 1e-12 apart
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        b = a + a.conj().T
-        arg = (values[:, None] - values[None, :]) * duration
-        kernel = np.ones((n, n), dtype=complex)
-        nz = arg != 0
-        kernel[nz] = (np.exp(1j * arg[nz]) - 1.0) / (1j * arg[nz])
-        brute = float(np.real(np.sum(b * kernel)))
-        # pytest turns a RuntimeWarning from a 0/0 into an error
-        mean = dyn._window_mean(b, values, duration)
-        assert abs(mean - brute) < 1e-14 * np.sum(np.abs(b))
+        # without hopping at delta = F / 2 the two Floquet quasienergies
+        # coincide: W = -1 over a Bloch period, and the packet stays on the A
+        # sites; the window mean meets the 0/0 of its sinc at the degenerate
+        # pair, which pytest would turn from a RuntimeWarning into an error
+        params = LatticeParams(0.0, 0.0, 0.3, 0.6)
+        eps, _ = dyn._floquet_overlaps(params, 256)
+        assert np.max(np.abs(np.exp(-1j * eps * math.pi / params.f) + 1.0)) < 1e-15
+        trace = dyn.mean_upper_population(params, params.f, n_time_samples=16)
+        # zero up to the roundoff of |U| = 1 over the 256 pieces
+        assert abs(trace.p_upper_mean) < 1e-13
+        assert np.max(np.abs(trace.p_upper)) < 1e-13
 
     def test_edge_guard_checks_each_column(self):
-        n = 64
-        positions = np.arange(n) - n / 2 + 0.5
-        vectors = np.eye(n)  # eigenstate i sits on site i
-        weights = np.zeros((n, 2))
-        weights[n // 2] = 1.0
-        weights[0, 1] = 2e-8  # only the second state exceeds the bound
+        # the packets at 256 sites keep 7.6e-11 within the edge zone plus the
+        # Bloch excursion, 10 + ceil(2 band_edge / F) = 23 sites of either end;
+        # at 64 sites they reach the ends
+        params = LatticeParams(0.76, 0.76, 0.4)
+        dyn.mean_upper_population(params, 0.25, n_sites=256, sigma_cells=8.0,
+                                  n_time_samples=0)
         with pytest.raises(EdgeContaminationError):
-            dyn._eigen_edge_guard(vectors, weights, positions)
-        # both states below the bound pass, though their sum exceeds it
-        weights[0] = 0.6e-8
-        dyn._eigen_edge_guard(vectors, weights, positions)
+            dyn.mean_upper_population(params, 0.25, n_sites=64, sigma_cells=8.0,
+                                      n_time_samples=0)
+        # each packet is checked on its own: two columns at 0.6e-8 pass,
+        # though their sum exceeds the bound, and one at 2e-8 does not
+        packets = np.zeros((64, 2))
+        packets[0] = math.sqrt(0.6e-8)
+        dyn._check_edges(packets, 0.0, 23)
+        packets[0, 1] = math.sqrt(2e-8)
+        with pytest.raises(EdgeContaminationError):
+            dyn._check_edges(packets, 0.0, 23)
 
     def test_gapless_rejected(self, monkeypatch):
-        # rejected by the band projectors, before the O(N^2) eigensolve
-        monkeypatch.setattr(dyn, "eigh_tridiagonal", None)
+        # rejected by the band projectors, before any integration
+        monkeypatch.setattr(dyn, "_converged", None)
         with pytest.raises(DegeneracyError, match="bands touch"):
             dyn.mean_upper_population(LatticeParams(0.7, 0.7, 0.0), 0.1)
 

@@ -15,8 +15,9 @@ import typing
 
 import pytest
 
-# removed with the hand-rolled Jacobi solver; the benchmark keeps its columns
-GONE = {"continuum.hermitian_eigen_small"}
+# removed with the hand-rolled Jacobi solver and with the chain eigenbasis
+# route of the resonance scan; the benchmark keeps their columns
+GONE = {"continuum.hermitian_eigen_small", "dynamics.eigh_tridiagonal"}
 
 
 @pytest.fixture(scope="module")

@@ -3,11 +3,9 @@ computation (band structures, ladder spectra by any method, avoided
 crossings, gap estimates, resonance scans, transfer trajectories, continuum
 bands and their tight-binding reduction).
 
-Field sweeps of ``spectrum`` and ``resonances`` run on a process pool;
-results are merged in sweep order, so the output is byte-identical for any
-worker count.  A plain ``key = value``
-config file can seed any flag; explicit flags win.  Importing this module
-loads numpy alone: scipy is loaded by the solver that needs it.
+Every sweep runs field by field in the calling process.  A plain
+``key = value`` config file can seed any flag; explicit flags win.  Importing
+this module loads numpy alone: scipy is loaded by the solver that needs it.
 """
 
 from __future__ import annotations
@@ -92,34 +90,22 @@ def _finite(values):
     return values
 
 
-def _parallel_map(fn, items, workers: int):
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        chunk = max(1, len(items) // (4 * workers))
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
 # ---------------------------------------------------------------------------
-# sweep workers (module level so they pickle for the process pool)
+# subcommand implementations
 # ---------------------------------------------------------------------------
 
 _BRANCH_NAME = {1: "plus", -1: "minus"}
 
 
-def _spectrum_rows(task):
-    params, inv_f, method, n_range, options = task
+def _spectrum_rows(ns: argparse.Namespace, params, inv_f, n_range, window):
     p = params.with_field(1.0 / inv_f)
+    method = ns.method
     # without --order each method keeps its own default
-    order = {} if options.get("order") is None else {"order": options["order"]}
+    order = {} if ns.order is None else {"order": ns.order}
     if method == "floquet":
         spectrum = spectra_exact.ws_spectrum_floquet(p, n_range)
     elif method == "truncated":
-        spectrum = spectra_exact.ws_spectrum_truncated(
-            p, n_sites=options.get("n_sites"), window=options.get("window"))
+        spectrum = spectra_exact.ws_spectrum_truncated(p, n_sites=ns.n_sites, window=window)
         if not bool(np.all(spectrum.converged)):
             raise NonConvergedError(
                 f"unconverged truncated levels at 1/F = {inv_f:g}; increase n-sites"
@@ -143,19 +129,6 @@ def _spectrum_rows(task):
                      int(spectrum.indices[idx]), method))
     return rows
 
-
-def _resonance_row(task):
-    params, inv_f, options = task
-    trace = dynamics.mean_upper_population(
-        params, 1.0 / inv_f, n_bloch_periods=options["periods"],
-        kappa_grid=options["kappa_grid"], sigma_cells=options["sigma_cells"],
-        n_sites=options.get("n_sites"), n_time_samples=0)
-    return (inv_f, trace.p_upper_mean)
-
-
-# ---------------------------------------------------------------------------
-# subcommand implementations
-# ---------------------------------------------------------------------------
 
 def _cmd_bands(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
@@ -185,13 +158,10 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
             raise ConfigError(f"{flag} does not apply to --method {ns.method}")
     lo, hi = _split(ns.n_range, "--n-range", int, int)
     n_range = range(lo, hi + 1)
-    options = {"order": ns.order, "n_sites": ns.n_sites}
-    if ns.window is not None:
-        options["window"] = tuple(_split(ns.window, "--window", float, float))
-    tasks = [(params, float(z), ns.method, n_range, options) for z in inv_fs]
-    chunks = _parallel_map(_spectrum_rows, tasks, ns.workers)
-    _write_csv(ns.out, ["inv_f", "energy", "scaled_energy", "branch", "n", "method"],
-               (row for chunk in chunks for row in chunk))
+    window = None if ns.window is None else tuple(_split(ns.window, "--window", float, float))
+    rows = [row for z in inv_fs
+            for row in _spectrum_rows(ns, params, float(z), n_range, window)]
+    _write_csv(ns.out, ["inv_f", "energy", "scaled_energy", "branch", "n", "method"], rows)
 
 
 def _cmd_crossings(ns: argparse.Namespace) -> None:
@@ -219,13 +189,14 @@ def _cmd_gap_estimate(ns: argparse.Namespace) -> None:
 def _cmd_resonances(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
     sweep = _inv_f_sweep(ns.inv_f)
-    options = {"periods": _positive(ns.periods, "--periods"),
-               "kappa_grid": _count(ns.kappa_grid, "--kappa-grid"),
-               "sigma_cells": _positive(ns.sigma_cells, "--sigma-cells"),
-               "n_sites": ns.n_sites}
-    tasks = [(params, float(z), options) for z in sweep]
-    rows = _finite(_parallel_map(_resonance_row, tasks, ns.workers))
-    _write_csv(ns.out, ["inv_f", "p_upper_mean"], rows)
+    periods = _positive(ns.periods, "--periods")
+    kappa_grid = _count(ns.kappa_grid, "--kappa-grid")
+    sigma_cells = _positive(ns.sigma_cells, "--sigma-cells")
+    rows = [(float(z), dynamics.mean_upper_population(
+        params, 1.0 / float(z), n_bloch_periods=periods, kappa_grid=kappa_grid,
+        sigma_cells=sigma_cells, n_sites=ns.n_sites, n_time_samples=0).p_upper_mean)
+        for z in sweep]
+    _write_csv(ns.out, ["inv_f", "p_upper_mean"], _finite(rows))
 
 
 def _cmd_transfer(ns: argparse.Namespace) -> None:
@@ -329,8 +300,9 @@ def _add_lattice_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="output CSV path")
-    sub.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                     help="sweep processes, at least 1 (default: the CPU count)")
+    sub.add_argument("--workers", type=int, default=1,
+                     help="accepted for the benchmark harness (perfbench), at least "
+                          "1; no effect: every sweep runs in this process")
     sub.add_argument("--config", help="key = value config file; flags override it")
 
 
@@ -371,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None,
                    help="expansion order (1|3 for expansion, 1|2 for adiabatic)")
     p.add_argument("--n-sites", type=int, default=None,
-                   help="chain size for the truncated method")
+                   help="chain size for the truncated method (default: per half, "
+                        "(max|window| + 2 (j1 + j2) + 2 band_edge) / F + 16 sites)")
     p.add_argument("--window", default=None,
                    help="energy window lo:hi for the truncated method")
     _add_common(p)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EdgeContaminationError, NonConvergedError
-from .model import LatticeParams, _check_gap, _two_level_eigen, site_positions
+from .model import (LatticeParams, _check_gap, _excursion_sites, _two_level_eigen,
+                    site_positions)
 from .spectra_exact import _START_STEPS, _converged, _magnus_product, _su2_mul
 
 _EDGE_ZONE = 10
@@ -288,11 +289,6 @@ class PopulationTrace:
     times: np.ndarray
     p_upper: np.ndarray
     p_upper_mean: float
-
-
-def _excursion_sites(params: LatticeParams) -> float:
-    """Sites a Bloch oscillation spans: the band width over F, 2 band_edge / F."""
-    return 2.0 * math.sqrt(params.delta**2 + (params.j1 + params.j2) ** 2) / params.f
 
 
 def _chain_size_for_population(params: LatticeParams, sigma_cells: float) -> int:

@@ -91,6 +91,12 @@ def site_positions(n_sites: int) -> np.ndarray:
     return np.arange(n_sites) - 2 * (n_sites // 4) - 0.5
 
 
+def _excursion_sites(params: LatticeParams) -> float:
+    """Sites a Bloch oscillation spans, 2 band_edge / F with band_edge =
+    sqrt(delta^2 + (j1 + j2)^2); every chain size rule and edge zone budgets it."""
+    return 2.0 * math.sqrt(params.delta**2 + (params.j1 + params.j2) ** 2) / params.f
+
+
 def fold_interval(values, width):
     """Reduce energies to the half-open fundamental domain (-width/2, width/2]."""
     values = np.asarray(values, dtype=float)

@@ -22,8 +22,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import NonConvergedError
-from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams, _tilted_band_mean,
-                    _zak_plus, build_chain, fold_interval)
+from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams, _excursion_sites,
+                    _tilted_band_mean, _zak_plus, build_chain, fold_interval)
 from .strong_field import _chebyshev_series, averaged_coupling
 
 _PHASE_TOL = 1e-11
@@ -283,30 +283,49 @@ def ws_spectrum_floquet(params: LatticeParams, n_range=range(-8, 9),
     return LadderSpectrum.from_offsets(o_minus, o_plus, params.f, n_range)
 
 
-def default_chain_size(params: LatticeParams) -> int:
-    """Truncation size so the Bloch localization length sits well inside."""
-    n = max(512, int(math.ceil(40.0 * (params.j1 + params.j2) / params.f)))
-    return ((n + 3) // 4) * 4
+# sites past the reach, tilt margin and excursion on each side: twice the 8 at
+# which default-window levels reach their roundoff floor (4 leaves 9e-14)
+_SIZE_MARGIN = 16
+
+
+def _default_window(params: LatticeParams) -> tuple[float, float]:
+    """Energies within 4F of the bands: |E| <= 4F + band_edge."""
+    reach = params.f * (4.0 + 0.5 * _excursion_sites(params))
+    return -reach, reach
+
+
+def default_chain_size(params: LatticeParams, window=None) -> int:
+    """Sites of a truncated chain for ``window`` (default ``_default_window``):
+    each half spans the reach max|window| and the tilt margin 2(j1 + j2), both
+    over F, the Bloch excursion 2 band_edge / F, where the Wannier-Stark states
+    live, and ``_SIZE_MARGIN`` sites; the total is rounded up to a multiple of 4."""
+    lo, hi = window if window is not None else _default_window(params)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window must be finite, got {(lo, hi)}")
+    half = ((max(abs(lo), abs(hi)) + 2.0 * (params.j1 + params.j2)) / params.f
+            + _excursion_sites(params) + _SIZE_MARGIN)
+    return 4 * math.ceil(0.5 * half)
 
 
 def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
                           window: tuple[float, float] | None = None) -> LadderSpectrum:
     """Eigenvalues of the truncated chain inside ``window``, edge-checked.
 
-    Every level is recomputed with the chain enlarged by a quarter; levels
-    moving more than 1e-10 are flagged unconverged.  The levels label
-    themselves: the converged level E nearest 0 (any level if none converged)
-    fixes the eigenphase phi = pi |fold(E, 2F)| / F, from which
-    ``floquet_branch_offsets`` gives the two ladders' offsets.  Ladders closer
+    The window defaults to |E| <= 4F + band_edge, the chain to
+    ``default_chain_size`` of the window.  Every level is recomputed with the
+    chain enlarged by a quarter; levels moving more than 1e-10 are flagged
+    unconverged.  The levels label themselves: the converged level E nearest
+    0 (any level if none converged) fixes the eigenphase
+    phi = pi |fold(E, 2F)| / F, from which ``floquet_branch_offsets`` gives
+    the two ladders' offsets.  Ladders closer
     than 1e-10 coincide: both take the offset of phi = 0 or pi, and each
     degenerate pair holds one level of each branch with the same index.
     """
     params.require_field()
-    if n_sites is None:
-        n_sites = default_chain_size(params)
-    band_edge = math.sqrt(params.delta**2 + (params.j1 + params.j2) ** 2)
     if window is None:
-        window = (-(4.0 * params.f + band_edge), 4.0 * params.f + band_edge)
+        window = _default_window(params)
+    if n_sites is None:
+        n_sites = default_chain_size(params, window)
 
     chain = build_chain(params, n_sites)
     margin = 2.0 * (params.j1 + params.j2)

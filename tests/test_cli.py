@@ -453,13 +453,15 @@ def test_adiabatic_near_band_touching_raises_no_warning(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-# runs the CLI arguments after it (if any), then lists the scipy modules loaded
+# runs the CLI arguments after it (if any), then lists the scipy and process
+# modules loaded (scipy.linalg itself loads concurrent.futures._base)
 _LIST_SCIPY = """
 import sys
 from starkladder import cli
 if len(sys.argv) > 1 and cli.main(sys.argv[1:]):
     sys.exit(1)
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(" ".join(sorted(m for m in sys.modules
+                      if m.split(".")[0] in ("scipy", "multiprocessing", "concurrent"))))
 """
 
 TINY_TRANSFER = ["transfer", "--j1", "1", "--j2", "0.6", "--inv-f-start", "2",
@@ -468,6 +470,8 @@ TINY_TRANSFER = ["transfer", "--j1", "1", "--j2", "0.6", "--inv-f-start", "2",
 TINY_CROSSINGS = ["crossings", "--j1", "1", "--j2", "0.6", "--inv-f", "0.5:0.6:100"]
 TINY_RESONANCES = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
                    "--inv-f", "1:1.1:2", "--periods", "2", "--kappa-grid", "2"]
+TINY_TRUNCATED = ["spectrum", "--method", "truncated", "--j1", "1", "--j2", "0.6",
+                  "--inv-f", "1:2:2", "--n-range=-1:1"]
 
 
 @pytest.mark.parametrize("args, loaded, absent", [
@@ -475,38 +479,20 @@ TINY_RESONANCES = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4
     (TINY_TRANSFER, [], ["scipy"]),
     (TINY_CROSSINGS, [], ["scipy"]),
     (TINY_RESONANCES, [], ["scipy"]),
+    (TINY_TRUNCATED, ["scipy.linalg"], []),
 ])
 def test_scipy_is_loaded_only_by_the_solver_that_needs_it(tmp_path, args, loaded, absent):
-    # a module-level scipy import anywhere in the package loads it at import
+    # a module-level scipy import anywhere in the package loads it at import;
+    # and no sweep starts a process, whatever --workers says
     if args:
-        args = args + ["--workers", "1", "--out", str(tmp_path / "x.csv")]
+        args = args + ["--workers", "2", "--out", str(tmp_path / "x.csv")]
     result = fresh_python("-c", _LIST_SCIPY, *args)
     assert result.returncode == 0, result.stderr
     modules = result.stdout.split()
     for name in loaded:
         assert name in modules
-    for name in absent:
+    for name in absent + ["multiprocessing", "concurrent.futures.process"]:
         assert name not in modules
-
-
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--method", "truncated", "--j1", "1", "--j2", "0.6",
-     "--inv-f", "1:2:4", "--n-range=-1:1"],
-    ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
-     "--inv-f", "3.0:3.3:4", "--periods", "2", "--kappa-grid", "2"],
-])
-def test_cold_pool_matches_one_worker(tmp_path, args):
-    # each run starts in a new interpreter without scipy, so in the truncated
-    # case the pool workers load the solver's scipy routines themselves
-    outputs = []
-    for workers in ("2", "1"):
-        out = tmp_path / f"w{workers}.csv"
-        result = fresh_python("-m", "starkladder.cli", *args, "--workers", workers,
-                              "--out", str(out))
-        assert result.returncode == 0, result.stderr
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) > 4
 
 
 def test_adiabatic_second_order_beyond_validity_is_numerical_error(tmp_path, capsys):

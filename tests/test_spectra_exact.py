@@ -398,6 +398,20 @@ class TestTruncated:
         # LAPACK's LinAlgError is a ValueError too, so the match tells them apart
         with pytest.raises(ValueError, match="window"):
             se.ws_spectrum_truncated(p, n_sites=64, window=(math.nan, 1.0))
+        # no chain holds an infinite window, whatever its size
+        with pytest.raises(ValueError, match="window"):
+            se.ws_spectrum_truncated(p, window=(-math.inf, 1.0))
+
+    def test_wide_window_sizes_the_default_chain(self):
+        # the default chain grows with the window: 860 sites hold these 800
+        # levels, whose reach lies beyond the tilt span of 512 sites
+        p = LatticeParams(1.0, 0.6, 0.0, 0.5)
+        spec = se.ws_spectrum_truncated(p, window=(-200, 200))
+        assert se.default_chain_size(p, (-200, 200)) == 860
+        assert spec.energies.size == 800 and spec.converged.all()
+        o_minus, o_plus = se.ws_spectrum_floquet(p).branch_offsets()
+        ladder = np.where(spec.branches == 1, o_plus, o_minus) + 2 * p.f * spec.indices
+        assert np.max(np.abs(spec.energies - ladder)) < 1e-10
 
 
 class TestCrossings:

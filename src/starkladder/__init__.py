@@ -18,7 +18,7 @@ from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams,
 from .spectra_exact import (AvoidedCrossing, Monodromy,
                             eigenvalues_symmetric_tridiagonal,
                             find_avoided_crossings, floquet_branch_offsets,
-                            monodromy, ws_spectrum_floquet,
+                            floquet_ladders, monodromy, ws_spectrum_floquet,
                             ws_spectrum_truncated)
 from .strong_field import (WuYangPhaseSet, averaged_coupling, osc_integral,
                            pi_coefficients, spectrum_bm, spectrum_expansion,

@@ -3,7 +3,9 @@ computation (band structures, ladder spectra by any method, avoided
 crossings, gap estimates, resonance scans, transfer trajectories, continuum
 bands and their tight-binding reduction).
 
-Every sweep runs field by field in the calling process.  A plain
+Every sweep runs in the calling process: a Floquet ladder sweep and the gaps
+of a crossing search each integrate all their fields in one batch, every
+other method solves field by field.  A plain
 ``key = value`` config file can seed any flag; explicit flags win.  Importing
 this module loads numpy alone: scipy is loaded by the solver that needs it.
 """
@@ -97,33 +99,32 @@ def _finite(values):
 _BRANCH_NAME = {1: "plus", -1: "minus"}
 
 
-def _spectrum_rows(ns: argparse.Namespace, params, inv_f, n_range, window):
+# the per-field solver of every --method but floquet and truncated
+_LADDERS = {"wu-yang": strong_field.spectrum_wu_yang,
+            "expansion": strong_field.spectrum_expansion,
+            "bm": strong_field.spectrum_bm,
+            "adiabatic": weak_field.adiabatic_spectrum}
+
+
+def _ladder(ns: argparse.Namespace, params, inv_f, n_range, window):
+    """The ladder at one field 1/inv_f by ``--method``, any method but floquet."""
     p = params.with_field(1.0 / inv_f)
-    method = ns.method
-    # without --order each method keeps its own default
-    order = {} if ns.order is None else {"order": ns.order}
-    if method == "floquet":
-        spectrum = spectra_exact.ws_spectrum_floquet(p, n_range)
-    elif method == "truncated":
-        spectrum = spectra_exact.ws_spectrum_truncated(p, n_sites=ns.n_sites, window=window)
-        if not bool(np.all(spectrum.converged)):
-            raise NonConvergedError(
-                f"unconverged truncated levels at 1/F = {inv_f:g}; increase n-sites"
-            )
-    elif method == "wu-yang":
-        spectrum = strong_field.spectrum_wu_yang(p, n_range)
-    elif method == "expansion":
-        spectrum = strong_field.spectrum_expansion(p, n_range, **order)
-    elif method == "bm":
-        spectrum = strong_field.spectrum_bm(p, n_range)
-    elif method == "adiabatic":
-        spectrum = weak_field.adiabatic_spectrum(p, n_range, **order)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown method {method}")
+    if ns.method != "truncated":
+        # without --order each method keeps its own default
+        order = {} if ns.order is None else {"order": ns.order}
+        return _LADDERS[ns.method](p, n_range, **order)
+    spectrum = spectra_exact.ws_spectrum_truncated(p, n_sites=ns.n_sites, window=window)
+    if not bool(np.all(spectrum.converged)):
+        raise NonConvergedError(
+            f"unconverged truncated levels at 1/F = {inv_f:g}; increase n-sites"
+        )
+    return spectrum
+
+
+def _spectrum_rows(inv_f, spectrum, method):
     _finite(spectrum.energies)
     rows = []
-    order = np.lexsort((spectrum.indices, -spectrum.branches))
-    for idx in order:
+    for idx in np.lexsort((spectrum.indices, -spectrum.branches)):
         e = float(spectrum.energies[idx])
         rows.append((inv_f, e, e * inv_f, _BRANCH_NAME[int(spectrum.branches[idx])],
                      int(spectrum.indices[idx]), method))
@@ -159,8 +160,13 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
     lo, hi = _split(ns.n_range, "--n-range", int, int)
     n_range = range(lo, hi + 1)
     window = None if ns.window is None else tuple(_split(ns.window, "--window", float, float))
-    rows = [row for z in inv_fs
-            for row in _spectrum_rows(ns, params, float(z), n_range, window)]
+    inv_fs = inv_fs.tolist()
+    if ns.method == "floquet":  # one batched integration for the whole sweep
+        spectra = spectra_exact.floquet_ladders(params, [1.0 / z for z in inv_fs], n_range)
+    else:
+        spectra = [_ladder(ns, params, z, n_range, window) for z in inv_fs]
+    rows = [row for z, spectrum in zip(inv_fs, spectra)
+            for row in _spectrum_rows(z, spectrum, ns.method)]
     _write_csv(ns.out, ["inv_f", "energy", "scaled_energy", "branch", "n", "method"], rows)
 
 

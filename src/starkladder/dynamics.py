@@ -245,15 +245,18 @@ def propagate(state: ChainState, params: LatticeParams,
 
     def propagators(index, n_steps):
         piece, k = np.divmod(index, kept.size)
-        h = dt[piece, None] / n_steps
-        phi0, z0, dz = (x[piece, None, None] for x in (phi_edges, z_edges, slope))
+        # the gauge phase depends on the piece alone: one per distinct piece
+        pieces, inverse = np.unique(piece, return_inverse=True)
+        h = dt[pieces, None] / n_steps
+        phi0, z0, dz = (x[pieces, None, None] for x in (phi_edges, z_edges, slope))
         hop_k = hop[k, None, None]
 
         def coupling(s):
             e = np.exp(1j * (phi0 + _gauge_phase(h[:, :, None] * s, z0, dz)))
-            return params.j1 * e.conj() + hop_k * e
+            return (params.j1 * e.conj())[inverse] + hop_k * e[inverse]
 
-        return _magnus_product(coupling, 1.0, -params.delta, h, n_steps, index.size)
+        return _magnus_product(coupling, 1.0, -params.delta, h[inverse], n_steps,
+                               index.size)
 
     bloch_periods = float(np.max(np.diff(phi_edges))) / math.pi
     start = 1 << math.ceil(math.log2(max(1.0, _START_STEPS * bloch_periods)))
@@ -292,8 +295,12 @@ class PopulationTrace:
 
 
 def _chain_size_for_population(params: LatticeParams, sigma_cells: float) -> int:
-    # envelope tail below 1e-10 in occupation needs ~7 sigma of clearance
-    return max(256, 4 * math.ceil(0.5 * _excursion_sites(params) + 7.0 * sigma_cells + 18))
+    # a packet's tails fall below 1e-10 in occupation within ~7 sigma of
+    # envelope and 6 xi of the band projector's tail, whose occupation falls as
+    # exp(-4 d / xi) over d cells, xi = (j1 + j2) / hypot(delta, j1 - j2)
+    xi = (params.j1 + params.j2) / math.hypot(params.delta, params.j1 - params.j2)
+    clearance = max(7.0 * sigma_cells, 6.0 * xi)
+    return max(256, 4 * math.ceil(0.5 * _excursion_sites(params) + clearance + 18))
 
 
 def _floquet_overlaps(params: LatticeParams, n_pieces: int):
@@ -350,9 +357,12 @@ def mean_upper_population(params: LatticeParams, f: float,
     256 until the last eighth of the y_m is below 1e-13 of the largest
     (NonConvergedError past 2^17).  The ring equals the open chain while no
     packet puts over 1e-8 within 10 + ceil(2 band_edge / F) sites of an end,
-    the edge zone plus the Bloch excursion (EdgeContaminationError).  At
-    (1, 0.97, 0), 1/F = 5, ``kappa_grid`` = 4 (2048 pieces) the default 448
-    sites are 3.3e-11 from the eigenbasis of a 1024-site open chain.  Off
+    the edge zone plus the Bloch excursion (EdgeContaminationError).  The
+    default chain adds to each side's excursion the larger of 7 sigma and
+    6 xi cells: the band projector's tail holds an occupation falling as
+    exp(-4 d / xi) at d cells, xi = (j1 + j2) / hypot(delta, j1 - j2).  At
+    (1, 0.97, 0), 1/F = 5, ``kappa_grid`` = 4 (2048 pieces) the ring on 448
+    sites is 3.3e-11 from the eigenbasis of a 1024-site open chain.  Off
     resonance the mean stays above about half the per-period tunnelling
     exp(-pi delta^2 / (2 J F)), J = (j1 + j2) / 2.
     """
@@ -362,15 +372,10 @@ def mean_upper_population(params: LatticeParams, f: float,
         raise ValueError("kappa_grid must be at least 1")
     if not all(math.isfinite(v) and v > 0 for v in (n_bloch_periods, sigma_cells)):
         raise ValueError("n_bloch_periods and sigma_cells must be positive and finite")
-    if n_sites is None:
-        n_sites = _chain_size_for_population(params, sigma_cells)
+    _check_gap(params)
 
-    kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
-    psi0 = lower_band_states(params, n_sites, kappas, sigma_cells)  # rejects gapless bands
-    _check_edges(psi0, 0.0, _EDGE_ZONE + math.ceil(_excursion_sites(params)))
-    _, tilde = _reduced_zone(psi0)
-    weight = np.sum(np.abs(tilde) ** 2, axis=(1, 2)) / kappa_grid
-
+    # the modes need 30-40 xi pieces, so their cap stops a lattice too near
+    # band touching (xi above about 4000) before its chain of 24 xi sites is built
     for n_pieces in (1 << p for p in range(8, _MAX_PIECES.bit_length())):
         eps, overlaps = _floquet_overlaps(params, n_pieces)
         y = np.fft.fft(overlaps.swapaxes(1, 2), axis=0) / n_pieces  # of M_ba
@@ -379,6 +384,14 @@ def mean_upper_population(params: LatticeParams, f: float,
             break
     else:
         raise NonConvergedError(f"Floquet modes unresolved at {_MAX_PIECES} pieces")
+
+    if n_sites is None:
+        n_sites = _chain_size_for_population(params, sigma_cells)
+    kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
+    psi0 = lower_band_states(params, n_sites, kappas, sigma_cells)
+    _check_edges(psi0, 0.0, _EDGE_ZONE + math.ceil(_excursion_sites(params)))
+    _, tilde = _reduced_zone(psi0)
+    weight = np.sum(np.abs(tilde) ** 2, axis=(1, 2)) / kappa_grid
 
     # M_ba(s_k) at s_k = -T_B k / L: the harmonics folded onto the L cells
     at_start = np.zeros((weight.size, 2, 2), dtype=complex)

@@ -10,7 +10,9 @@ the same ladders; the truncated route carries per-level convergence flags
 and labels its branches from its own levels; the monodromy route is free of
 truncation error and is the workhorse for field sweeps and avoided-crossing
 searches, which locate the splitting's minima on one Chebyshev series of the
-monodromy entries over the whole 1/F interval.
+monodromy entries over the whole 1/F interval.  A field sweep
+(``floquet_ladders``) and the gaps at a search's minima each take one batched
+integration, every field to its own step count.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def _magnus_product(coupling, scale, diagonal, h, n_steps: int, batch: int):
     z = h * scale * diagonal
     a_tot = np.ones(batch, dtype=complex)
     b_tot = np.zeros(batch, dtype=complex)
-    per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // batch).bit_length() - 1))
+    per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // max(batch, 1)).bit_length() - 1))
     for start in range(0, n_steps, per_block):
         g1, g2, g3 = np.moveaxis(
             coupling(np.arange(start, start + per_block)[:, None] + _GAUSS_NODES), -1, 0)
@@ -271,16 +273,30 @@ def floquet_branch_offsets(params: LatticeParams, phi: float) -> tuple[float, fl
     return float(minus), float(plus)
 
 
+def floquet_ladders(params: LatticeParams, fields, n_range=range(-8, 9),
+                    tol: float = _PHASE_TOL) -> list[LadderSpectrum]:
+    """Wannier-Stark ladders E = offset + 2Fn at each field F in ``fields``
+    (``params.f`` is ignored), from the monodromy eigenphases.
+
+    All fields are step-doubled to ``tol`` in one batch of the Magnus kernel;
+    each leaves the batch at the step count ``monodromy`` takes for it alone.
+    ``floquet_branch_offsets`` labels each field's pair.  Exact degeneracies of
+    the eigenphase pair produce coincident levels of the two branches rather
+    than an error.
+    """
+    fields = np.asarray(fields, dtype=float)
+    lattices = [params.with_field(f) for f in fields.tolist()]
+    for lattice in lattices:
+        lattice.require_field()
+    a, b, _ = _converged_propagators(params, fields, tol)
+    return [LadderSpectrum.from_offsets(*floquet_branch_offsets(p, phi), p.f, n_range)
+            for p, phi in zip(lattices, _eigenphase(a, b).tolist())]
+
+
 def ws_spectrum_floquet(params: LatticeParams, n_range=range(-8, 9),
                         tol: float = _PHASE_TOL) -> LadderSpectrum:
-    """Wannier-Stark ladders from the monodromy eigenphases, E = offset + 2Fn.
-
-    Exact degeneracies of the eigenphase pair produce coincident levels of the
-    two branches rather than an error.
-    """
-    mono = monodromy(params, tol=tol)
-    o_minus, o_plus = floquet_branch_offsets(params, mono.eigenphase)
-    return LadderSpectrum.from_offsets(o_minus, o_plus, params.f, n_range)
+    """``floquet_ladders`` at the one field ``params.f``."""
+    return floquet_ladders(params, [params.f], n_range, tol)[0]
 
 
 # sites past the reach, tilt margin and excursion on each side: twice the 8 at
@@ -399,8 +415,9 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
     grid of 65 points zooms onto its smallest sample until the bracket is
     below 1e-13 of 1/F.  That is far inside the relative 1e-6 the location
     must meet at any interval width, and it resolves the corner of an exact
-    crossing too.  The reported gap comes from one direct integration there;
-    splittings below 1e-12 * F are reported as exact crossings (gap 0).
+    crossing too.  The reported gaps come from one batched direct integration
+    at all the minima; splittings below 1e-12 * F are reported as exact
+    crossings (gap 0).
     """
     z_lo, z_hi = float(inv_f_interval[0]), float(inv_f_interval[1])
     if not (0.0 < z_lo < z_hi):
@@ -422,7 +439,7 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
 
     z = np.linspace(z_lo, z_hi, resolution)
     gaps = proxy_gaps(z)
-    crossings = []
+    z_stars = []
     for i in range(1, resolution - 1):
         if not (gaps[i] < gaps[i - 1] and gaps[i] <= gaps[i + 1]):
             continue
@@ -431,9 +448,6 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
             grid = np.linspace(lo, hi, _ZOOM_POINTS)
             j = int(np.argmin(proxy_gaps(grid)))
             lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, _ZOOM_POINTS - 1)]
-        z_star = float(0.5 * (lo + hi))
-        gap = float(_gaps(params, [z_star])[0])
-        if gap < 1e-12 / z_star:
-            gap = 0.0
-        crossings.append(AvoidedCrossing(inv_f_star=z_star, gap=gap))
-    return crossings
+        z_stars.append(float(0.5 * (lo + hi)))
+    return [AvoidedCrossing(inv_f_star=z_star, gap=0.0 if gap < 1e-12 / z_star else gap)
+            for z_star, gap in zip(z_stars, _gaps(params, z_stars).tolist())]

@@ -56,6 +56,22 @@ def test_spectrum_sweep_worker_independence(tmp_path):
     assert first[0] == "0.5" and first[3] == "plus" and first[4] == "-1"
 
 
+def test_floquet_sweep_integrates_every_field_in_one_batch(tmp_path, monkeypatch):
+    from starkladder import spectra_exact
+
+    batches, kernel = [], spectra_exact._converged_propagators
+
+    def record(params, f_values, tol):
+        batches.append(f_values.size)
+        return kernel(params, f_values, tol)
+
+    monkeypatch.setattr(spectra_exact, "_converged_propagators", record)
+    assert run_cli(["spectrum", "--method", "floquet", "--j1", "1", "--j2", "0.6",
+                    "--inv-f", "8.5:9.5:8", "--n-range=-3:3",
+                    "--out", str(tmp_path / "f.csv")]) == 0
+    assert batches == [8]
+
+
 def test_resonances_sweep_worker_independence(tmp_path):
     base = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
             "--inv-f", "3.0:3.3:4", "--periods", "2", "--kappa-grid", "2"]
@@ -548,6 +564,21 @@ def test_exit_code_edge_contamination(tmp_path, capsys):
                     "--out", str(tmp_path / "x.csv")])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: edge-contamination:")
+
+
+def test_default_resonance_chain_holds_the_projector_tail(tmp_path):
+    # near band touching, xi = (j1 + j2) / hypot(delta, j1 - j2) = 99 cells: the
+    # default chain holds the band projector's tail (448 sites put 1.2e-8 in
+    # the guarded edge zone) and matches a 2048-site chain
+    out = tmp_path / "r.csv"
+    assert run_cli(["resonances", "--j1", "1", "--j2", "0.98", "--inv-f", "5:5.1:2",
+                    "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    params = starkladder.LatticeParams(1.0, 0.98, 0.0)
+    for z, mean in rows:
+        wide = starkladder.mean_upper_population(params, 1.0 / float(z), n_sites=2048,
+                                                 n_time_samples=0).p_upper_mean
+        assert abs(float(mean) - wide) < 1e-9
 
 
 def test_exit_code_numerical(tmp_path, capsys):

@@ -534,7 +534,8 @@ class TestMeanUpperPopulation:
     def test_near_band_touching_the_default_chain_does_not_set_the_answer(self,
                                                                            monkeypatch):
         # (1, 0.97, 0) has a zone-edge gap of 0.06; the ring's answer on the
-        # default 448 sites must match the open chain of 1024 sites, whose own
+        # default chain, sized for the projector's tail (xi = 65.7 cells), and
+        # on 448 sites must match the open chain of 1024 sites, whose own
         # eigenbasis at 448 sites is 3.2e-7 off; the Floquet-mode grid doubles
         # from 256 pieces until its harmonics are resolved
         params = LatticeParams(1.0, 0.97, 0.0)
@@ -545,7 +546,7 @@ class TestMeanUpperPopulation:
             return overlaps(params, n_pieces)
 
         monkeypatch.setattr(dyn, "_floquet_overlaps", record)
-        assert dyn._chain_size_for_population(params.with_field(0.2), 12.0) == 448
+        assert dyn._chain_size_for_population(params.with_field(0.2), 12.0) == 1688
         mean = dyn.mean_upper_population(params, 0.2, kappa_grid=4,
                                          n_time_samples=0).p_upper_mean
         assert pieces == [256, 512, 1024, 2048]
@@ -553,6 +554,9 @@ class TestMeanUpperPopulation:
                                          n_time_samples=1)
         assert oracle == pytest.approx(0.4960992436689, abs=1e-12)
         assert abs(mean - oracle) < 1e-9
+        small = dyn.mean_upper_population(params, 0.2, kappa_grid=4, n_sites=448,
+                                          n_time_samples=0).p_upper_mean
+        assert abs(small - oracle) < 1e-9
         # below the grid this lattice needs, the doubling stops at the cap
         monkeypatch.setattr(dyn, "_MAX_PIECES", 1024)
         with pytest.raises(NonConvergedError, match="unresolved at 1024 pieces"):

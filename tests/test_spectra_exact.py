@@ -266,6 +266,36 @@ class TestFloquetLadder:
             assert np.allclose(diffs, 2 * p.f, atol=1e-12)
 
 
+class TestFloquetSweep:
+    def test_one_batch_matches_each_field_alone(self, monkeypatch):
+        # 40 fields, 1/F from 0.2 to 40: each keeps the step count, labels and
+        # indices of its own integration; only the kernel's block split differs
+        p = LatticeParams(0.76, 0.76, 0.4, 0.0)
+        fields = 1.0 / np.linspace(0.2, 40.0, 40)
+        batches, kernel = [], se._converged_propagators
+
+        def record(params, f_values, tol):
+            result = kernel(params, f_values, tol)
+            batches.append(result[2])
+            return result
+
+        monkeypatch.setattr(se, "_converged_propagators", record)
+        sweep = se.floquet_ladders(p, fields, range(-3, 4))
+        (steps,) = batches
+        for f, n_steps, spec in zip(fields, steps, sweep):
+            alone = se.ws_spectrum_floquet(p.with_field(f), range(-3, 4))
+            assert se.monodromy(p.with_field(f)).integration_steps == n_steps
+            assert spec.field == f
+            assert np.array_equal(spec.branches, alone.branches)
+            assert np.array_equal(spec.indices, alone.indices)
+            assert np.max(np.abs(spec.energies - alone.energies)) <= 1e-14 * max(1.0, f)
+
+    def test_fields_are_checked_before_any_integration(self, monkeypatch):
+        monkeypatch.setattr(se, "_converged_propagators", None)
+        with pytest.raises(ValueError, match="positive field"):
+            se.floquet_ladders(LatticeParams(1.0, 0.6, 0.0, 0.0), [0.5, 0.0])
+
+
 class TestTruncated:
     def test_merged_trivial_ladder(self):
         p = LatticeParams(0.76, 0.76, 0.0, 0.5)
@@ -451,6 +481,28 @@ class TestCrossings:
             assert 0 < best < z.size - 1
             assert abs(c.inv_f_star - z[best]) < 1e-6 * z[best]
             assert abs(c.gap - gaps[best]) < 1e-8 * gaps[best]
+
+    def test_all_gaps_come_from_one_integration(self, monkeypatch):
+        # five crossings over 1/F in [1, 6]: one batch of five gaps, each
+        # within 1e-12 of its own integration
+        p = LatticeParams(1.0, 0.6, 0.0, 1.0)
+        batches, gaps = [], se._gaps
+
+        def record(params, inv_f):
+            batches.append(list(inv_f))
+            return gaps(params, inv_f)
+
+        monkeypatch.setattr(se, "_gaps", record)
+        found = se.find_avoided_crossings(p, (1.0, 6.0))
+        z_stars = [c.inv_f_star for c in found]
+        assert batches == [z_stars]
+        # the proxy's minima, as found before the gaps were batched
+        assert z_stars == pytest.approx([1.7271639741027034, 2.630924401489489,
+                                         3.5531888184320168, 4.4786012657070211,
+                                         5.4039303704806088], rel=1e-12)
+        for c in found:
+            alone = gaps(p, [c.inv_f_star])[0]
+            assert abs(c.gap - alone) <= 1e-12 * alone
 
     def test_exact_atomic_crossing_is_found_at_its_corner(self):
         # the splitting |z - 1| / z is V-shaped: no parabola fits its minimum

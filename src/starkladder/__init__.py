@@ -9,7 +9,8 @@ from .dynamics import (BandProjector, ChainState, LorentzianPeak,
                        PopulationTrace, RampProtocol, TransferResult,
                        band_projectors, bloch_transfer_experiment,
                        lorentzian_fit, lower_band_state, lower_band_states,
-                       mean_quasimomentum, mean_upper_population, propagate)
+                       mean_quasimomentum, mean_upper_population,
+                       mean_upper_populations, propagate)
 from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
                      NonConvergedError, OutOfValidityError, StarkLadderError)
 from .model import (ChainHamiltonian, LadderSpectrum, LatticeParams,

@@ -3,9 +3,9 @@ computation (band structures, ladder spectra by any method, avoided
 crossings, gap estimates, resonance scans, transfer trajectories, continuum
 bands and their tight-binding reduction).
 
-Every sweep runs in the calling process: a Floquet ladder sweep and the gaps
-of a crossing search each integrate all their fields in one batch, every
-other method solves field by field.  A plain
+Every sweep runs in the calling process: a Floquet ladder sweep, the gaps of
+a crossing search and a resonance scan each integrate all their fields in one
+batch, and every other method solves field by field.  A plain
 ``key = value`` config file can seed any flag; explicit flags win.  Importing
 this module loads numpy alone: scipy is loaded by the solver that needs it.
 """
@@ -198,10 +198,10 @@ def _cmd_resonances(ns: argparse.Namespace) -> None:
     periods = _positive(ns.periods, "--periods")
     kappa_grid = _count(ns.kappa_grid, "--kappa-grid")
     sigma_cells = _positive(ns.sigma_cells, "--sigma-cells")
-    rows = [(float(z), dynamics.mean_upper_population(
-        params, 1.0 / float(z), n_bloch_periods=periods, kappa_grid=kappa_grid,
-        sigma_cells=sigma_cells, n_sites=ns.n_sites, n_time_samples=0).p_upper_mean)
-        for z in sweep]
+    traces = dynamics.mean_upper_populations(
+        params, 1.0 / sweep, n_bloch_periods=periods, kappa_grid=kappa_grid,
+        sigma_cells=sigma_cells, n_sites=ns.n_sites, n_time_samples=0)
+    rows = [(z, trace.p_upper_mean) for z, trace in zip(sweep.tolist(), traces)]
     _write_csv(ns.out, ["inv_f", "p_upper_mean"], _finite(rows))
 
 

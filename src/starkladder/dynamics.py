@@ -8,8 +8,10 @@ kappa_k keeps its weight and follows the driven two-level equation of the
 monodromy, by its sixth-order Magnus step and step-doubling rule.
 ``propagate`` integrates the occupied kappa_k under a (possibly ramped) field;
 at constant field all kappa_k share one set of Floquet modes, which give the
-population statistics in closed form.  Edge guards keep the packets off the
-ring's seam, where the ring and the open chain differ.
+population statistics in closed form; a resonance scan
+(``mean_upper_populations``) resolves every field's modes in one batch of
+Bloch-period pieces and builds its packets once per chain size.  Edge guards
+keep the packets off the ring's seam, where the ring and the open chain differ.
 """
 
 from __future__ import annotations
@@ -282,7 +284,9 @@ def propagate(state: ChainState, params: LatticeParams,
 # ---------------------------------------------------------------------------
 
 _PIECE_TOL = 1e-14  # step-doubling tolerance of each piece of the Bloch period
-_MAX_PIECES = 1 << 17  # cap of the Floquet-mode grid, about 1 s and 100 MB
+# cap of the Floquet-mode grid, about 1 s and 100 MB per field, and of the
+# field x piece elements of one pass
+_MAX_PIECES = 1 << 17
 
 
 @dataclass
@@ -303,96 +307,79 @@ def _chain_size_for_population(params: LatticeParams, sigma_cells: float) -> int
     return max(256, 4 * math.ceil(0.5 * _excursion_sites(params) + clearance + 18))
 
 
-def _floquet_overlaps(params: LatticeParams, n_pieces: int):
-    """Quasienergies eps and M(s_j) = Phi^H P_up Phi at s_j = j T_B / n_pieces.
+def _floquet_overlaps(params: LatticeParams, fields: np.ndarray, n_pieces: int):
+    """Quasienergies eps[i] and M_i(s_j) = Phi^H P_up Phi at s_j = j T_B / n_pieces
+    for each field F_i in ``fields`` (T_B = pi / F_i; ``params.f`` is ignored).
 
     V = diag(exp(i F t / 2), exp(-i F t / 2)) c, c the ring amplitudes of
     ``propagate`` at kappa_k, is the lab-frame amplitude at kappa = -F s and obeys
     i dV/ds = [[-(delta + F/2), g], [g*, delta + F/2]] V, g = j1 + j2 exp(2i F s),
-    at s = t - kappa_k / F for every k.  Step-doubled pieces give U(s_j, 0); the
+    at s = t - kappa_k / F for every k.  Step-doubled pieces give U(s_j, 0), all
+    fields' pieces in one batch (element field x n_pieces + piece); the
     eigenvectors of W = U(T_B, 0), W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
     """
-    t_b = math.pi / params.f
+    t_b = math.pi / fields
 
     def pieces(index, n_steps):  # 2 F s = turn (first + x) at step coordinate x
-        turn, first = 2j * math.pi / (n_pieces * n_steps), n_steps * index[:, None, None]
+        field, piece = np.divmod(index, n_pieces)
+        turn, first = 2j * math.pi / (n_pieces * n_steps), n_steps * piece[:, None, None]
         return _magnus_product(lambda x: params.j1 + params.j2 * np.exp(turn * (first + x)),
-                               1.0, -(params.delta + 0.5 * params.f),
-                               t_b / (n_pieces * n_steps), n_steps, index.size)
+                               1.0, -(params.delta + 0.5 * fields[field, None]),
+                               t_b[field, None] / (n_pieces * n_steps), n_steps, index.size)
 
-    a, b, _ = _converged(pieces, n_pieces, _PIECE_TOL, 1)
+    a, b, _ = _converged(pieces, fields.size * n_pieces, _PIECE_TOL, 1)
+    a, b = a.reshape(fields.size, n_pieces), b.reshape(fields.size, n_pieces)
     shift = 1  # element j becomes U(s_j+1, 0) in log2(n_pieces) passes
     while shift < n_pieces:
-        a[shift:], b[shift:] = _su2_mul(a[shift:], b[shift:], a[:-shift], b[:-shift])
+        a[:, shift:], b[:, shift:] = _su2_mul(a[:, shift:], b[:, shift:],
+                                              a[:, :-shift], b[:, :-shift])
         shift *= 2
     # W = Re a - i K, K Hermitian: eigh keeps the modes orthonormal at degeneracy too
-    mu, v = np.linalg.eigh(np.array([[-a[-1].imag, 1j * b[-1]],
-                                     [-1j * np.conj(b[-1]), a[-1].imag]]))
-    eps = np.arctan2(mu, a[-1].real) / t_b
-    a, b = np.append(1.0, a[:-1]), np.append(0.0, b[:-1])
-    s = t_b * np.arange(n_pieces) / n_pieces
-    u_a, u_b = _bloch_eigenvectors(params, -params.f * s)[1].conj()  # <u_up| U(s, 0)
-    q = (np.stack([u_a * a - u_b * np.conj(b), u_a * b + u_b * np.conj(a)], axis=1) @ v
-         * np.exp(1j * np.outer(s, eps)))  # <u_up|phi_a>
-    return eps, q.conj()[:, :, None] * q[:, None, :]
+    w_a, w_b = a[:, -1], b[:, -1]
+    mu, v = np.linalg.eigh(np.moveaxis(np.array([[-w_a.imag, 1j * w_b],
+                                                 [-1j * np.conj(w_b), w_a.imag]]), -1, 0))
+    eps = np.arctan2(mu, w_a.real[:, None]) / t_b[:, None]
+    a = np.concatenate([np.ones((fields.size, 1)), a[:, :-1]], axis=1)
+    b = np.concatenate([np.zeros((fields.size, 1)), b[:, :-1]], axis=1)
+    s = t_b[:, None] * np.arange(n_pieces) / n_pieces
+    u_a, u_b = _bloch_eigenvectors(params, -fields[:, None] * s)[1].conj()  # <u_up| U(s, 0)
+    q = (np.stack([u_a * a - u_b * np.conj(b), u_a * b + u_b * np.conj(a)], axis=-1) @ v
+         * np.exp(1j * (s[:, :, None] * eps[:, None, :])))  # <u_up|phi_a>
+    return eps, q.conj()[..., :, None] * q[..., None, :]
 
 
-def mean_upper_population(params: LatticeParams, f: float,
-                          n_bloch_periods: float = 20.0, kappa_grid: int = 16,
-                          n_sites: int | None = None, sigma_cells: float = 12.0,
-                          n_time_samples: int = 256) -> PopulationTrace:
-    """Time- and quasimomentum-averaged upper-band population at constant field.
+def _floquet_harmonics(params: LatticeParams, fields: np.ndarray):
+    """Yield (i, eps, y, m) for each field F_i in ``fields`` once its modes are
+    resolved: the quasienergies eps and the FFT harmonics y[m] of M_ba over the
+    Bloch period, m the harmonic numbers.
 
-    Lower-band Gaussian packets, one per kappa of a uniform grid, are built on
-    the ``n_sites`` chain and evolve for ``n_bloch_periods`` periods T_B = pi/F.
-    On the ring of its cells each kappa_k keeps its weight w_k, and with the
-    modes of ``_floquet_overlaps`` at s_k = -kappa_k / F the population is
-    sum_k w_k sum_ab (delta_ab - M_ab(s_k)) M_ba(s_k + t) exp(-i (eps_a - eps_b) t).
-    From M_ba(s) = sum_m y_m exp(2i F m s), its trace and window mean are sums
-    over w = 2 F m - eps_a + eps_b; exp(i w t) has window mean exp(i h) sin(h) / h
-    with h = w t_total / 2.
-
-    Error budget: each piece errs by about 1e-14 / 63 (step-doubled to
-    1e-14), the modes by n_pieces times that.  The piece count doubles from
-    256 until the last eighth of the y_m is below 1e-13 of the largest
-    (NonConvergedError past 2^17).  The ring equals the open chain while no
-    packet puts over 1e-8 within 10 + ceil(2 band_edge / F) sites of an end,
-    the edge zone plus the Bloch excursion (EdgeContaminationError).  The
-    default chain adds to each side's excursion the larger of 7 sigma and
-    6 xi cells: the band projector's tail holds an occupation falling as
-    exp(-4 d / xi) at d cells, xi = (j1 + j2) / hypot(delta, j1 - j2).  At
-    (1, 0.97, 0), 1/F = 5, ``kappa_grid`` = 4 (2048 pieces) the ring on 448
-    sites is 3.3e-11 from the eigenbasis of a 1024-site open chain.  Off
-    resonance the mean stays above about half the per-period tunnelling
-    exp(-pi delta^2 / (2 J F)), J = (j1 + j2) / 2.
+    Every field starts at 256 pieces, and the fields whose last eighth of y is
+    not below 1e-13 of the largest re-run together at twice the pieces
+    (NonConvergedError past ``_MAX_PIECES``).  A pass holds at most
+    ``_MAX_PIECES`` field x piece elements, the working set of one field at the cap.
     """
-    params = params.with_field(float(f))
-    params.require_field()
-    if kappa_grid < 1:
-        raise ValueError("kappa_grid must be at least 1")
-    if not all(math.isfinite(v) and v > 0 for v in (n_bloch_periods, sigma_cells)):
-        raise ValueError("n_bloch_periods and sigma_cells must be positive and finite")
-    _check_gap(params)
-
-    # the modes need 30-40 xi pieces, so their cap stops a lattice too near
-    # band touching (xi above about 4000) before its chain of 24 xi sites is built
-    for n_pieces in (1 << p for p in range(8, _MAX_PIECES.bit_length())):
-        eps, overlaps = _floquet_overlaps(params, n_pieces)
-        y = np.fft.fft(overlaps.swapaxes(1, 2), axis=0) / n_pieces  # of M_ba
+    pending, n_pieces = np.arange(fields.size), 256
+    while pending.size:
+        if n_pieces > _MAX_PIECES:
+            raise NonConvergedError(f"Floquet modes unresolved at {_MAX_PIECES} pieces")
         m = (np.arange(n_pieces) + n_pieces // 2) % n_pieces - n_pieces // 2
-        if np.abs(y[np.abs(m) >= 7 * n_pieces // 16]).max() <= 1e-13 * np.abs(y).max():
-            break
-    else:
-        raise NonConvergedError(f"Floquet modes unresolved at {_MAX_PIECES} pieces")
+        tail = np.abs(m) >= 7 * n_pieces // 16
+        unresolved = []
+        for batch in np.array_split(pending, -(-pending.size * n_pieces // _MAX_PIECES)):
+            eps, overlaps = _floquet_overlaps(params, fields[batch], n_pieces)
+            y = np.fft.fft(overlaps.swapaxes(-1, -2), axis=1) / n_pieces  # of M_ba
+            resolved = (np.abs(y[:, tail]).max(axis=(1, 2, 3))
+                        <= 1e-13 * np.abs(y).max(axis=(1, 2, 3)))
+            for i in np.flatnonzero(resolved):
+                yield batch[i], eps[i], y[i], m
+            unresolved.append(batch[~resolved])
+        pending, n_pieces = np.concatenate(unresolved), 2 * n_pieces
 
-    if n_sites is None:
-        n_sites = _chain_size_for_population(params, sigma_cells)
-    kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
-    psi0 = lower_band_states(params, n_sites, kappas, sigma_cells)
-    _check_edges(psi0, 0.0, _EDGE_ZONE + math.ceil(_excursion_sites(params)))
-    _, tilde = _reduced_zone(psi0)
-    weight = np.sum(np.abs(tilde) ** 2, axis=(1, 2)) / kappa_grid
 
+def _population_trace(params: LatticeParams, eps, y, m, weight, n_bloch_periods: float,
+                      n_time_samples: int) -> PopulationTrace:
+    """The population of ``mean_upper_population`` at the field ``params.f`` from
+    its modes (``_floquet_harmonics``) and the ring weights w_k of the packets."""
     # M_ba(s_k) at s_k = -T_B k / L: the harmonics folded onto the L cells
     at_start = np.zeros((weight.size, 2, 2), dtype=complex)
     np.add.at(at_start, m % weight.size, y)
@@ -406,8 +393,83 @@ def mean_upper_population(params: LatticeParams, f: float,
     mean = float(np.sum(h * np.exp(1j * half) * np.sinc(half / math.pi)).real)
     times = np.linspace(0.0, t_total, n_time_samples)
     trace = np.concatenate([(np.exp(1j * np.outer(t, omega)) @ h.ravel()).real  # <= 2^20 values
-                            for t in np.array_split(times, 1 + (times.size * n_pieces >> 18))])
+                            for t in np.array_split(times, 1 + (times.size * m.size >> 18))])
     return PopulationTrace(times=times, p_upper=trace, p_upper_mean=mean)
+
+
+def mean_upper_populations(params: LatticeParams, fields, n_bloch_periods: float = 20.0,
+                           kappa_grid: int = 16, n_sites: int | None = None,
+                           sigma_cells: float = 12.0,
+                           n_time_samples: int = 256) -> list[PopulationTrace]:
+    """Time- and quasimomentum-averaged upper-band population at each constant
+    field F in ``fields`` (``params.f`` is ignored).
+
+    Lower-band Gaussian packets, one per kappa of a uniform grid, are built on
+    the ``n_sites`` chain and evolve for ``n_bloch_periods`` periods T_B = pi/F.
+    On the ring of its cells each kappa_k keeps its weight w_k, and with the
+    modes of ``_floquet_overlaps`` at s_k = -kappa_k / F the population is
+    sum_k w_k sum_ab (delta_ab - M_ab(s_k)) M_ba(s_k + t) exp(-i (eps_a - eps_b) t).
+    From M_ba(s) = sum_m y_m exp(2i F m s), its trace and window mean are sums
+    over w = 2 F m - eps_a + eps_b; exp(i w t) has window mean exp(i h) sin(h) / h
+    with h = w t_total / 2.  Every field's modes come from one batch of pieces
+    per piece count (``_floquet_harmonics``), and the packets and their w_k are
+    built once per distinct chain size.
+
+    Error budget: each piece errs by about 1e-14 / 63 (step-doubled to
+    1e-14), the modes by n_pieces times that.  The piece count doubles from
+    256 until the last eighth of the y_m is below 1e-13 of the largest
+    (NonConvergedError past 2^17).  The ring equals the open chain while no
+    packet puts over 1e-8 within 10 + ceil(2 band_edge / F) sites of an end,
+    the edge zone plus the field's Bloch excursion (EdgeContaminationError).
+    The default chain adds to each side's excursion the larger of 7 sigma and
+    6 xi cells: the band projector's tail holds an occupation falling as
+    exp(-4 d / xi) at d cells, xi = (j1 + j2) / hypot(delta, j1 - j2).  At
+    (1, 0.97, 0), 1/F = 5, ``kappa_grid`` = 4 (2048 pieces) the ring on 448
+    sites is 3.3e-11 from the eigenbasis of a 1024-site open chain.  Off
+    resonance the mean stays above about half the per-period tunnelling
+    exp(-pi delta^2 / (2 J F)), J = (j1 + j2) / 2.  Every input is checked
+    before any integration.
+    """
+    fields = np.asarray(fields, dtype=float)
+    lattices = [params.with_field(f) for f in fields.tolist()]
+    for lattice in lattices:
+        lattice.require_field()
+    if kappa_grid < 1:
+        raise ValueError("kappa_grid must be at least 1")
+    if not all(math.isfinite(v) and v > 0 for v in (n_bloch_periods, sigma_cells)):
+        raise ValueError("n_bloch_periods and sigma_cells must be positive and finite")
+    _check_gap(params)
+    if n_sites is not None:
+        site_positions(n_sites)
+
+    # the modes need 30-40 xi pieces whatever F, so their cap stops a lattice too
+    # near band touching (xi above about 4000) before a chain of 24 xi sites is
+    # built: a field's packets are looked up only once its modes are resolved
+    kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
+    packets = {}  # chain size -> (packets, ring weights w_k)
+    traces = [None] * fields.size
+    for i, eps, y, m in _floquet_harmonics(params, fields):
+        lattice = lattices[i]
+        size = n_sites if n_sites is not None else _chain_size_for_population(lattice,
+                                                                            sigma_cells)
+        if size not in packets:
+            psi0 = lower_band_states(lattice, size, kappas, sigma_cells)
+            _, tilde = _reduced_zone(psi0)
+            packets[size] = psi0, np.sum(np.abs(tilde) ** 2, axis=(1, 2)) / kappa_grid
+        psi0, weight = packets[size]
+        _check_edges(psi0, 0.0, _EDGE_ZONE + math.ceil(_excursion_sites(lattice)))
+        traces[i] = _population_trace(lattice, eps, y, m, weight, n_bloch_periods,
+                                      n_time_samples)
+    return traces
+
+
+def mean_upper_population(params: LatticeParams, f: float,
+                          n_bloch_periods: float = 20.0, kappa_grid: int = 16,
+                          n_sites: int | None = None, sigma_cells: float = 12.0,
+                          n_time_samples: int = 256) -> PopulationTrace:
+    """``mean_upper_populations`` at the one field ``f``."""
+    return mean_upper_populations(params, [f], n_bloch_periods, kappa_grid, n_sites,
+                                  sigma_cells, n_time_samples)[0]
 
 
 # ---------------------------------------------------------------------------

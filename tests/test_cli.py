@@ -72,6 +72,23 @@ def test_floquet_sweep_integrates_every_field_in_one_batch(tmp_path, monkeypatch
     assert batches == [8]
 
 
+def test_resonance_sweep_integrates_every_field_in_one_batch(tmp_path, monkeypatch):
+    # every field's Bloch-period pieces are step-doubled in one batch: at 256
+    # pieces the 8 fields resolve together, in one _converged call
+    from starkladder import dynamics
+
+    batches, kernel = [], dynamics._converged
+
+    def record(propagators, size, tol, n):
+        batches.append(size)
+        return kernel(propagators, size, tol, n)
+
+    monkeypatch.setattr(dynamics, "_converged", record)
+    assert run_cli(["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
+                    "--inv-f", "3.0:3.3:8", "--out", str(tmp_path / "r.csv")]) == 0
+    assert batches == [8 * 256]
+
+
 def test_resonances_sweep_worker_independence(tmp_path):
     base = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
             "--inv-f", "3.0:3.3:4", "--periods", "2", "--kappa-grid", "2"]
@@ -563,6 +580,18 @@ def test_exit_code_edge_contamination(tmp_path, capsys):
     code = run_cli(["transfer", "--j1", "1", "--j2", "0.6", "--n-sites", "2",
                     "--out", str(tmp_path / "x.csv")])
     assert code == 4
+    assert capsys.readouterr().err.startswith("error: edge-contamination:")
+
+
+def test_each_resonance_field_is_edge_checked_with_its_own_zone(tmp_path, capsys):
+    # one 200-site chain serves the whole sweep, but the guarded zone grows with
+    # the Bloch excursion: 10 + ceil(2 band_edge / F) = 20, 47 and 73 sites at
+    # 1/F = 3, 11.5 and 20, where the packets put 3e-17, below 1e-10 and 5e-4
+    args = ["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
+            "--sigma-cells", "4", "--n-sites", "200", "--periods", "2",
+            "--out", str(tmp_path / "r.csv")]
+    assert run_cli(args + ["--inv-f", "3:11.5:2"]) == 0
+    assert run_cli(args + ["--inv-f", "3:20:3"]) == 4
     assert capsys.readouterr().err.startswith("error: edge-contamination:")
 
 

@@ -531,6 +531,65 @@ class TestMeanUpperPopulation:
         assert abs(trace.p_upper_mean - mean) < 1e-12
         assert np.max(np.abs(trace.p_upper - p_upper)) < 1e-12
 
+    @pytest.mark.parametrize("params,inv_f", [
+        (LatticeParams(0.76, 0.76, 0.4), np.linspace(3.0, 3.3, 6)),
+        (LatticeParams(1.0, 0.6, 0.3), np.linspace(1.0, 6.0, 6)),
+        # 2048 pieces and a 1688-site default chain per field
+        (LatticeParams(1.0, 0.97, 0.0), np.linspace(5.0, 5.1, 3)),
+        # resolved at 256 and 512 pieces (the next test)
+        (LatticeParams(1.0, 0.79, 0.0), np.array([0.5, 0.7077, 2.0, 3.0])),
+    ])
+    def test_sweep_matches_each_field_alone(self, params, inv_f):
+        traces = dyn.mean_upper_populations(params, 1.0 / inv_f, n_time_samples=16)
+        assert len(traces) == inv_f.size
+        for z, trace in zip(inv_f, traces):
+            alone = dyn.mean_upper_population(params, 1.0 / z, n_time_samples=16)
+            assert abs(trace.p_upper_mean - alone.p_upper_mean) < 1e-14
+            assert np.max(np.abs(trace.p_upper - alone.p_upper)) < 1e-14
+            assert np.array_equal(trace.times, alone.times)
+
+    def test_fields_resolved_at_different_piece_counts(self, monkeypatch):
+        # at (1, 0.79, 0) the harmonic tail at 256 pieces sits near its bound of
+        # 1e-13 of the largest: 1.28e-13 at 1/F = 0.7077, so that field alone
+        # re-runs at 512 pieces, and 0.63e-13 to 0.73e-13 at the others, which
+        # keep their 256 (the previous test compares each with a one-field call)
+        params = LatticeParams(1.0, 0.79, 0.0)
+        inv_f = np.array([0.5, 0.7077, 2.0, 3.0])
+        passes, overlaps = [], dyn._floquet_overlaps
+
+        def record(params, fields, n_pieces):
+            passes.append((fields.tolist(), n_pieces))
+            return overlaps(params, fields, n_pieces)
+
+        monkeypatch.setattr(dyn, "_floquet_overlaps", record)
+        dyn.mean_upper_populations(params, 1.0 / inv_f, n_time_samples=0)
+        assert passes == [((1.0 / inv_f).tolist(), 256), ([1.0 / 0.7077], 512)]
+
+    def test_packets_are_built_once_per_chain_size(self, monkeypatch):
+        # the benchmark scan: 48 fields, two default chain sizes
+        params = LatticeParams(0.76, 0.76, 0.4)
+        fields = 1.0 / np.linspace(3.0, 3.3, 48)
+        sizes, states = [], dyn.lower_band_states
+
+        def record(params, n_sites, kappas, sigma_cells):
+            sizes.append(n_sites)
+            return states(params, n_sites, kappas, sigma_cells)
+
+        monkeypatch.setattr(dyn, "lower_band_states", record)
+        dyn.mean_upper_populations(params, fields, n_time_samples=0)
+        per_field = [dyn._chain_size_for_population(params.with_field(f), 12.0)
+                     for f in fields]
+        assert sorted(sizes) == sorted(set(per_field)) == [428, 432]
+
+    def test_sweep_inputs_are_checked_before_any_integration(self, monkeypatch):
+        monkeypatch.setattr(dyn, "_converged", None)
+        params = LatticeParams(0.76, 0.76, 0.4)
+        with pytest.raises(ValueError, match="positive field"):
+            dyn.mean_upper_populations(params, [0.3, 0.0, 0.2])
+        with pytest.raises(ValueError, match="^n_sites must be even"):
+            dyn.mean_upper_populations(params, [0.3, 0.2], n_sites=255)
+        assert dyn.mean_upper_populations(params, []) == []
+
     def test_near_band_touching_the_default_chain_does_not_set_the_answer(self,
                                                                            monkeypatch):
         # (1, 0.97, 0) has a zone-edge gap of 0.06; the ring's answer on the
@@ -541,9 +600,9 @@ class TestMeanUpperPopulation:
         params = LatticeParams(1.0, 0.97, 0.0)
         pieces, overlaps = [], dyn._floquet_overlaps
 
-        def record(params, n_pieces):
+        def record(params, fields, n_pieces):
             pieces.append(n_pieces)
-            return overlaps(params, n_pieces)
+            return overlaps(params, fields, n_pieces)
 
         monkeypatch.setattr(dyn, "_floquet_overlaps", record)
         assert dyn._chain_size_for_population(params.with_field(0.2), 12.0) == 1688
@@ -568,8 +627,8 @@ class TestMeanUpperPopulation:
         # sites; the window mean meets the 0/0 of its sinc at the degenerate
         # pair, which pytest would turn from a RuntimeWarning into an error
         params = LatticeParams(0.0, 0.0, 0.3, 0.6)
-        eps, _ = dyn._floquet_overlaps(params, 256)
-        assert np.max(np.abs(np.exp(-1j * eps * math.pi / params.f) + 1.0)) < 1e-15
+        eps, _ = dyn._floquet_overlaps(params, np.array([params.f]), 256)
+        assert np.max(np.abs(np.exp(-1j * eps[0] * math.pi / params.f) + 1.0)) < 1e-15
         trace = dyn.mean_upper_population(params, params.f, n_time_samples=16)
         # zero up to the roundoff of |U| = 1 over the 256 pieces
         assert abs(trace.p_upper_mean) < 1e-13

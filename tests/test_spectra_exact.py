@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from starkladder.errors import NonConvergedError
 from starkladder.model import (ChainHamiltonian, LatticeParams, band_mean_energy,
@@ -55,6 +55,10 @@ class TestSturm:
         expected = EIGS8[(EIGS8 >= window[0]) & (EIGS8 <= window[1])]
         assert eigs.size == expected.size
         assert np.max(np.abs(eigs - expected)) < 1e-10
+        # the window is closed: eigenvalues exactly at both ends are kept
+        d = np.array([1.0, -2.0, 0.25, -1.0, 3.0])
+        eigs = se.eigenvalues_symmetric_tridiagonal(tridiag(d, np.zeros(4)), window=window)
+        assert eigs.tolist() == [-1.0, 0.25, 1.0]
         # NaN compares false both ways; it is refused by name, not left to LAPACK
         with pytest.raises(ValueError, match="window"):
             se.eigenvalues_symmetric_tridiagonal(seeded_tridiag(), window=(math.nan, 0.5))
@@ -330,6 +334,22 @@ class TestTruncated:
                     nearest = np.argmin(np.abs(floq.energies - energy))
                     assert abs(floq.energies[nearest] - energy) < 1e-8
                     assert (branch, n) == (floq.branches[nearest], floq.indices[nearest])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(0.3, 1.2), st.floats(0.3, 1.2), st.floats(-0.5, 0.5),
+           st.floats(0.5, 15.0))
+    def test_converged_levels_are_floquet_levels(self, j1, j2, delta, inv_f):
+        # the two exact routes share no solver: every converged level of the
+        # truncated chain's default window is a level of the monodromy ladders
+        assume(math.hypot(delta, j1 - j2) >= 0.05)
+        p = LatticeParams(j1, j2, delta, 1.0 / inv_f)
+        trunc = se.ws_spectrum_truncated(p)
+        levels = trunc.energies[trunc.converged]
+        assert levels.size > 0
+        n_max = math.ceil(np.max(np.abs(levels)) / (2.0 * p.f)) + 2
+        floq = se.ws_spectrum_floquet(p, range(-n_max, n_max + 1))
+        distance = np.abs(levels[:, None] - floq.energies[None, :]).min(axis=1)
+        assert np.max(distance) < 1e-9 * max(1.0, p.f)
 
     def test_labels_without_the_monodromy_integrator(self, monkeypatch):
         p = LatticeParams(1.0, 0.6, 0.0, 0.2)

@@ -4,14 +4,16 @@ One unitary cell transform (``_reduced_zone``) reads the chain as a ring of L
 cells on kappa_k = pi k / L, self-conjugate at kappa = 0 and (L even) pi / 2;
 band projectors hold the Bloch eigenvectors there and apply in O(N log N).
 Every time evolution works on that ring in the acceleration gauge: each
-kappa_k keeps its weight and follows the driven two-level equation of the
-monodromy, by its sixth-order Magnus step and step-doubling rule.
+kappa_k keeps its weight and follows a driven two-level equation, by the
+sixth-order Magnus step and step-doubling rule of ``spectra_exact``.
 ``propagate`` integrates the occupied kappa_k under a (possibly ramped) field;
 at constant field all kappa_k share one set of Floquet modes, which give the
-population statistics in closed form; a resonance scan
-(``mean_upper_populations``) resolves every field's modes in one batch of
-Bloch-period pieces and builds its packets once per chain size.  Edge guards
-keep the packets off the ring's seam, where the ring and the open chain differ.
+population statistics in closed form.  Their equation is the monodromy's
+generating-function ODE, conjugated: a resonance scan
+(``mean_upper_populations``) takes every field's modes from one batch of
+``spectra_exact._period_propagators`` pieces and builds its packets once per
+chain size.  Edge guards keep the packets off the ring's seam, where the ring
+and the open chain differ.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 from .errors import EdgeContaminationError, NonConvergedError
 from .model import (LatticeParams, _check_gap, _excursion_sites, _two_level_eigen,
                     site_positions)
-from .spectra_exact import _START_STEPS, _converged, _magnus_product, _su2_mul
+from .spectra_exact import (_START_STEPS, _converged, _magnus_product, _period_propagators,
+                            _su2_mul)
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
@@ -200,20 +203,19 @@ def propagate(state: ChainState, params: LatticeParams,
     weight |c_a|^2 + |c_b|^2, so the lightest k are dropped while their
     summed weight stays at most (tol / 64)^2: that changes psi by exactly the
     square root of the dropped weight, at most tol / 64, at every time.  Each
-    (piece, kept k) propagator takes the monodromy's sixth-order Magnus
-    steps, from 64 per Bloch period (Phi advancing by pi) of the longest
-    piece, doubled until every entry changes by less than ``tol``, so a piece
-    errs by about tol / 63.  A sample thus errs in the 2-norm by at most
-    tol / 64 from the cut plus about tol / 63 per piece before it; the norm
-    loses the dropped weight and is otherwise kept to roundoff.  ``tol``
-    bounds only these two errors.  Truncation of the chain is checked only
-    by the edge guard: the ring acts as the open chain while the weight
+    (piece, kept k) propagator takes the sixth-order Magnus steps of
+    ``spectra_exact._magnus_product``, from 64 per Bloch period (Phi advancing
+    by pi) of the longest piece, doubled until every entry changes by less than
+    ``tol``, so a piece errs by about tol / 63.  A sample thus errs in the
+    2-norm by at most tol / 64 from the cut plus about tol / 63 per piece before
+    it; the norm loses the dropped weight and is otherwise kept to roundoff.
+    ``tol`` bounds only these two errors.  Truncation of the chain is checked
+    only by the edge guard: the ring acts as the open chain while the weight
     |psi|^2 in the 10-site edge zones stays at most 1e-8, checked at every
-    sample (EdgeContaminationError), so amplitudes up to 1e-4 pass.  A
-    packet can thus end much further than tol from the infinite-chain
-    answer: the 256-site, sigma = 8 cell packet at (j1, j2, F) =
-    (1, 0.6, 1/9) ends one Bloch period 1.5e-6 from the same packet in 1024
-    sites at tol 1e-8.
+    sample (EdgeContaminationError), so amplitudes up to 1e-4 pass.  A packet
+    can thus end much further than tol from the infinite-chain answer: the
+    256-site, sigma = 8 cell packet at (j1, j2, F) = (1, 0.6, 1/9) ends one
+    Bloch period 1.5e-6 from the same packet in 1024 sites at tol 1e-8.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
@@ -314,21 +316,15 @@ def _floquet_overlaps(params: LatticeParams, fields: np.ndarray, n_pieces: int):
     V = diag(exp(i F t / 2), exp(-i F t / 2)) c, c the ring amplitudes of
     ``propagate`` at kappa_k, is the lab-frame amplitude at kappa = -F s and obeys
     i dV/ds = [[-(delta + F/2), g], [g*, delta + F/2]] V, g = j1 + j2 exp(2i F s),
-    at s = t - kappa_k / F for every k.  Step-doubled pieces give U(s_j, 0), all
-    fields' pieces in one batch (element field x n_pieces + piece); the
-    eigenvectors of W = U(T_B, 0), W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
+    at s = t - kappa_k / F for every k.  At theta = 2 F s this is the
+    generating-function ODE of ``_period_propagators`` under X -> sigma_z X*
+    sigma_z, so its pieces (step-doubled to 1e-14) give those of V by
+    (a, b) -> (a*, -b*), and their prefix products U(s_j, 0); the eigenvectors
+    of W = U(T_B, 0), W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
     """
     t_b = math.pi / fields
-
-    def pieces(index, n_steps):  # 2 F s = turn (first + x) at step coordinate x
-        field, piece = np.divmod(index, n_pieces)
-        turn, first = 2j * math.pi / (n_pieces * n_steps), n_steps * piece[:, None, None]
-        return _magnus_product(lambda x: params.j1 + params.j2 * np.exp(turn * (first + x)),
-                               1.0, -(params.delta + 0.5 * fields[field, None]),
-                               t_b[field, None] / (n_pieces * n_steps), n_steps, index.size)
-
-    a, b, _ = _converged(pieces, fields.size * n_pieces, _PIECE_TOL, 1)
-    a, b = a.reshape(fields.size, n_pieces), b.reshape(fields.size, n_pieces)
+    a, b, _ = _period_propagators(params, fields, n_pieces, _PIECE_TOL)
+    a, b = np.conj(a), -np.conj(b)
     shift = 1  # element j becomes U(s_j+1, 0) in log2(n_pieces) passes
     while shift < n_pieces:
         a[:, shift:], b[:, shift:] = _su2_mul(a[:, shift:], b[:, shift:],
@@ -470,58 +466,6 @@ def mean_upper_population(params: LatticeParams, f: float,
     """``mean_upper_populations`` at the one field ``f``."""
     return mean_upper_populations(params, [f], n_bloch_periods, kappa_grid, n_sites,
                                   sigma_cells, n_time_samples)[0]
-
-
-# ---------------------------------------------------------------------------
-# Lorentzian resonance fit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LorentzianPeak:
-    """Least-squares resonance parameters of one population peak."""
-
-    center: float
-    width: float
-    height: float
-    residual: float
-
-
-def lorentzian_fit(inv_f: np.ndarray, p_mean: np.ndarray) -> LorentzianPeak:
-    """Fit P(z) = h (w/2)^2 / ((w/2)^2 + (z - z0)^2) to one resonance peak.
-
-    The data must contain exactly one local maximum.  Returns the center z0,
-    the width parameter w (the gap value in the resonance model), the height
-    h and the RMS residual.
-    """
-    from scipy.optimize import least_squares
-
-    z = np.asarray(inv_f, dtype=float)
-    p = np.asarray(p_mean, dtype=float)
-    if z.size < 5:
-        raise ValueError("need at least five samples around the peak")
-    interior = (p[1:-1] > p[:-2]) & (p[1:-1] >= p[2:])
-    if int(np.sum(interior)) != 1:
-        raise ValueError("the data must contain exactly one local maximum")
-
-    i0 = int(np.argmax(p))
-    h0 = float(p[i0])
-    z0 = float(z[i0])
-    above = p > 0.5 * h0
-    w0 = max(2.0 * (z[above].max() - z[above].min()), 4 * (z[1] - z[0]))
-
-    def model(x):
-        c, w, h = x
-        half_sq = (0.5 * w) ** 2
-        return h * half_sq / (half_sq + (z - c) ** 2) - p
-
-    sol = least_squares(model, x0=np.array([z0, w0, h0]), method="lm")
-    if not sol.success:
-        raise NonConvergedError(
-            f"Lorentzian fit failed: {sol.message}; residual {np.abs(sol.fun).max():.2e}"
-        )
-    rms = float(np.sqrt(np.mean(sol.fun**2)))
-    return LorentzianPeak(center=float(sol.x[0]), width=abs(float(sol.x[1])),
-                          height=float(sol.x[2]), residual=rms)
 
 
 # ---------------------------------------------------------------------------

@@ -172,15 +172,6 @@ def bloch_dispersion(params: LatticeParams, kappa):
     return -e_plus, e_plus
 
 
-def band_mean_energy(params: LatticeParams) -> float:
-    """Mean energy C of the upper Bloch band over the reduced zone.
-
-    C = (1/pi) * integral of E_+(kappa) over [-pi/2, pi/2); the lower band's
-    mean is exactly -C.  Closed form, see ``_tilted_band_mean``.
-    """
-    return _tilted_band_mean(params.with_field(0.0))
-
-
 def build_chain(params: LatticeParams, n_sites: int) -> ChainHamiltonian:
     """Truncated chain Hamiltonian on the ``site_positions`` layout; f = 0 is allowed."""
     diagonal = params.f * site_positions(n_sites) + np.tile([-params.delta, params.delta],
@@ -194,8 +185,9 @@ def build_chain(params: LatticeParams, n_sites: int) -> ChainHamiltonian:
 def _tilted_band_mean(params: LatticeParams) -> float:
     """Mean of the upper instantaneous eigenvalue sqrt((delta+F/2)^2 + |h|^2).
 
-    Reduces to band_mean_energy at f = 0; used as the branch anchor of the
-    Floquet ladders and as the adiabatic constant C_+.  With
+    At f = 0 it is the mean energy C of the upper Bloch band over the reduced
+    zone (the lower band's is -C); used as the branch anchor of the Floquet
+    ladders and as the adiabatic constant C_+.  With
     a = (delta + F/2)^2 + j1^2 + j2^2 and b = 2 j1 j2 the eigenvalue is
     sqrt(a + b cos theta), whose mean over theta is the complete elliptic
     integral (2/pi) sqrt(a + b) E(2b/(a + b)).

@@ -6,13 +6,16 @@ LAPACK call via scipy).  Route two integrates the 2x2 generating-function ODE
 over one period with a sixth-order Magnus scheme (exact SU(2) steps, pairwise
 product, fields as a batch axis) and quantizes the eigenphase of the unitary
 monodromy, read by one formula that stays accurate where the crossing gaps
-close.  Both give the same ladders; the truncated route carries per-level convergence flags
-and labels its branches from its own levels; the monodromy route is free of
-truncation error and is the workhorse for field sweeps and avoided-crossing
-searches, which locate the splitting's minima on one Chebyshev series of the
-monodromy entries over the whole 1/F interval.  A field sweep
-(``floquet_ladders``) and the gaps at a search's minima each take one batched
-integration, every field to its own step count.
+close.  Both give the same ladders; the truncated route carries per-level
+convergence flags and labels its branches from its own levels; the monodromy
+route is free of truncation error and is the workhorse for field sweeps and
+avoided-crossing searches, which locate the splitting's minima on one
+Chebyshev series of the monodromy entries over the whole 1/F interval.  The
+ODE is written once (``_period_propagators``): the monodromy is its one-piece
+case, and the resonance scan of ``dynamics`` reads the ring's Floquet modes
+off its pieces.  A field sweep (``floquet_ladders``) and the gaps at a
+search's minima each take one batched integration, every field to its own
+step count.
 """
 
 from __future__ import annotations
@@ -148,16 +151,7 @@ def _magnus_product(coupling, scale, diagonal, h, n_steps: int, batch: int):
     return a_tot, b_tot
 
 
-def _magnus_propagators(params: LatticeParams, f: np.ndarray, n_steps: int):
-    """Period propagators of dU/dtheta = -i H(theta) U, theta in [0, 2 pi], for an
-    array of fields: H = (1/2F)[[F/2 + delta, g], [g*, -(F/2 + delta)]] with
-    g = j1 + j2 exp(-i theta)."""
-    h = 2.0 * math.pi / n_steps
-    return _magnus_product(lambda s: params.j1 + params.j2 * np.exp(-1j * (h * s)),
-                           0.5 / f[:, None], 0.5 * f[:, None] + params.delta, h, n_steps, f.size)
-
-
-def _converged(propagators, size: int, tol: float, n: int = _START_STEPS):
+def _converged(propagators, size: int, tol: float, n: int):
     """Step-doubled propagators (a, b) and step counts for a batch of equations.
 
     ``propagators(index, n_steps)`` integrates the batch elements ``index``
@@ -199,11 +193,39 @@ def _converged(propagators, size: int, tol: float, n: int = _START_STEPS):
     return a_out, b_out, steps
 
 
-def _converged_propagators(params: LatticeParams, f_values: np.ndarray, tol: float):
-    """Period propagators (a, b) and step counts for an array of fields, each
-    step-doubled from ``_START_STEPS`` until its entries are stable to ``tol``."""
-    return _converged(lambda index, n: _magnus_propagators(params, f_values[index], n),
-                      f_values.size, tol)
+def _period_propagators(params: LatticeParams, fields: np.ndarray, n_pieces: int,
+                        tol: float):
+    """Propagators (a, b) and step counts, each of shape (fields, n_pieces), of
+    the generating-function ODE over the pieces of its period.
+
+    Integrates dU/dtheta = -i H(theta) U, H = (1/2F)[[F/2 + delta, g],
+    [g*, -(F/2 + delta)]] with g = j1 + j2 exp(-i theta), from U = 1 over
+    theta in [2 pi j / P, 2 pi (j + 1) / P] for each piece j and each field F
+    in ``fields``; P = ``n_pieces`` is a power of two.  All fields' pieces are
+    one batch of ``_converged`` (element field x P + piece), each starting at
+    max(1, 64 / P) steps, 64 per period, and doubled until its entries are
+    stable to ``tol``.  At P = 1 the propagators are the monodromies.
+    """
+    def propagators(index, n_steps):
+        field, piece = np.divmod(index, n_pieces)
+        h = 2.0 * math.pi / (n_pieces * n_steps)
+        # the coupling depends on the piece alone: one per distinct piece, and
+        # at one piece per period (the monodromies) one for the whole batch
+        first, inverse = (np.unique(n_steps * piece, return_inverse=True) if n_pieces > 1
+                          else (np.zeros(1), slice(None)))
+
+        def coupling(s):  # s counts steps from the start of each piece
+            theta = h * (first[:, None, None] + s)
+            return (params.j1 + params.j2 * np.exp(-1j * theta))[inverse]
+
+        f = fields[field, None]
+        return _magnus_product(coupling, 0.5 / f, 0.5 * f + params.delta, h, n_steps,
+                               index.size)
+
+    a, b, steps = _converged(propagators, fields.size * n_pieces, tol,
+                             max(1, _START_STEPS // n_pieces))
+    shape = (fields.size, n_pieces)
+    return a.reshape(shape), b.reshape(shape), steps.reshape(shape)
 
 
 def _eigenphase(a, b):
@@ -219,16 +241,15 @@ def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
     """Time-ordered period propagator of the tilted-lattice generating ODE.
 
     Integrates dU/dtheta = -i/(2F) G0(theta) U over one period at trial
-    energy E = 0 with the sixth-order Magnus kernel (a batch of one field),
+    energy E = 0: the one-field, one-piece case of ``_period_propagators``,
     doubling the step count until every entry is stable to ``tol``.  Each
     step is an exact SU(2) exponential, so U is unitary to roundoff without
     any projection.
     """
     params.require_field()
-    a, b, steps = _converged_propagators(params, np.array([params.f]), tol)
-    u = np.array([[a[0], b[0]], [-np.conj(b[0]), np.conj(a[0])]])
-    return Monodromy(matrix=u, eigenphase=float(_eigenphase(a[0], b[0])),
-                     integration_steps=int(steps[0]))
+    a, b, steps = (x.item() for x in _period_propagators(params, np.array([params.f]), 1, tol))
+    u = np.array([[a, b], [-np.conj(b), np.conj(a)]])
+    return Monodromy(matrix=u, eigenphase=float(_eigenphase(a, b)), integration_steps=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +299,9 @@ def floquet_ladders(params: LatticeParams, fields, n_range=range(-8, 9),
     """Wannier-Stark ladders E = offset + 2Fn at each field F in ``fields``
     (``params.f`` is ignored), from the monodromy eigenphases.
 
-    All fields are step-doubled to ``tol`` in one batch of the Magnus kernel;
-    each leaves the batch at the step count ``monodromy`` takes for it alone.
+    All fields are step-doubled to ``tol`` in one batch of
+    ``_period_propagators`` at one piece per period; each leaves the batch at
+    the step count it takes when integrated alone.
     ``floquet_branch_offsets`` labels each field's pair.  Exact degeneracies of
     the eigenphase pair produce coincident levels of the two branches rather
     than an error.
@@ -288,9 +310,9 @@ def floquet_ladders(params: LatticeParams, fields, n_range=range(-8, 9),
     lattices = [params.with_field(f) for f in fields.tolist()]
     for lattice in lattices:
         lattice.require_field()
-    a, b, _ = _converged_propagators(params, fields, tol)
+    a, b, _ = _period_propagators(params, fields, 1, tol)
     return [LadderSpectrum.from_offsets(*floquet_branch_offsets(p, phi), p.f, n_range)
-            for p, phi in zip(lattices, _eigenphase(a, b).tolist())]
+            for p, phi in zip(lattices, _eigenphase(a[:, 0], b[:, 0]).tolist())]
 
 
 def ws_spectrum_floquet(params: LatticeParams, n_range=range(-8, 9),
@@ -393,7 +415,8 @@ def _splitting(inv_f, a, b) -> np.ndarray:
 def _gaps(params: LatticeParams, inv_f) -> np.ndarray:
     """Minimal inter-ladder splittings (energy units) at fields 1/inv_f."""
     z = np.asarray(inv_f, dtype=float)
-    return _splitting(z, *_converged_propagators(params, 1.0 / z, _PHASE_TOL)[:2])
+    a, b, _ = _period_propagators(params, 1.0 / z, 1, _PHASE_TOL)
+    return _splitting(z, a[:, 0], b[:, 0])
 
 
 _PROXY_MAX_NODES = 1 << 12  # Chebyshev node cap of the crossing search's proxy
@@ -428,8 +451,8 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
     mid, half = 0.5 * (z_hi + z_lo), 0.5 * (z_hi - z_lo)
 
     def entries(s):
-        a, b, _ = _converged_propagators(params, 1.0 / (mid + half * s), _PHASE_TOL)
-        return np.array([a.real, a.imag, b.real, b.imag])
+        a, b, _ = _period_propagators(params, 1.0 / (mid + half * s), 1, _PHASE_TOL)
+        return np.array([a.real, a.imag, b.real, b.imag])[..., 0]
 
     coef = _chebyshev_series(entries, 16, _PROXY_MAX_NODES, 1e-13).T
 

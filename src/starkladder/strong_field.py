@@ -74,17 +74,6 @@ def _antiderivative(integrand, t: float, z: float) -> np.ndarray:
     return np.hstack([b0[:, None], b]).T
 
 
-def osc_integral(t: float, z: float) -> float:
-    """I(t, z) = int_0^t sin(z sin x) dx for t in [0, pi], z >= 0."""
-    if not -1e-12 <= t <= math.pi + 1e-12:
-        raise ValueError("t must lie in [0, pi]")
-    if z < 0:
-        raise ValueError("z must be non-negative")
-    if t <= 0.0:
-        return 0.0
-    return float(_antiderivative(lambda x: np.sin(z * np.sin(x)), t, z).sum())
-
-
 @dataclass(frozen=True)
 class WuYangPhaseSet:
     """The four accumulated phases of the second-order strong-coupling propagator.

@@ -1,6 +1,5 @@
-"""Weak-field adiabatic theory: instantaneous eigensystem, Zak phases, the
-adiabatic ladder with its second-order correction, and the avoided-crossing
-gap estimate.
+"""Weak-field adiabatic theory: Zak phases, the adiabatic ladder with its
+second-order correction, and the avoided-crossing gap estimate.
 
 The ladder constants split cleanly: C_+- carries all the smooth field
 dependence through the shifted instantaneous eigenvalues, while the
@@ -15,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegeneracyError, OutOfValidityError
+from .errors import OutOfValidityError
 from .model import (LadderSpectrum, LatticeParams, _check_gap, _tilted_band_mean,
-                    _two_level_eigen, _zak_plus, fold_interval)
+                    _zak_plus, fold_interval)
 
 
 @dataclass(frozen=True)
@@ -40,24 +37,6 @@ class GapEstimate:
 
     theta0: float
     ratio: float
-
-
-def instantaneous_eigen(params: LatticeParams, theta: float):
-    """Eigenpairs of the shifted generating-function matrix at angle theta.
-
-    Returns (e_minus, e_plus, y_minus, y_plus) with
-    e_plus = sqrt((delta + F/2)^2 + |j1 + j2 e^{i theta}|^2) and normalized
-    eigenvectors in a gauge smooth along theta.
-    """
-    if params.f < 0:
-        raise ValueError("f must be non-negative")
-    dz = params.delta + 0.5 * params.f
-    h = params.j1 + params.j2 * np.exp(1j * theta)
-    r, y_minus, y_plus = _two_level_eigen(dz, h)
-    scale = params.j1 + params.j2 + abs(dz)
-    if r <= 1e-13 * max(scale, 1e-300):
-        raise DegeneracyError("instantaneous spectrum is degenerate at this theta")
-    return -float(r), float(r), y_minus, y_plus
 
 
 def adiabatic_constants(params: LatticeParams) -> tuple[AdiabaticLadder, AdiabaticLadder]:

@@ -59,13 +59,13 @@ def test_spectrum_sweep_worker_independence(tmp_path):
 def test_floquet_sweep_integrates_every_field_in_one_batch(tmp_path, monkeypatch):
     from starkladder import spectra_exact
 
-    batches, kernel = [], spectra_exact._converged_propagators
+    batches, kernel = [], spectra_exact._period_propagators
 
-    def record(params, f_values, tol):
-        batches.append(f_values.size)
-        return kernel(params, f_values, tol)
+    def record(params, fields, n_pieces, tol):
+        batches.append(fields.size * n_pieces)
+        return kernel(params, fields, n_pieces, tol)
 
-    monkeypatch.setattr(spectra_exact, "_converged_propagators", record)
+    monkeypatch.setattr(spectra_exact, "_period_propagators", record)
     assert run_cli(["spectrum", "--method", "floquet", "--j1", "1", "--j2", "0.6",
                     "--inv-f", "8.5:9.5:8", "--n-range=-3:3",
                     "--out", str(tmp_path / "f.csv")]) == 0
@@ -74,16 +74,16 @@ def test_floquet_sweep_integrates_every_field_in_one_batch(tmp_path, monkeypatch
 
 def test_resonance_sweep_integrates_every_field_in_one_batch(tmp_path, monkeypatch):
     # every field's Bloch-period pieces are step-doubled in one batch: at 256
-    # pieces the 8 fields resolve together, in one _converged call
+    # pieces the 8 fields resolve together, in one _period_propagators call
     from starkladder import dynamics
 
-    batches, kernel = [], dynamics._converged
+    batches, kernel = [], dynamics._period_propagators
 
-    def record(propagators, size, tol, n):
-        batches.append(size)
-        return kernel(propagators, size, tol, n)
+    def record(params, fields, n_pieces, tol):
+        batches.append(fields.size * n_pieces)
+        return kernel(params, fields, n_pieces, tol)
 
-    monkeypatch.setattr(dynamics, "_converged", record)
+    monkeypatch.setattr(dynamics, "_period_propagators", record)
     assert run_cli(["resonances", "--j1", "0.76", "--j2", "0.76", "--delta", "0.4",
                     "--inv-f", "3.0:3.3:8", "--out", str(tmp_path / "r.csv")]) == 0
     assert batches == [8 * 256]

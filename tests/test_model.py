@@ -9,8 +9,8 @@ import pytest
 import starkladder
 from starkladder import dynamics, weak_field
 from starkladder.errors import DegeneracyError
-from starkladder.model import (LatticeParams, _tilted_band_mean, _zak_plus, band_mean_energy,
-                               bloch_dispersion, build_chain, fold_interval, reduce_zone)
+from starkladder.model import (LatticeParams, _tilted_band_mean, _zak_plus, bloch_dispersion,
+                               build_chain, fold_interval, reduce_zone)
 from starkladder.spectra_exact import eigenvalues_symmetric_tridiagonal
 
 # independent high-precision substitution for (0.76, 0.76, 0.4) at kappa = 0
@@ -68,12 +68,13 @@ def test_dispersion_is_total_on_folded_domain():
 
 @pytest.mark.parametrize("j", [0.1, 0.76, 1.0])
 def test_band_mean_plain_lattice_closed_form(j):
-    assert band_mean_energy(LatticeParams(j, j, 0.0)) == pytest.approx(
+    assert _tilted_band_mean(LatticeParams(j, j, 0.0).with_field(0.0)) == pytest.approx(
         4.0 * j / math.pi, abs=1e-10)
 
 
 def test_band_mean_flat_bands():
-    assert band_mean_energy(LatticeParams(0.0, 0.0, 0.3)) == pytest.approx(0.3, abs=1e-12)
+    assert _tilted_band_mean(LatticeParams(0.0, 0.0, 0.3).with_field(0.0)) == pytest.approx(
+        0.3, abs=1e-12)
 
 
 def test_tilted_band_mean_at_zero_radius():
@@ -84,12 +85,12 @@ def test_tilted_band_mean_at_zero_radius():
 def test_band_mean_where_elliptic_parameter_rounds_above_one():
     # 4 j1 j2 / (j1 + j2)^2 rounds to 1 + 2^-52 here, where E(m) is nan
     j2 = 0.3000000006
-    assert band_mean_energy(LatticeParams(0.3, j2, 0.0)) == pytest.approx(
+    assert _tilted_band_mean(LatticeParams(0.3, j2, 0.0).with_field(0.0)) == pytest.approx(
         2.0 * (0.3 + j2) / math.pi, rel=1e-14)
 
 
 def test_band_mean_against_riemann_oracle():
-    assert band_mean_energy(LatticeParams(1.0, 0.6, 0.0)) == pytest.approx(
+    assert _tilted_band_mean(LatticeParams(1.0, 0.6, 0.0).with_field(0.0)) == pytest.approx(
         BAND_MEAN_1_06, abs=1e-10)
 
 

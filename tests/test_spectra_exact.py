@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from starkladder.errors import NonConvergedError
-from starkladder.model import (ChainHamiltonian, LatticeParams, band_mean_energy,
+from starkladder.model import (ChainHamiltonian, LatticeParams, _tilted_band_mean,
                                build_chain, fold_interval)
 from starkladder import spectra_exact as se
 from starkladder import strong_field as sf
@@ -166,8 +166,8 @@ class TestMonodromy:
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-13
         # a batch of three fields splits the steps into other blocks
         fields = np.array([params.f, 1.0 / 99.0, 1.0 / 101.0])
-        batch = se._eigenphase(*se._converged_propagators(params, fields, se._PHASE_TOL)[:2])
-        assert abs(mono.eigenphase - batch[0]) < 1e-14
+        a, b, _ = se._period_propagators(params, fields, 1, se._PHASE_TOL)
+        assert abs(mono.eigenphase - se._eigenphase(a[0, 0], b[0, 0])) < 1e-14
         assert np.max(np.abs(u - midpoint_monodromy(params))) < 1e-9
 
     def test_field_required(self):
@@ -195,16 +195,16 @@ class TestMonodromy:
     def test_step_doubling_fails_fast_below_roundoff(self, monkeypatch):
         # at 1/F = 20 the entries cannot settle to 1e-15: once the truncation
         # error is gone each doubling adds roundoff instead of removing it
-        kernel = se._magnus_propagators
+        kernel = se._magnus_product
         calls = []
 
-        def counted(*args):
-            calls.append(args[2])
+        def counted(coupling, scale, diagonal, h, n_steps, batch):
+            calls.append(n_steps)
             if len(calls) > 10:
                 pytest.fail(f"step doubling kept going: {calls}")
-            return kernel(*args)
+            return kernel(coupling, scale, diagonal, h, n_steps, batch)
 
-        monkeypatch.setattr(se, "_magnus_propagators", counted)
+        monkeypatch.setattr(se, "_magnus_product", counted)
         with pytest.raises(NonConvergedError) as info:
             se.monodromy(LatticeParams(1.0, 0.6, 0.0, 1.0 / 20.0), tol=1e-15)
         message = str(info.value)
@@ -219,12 +219,20 @@ class TestMonodromy:
         tight = se.monodromy(params, tol=1e-13)
         assert np.max(np.abs(mono.matrix - tight.matrix)) < 1e-10
 
-    def test_magnus_step_is_sixth_order(self):
+    def test_magnus_step_is_sixth_order(self, monkeypatch):
         # step doubling cuts the change 2^6 = 64x in the asymptotic range;
         # a fourth-order step would give 16x and still converge, only slower
         params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 9.0957)
-        a = [se._magnus_propagators(params, np.array([params.f]), n)[0][0]
-             for n in (128, 256, 512, 1024)]
+
+        def at_steps(n):  # fixed steps in place of the doubling rule
+            def fixed(propagators, size, tol, start):
+                a, b = propagators(np.arange(size), n)
+                return a, b, np.full(size, n)
+
+            monkeypatch.setattr(se, "_converged", fixed)
+            return se._period_propagators(params, np.array([params.f]), 1, se._PHASE_TOL)[0]
+
+        a = [at_steps(n).item() for n in (128, 256, 512, 1024)]
         changes = np.abs(np.diff(a))
         assert np.all(changes[:-1] / changes[1:] > 40.0)
 
@@ -236,6 +244,22 @@ class TestMonodromy:
         assert np.max(np.abs(se.monodromy(params, tol=1e-13).matrix
                              - mpmath_monodromy(params))) < 1e-12
 
+    @pytest.mark.parametrize("lattice", [(1.0, 0.6, 0.0), (1.0, 0.6, 0.3),
+                                         (0.76, 0.76, 0.4), (1.0, 0.4, 0.1)])
+    def test_pieces_multiply_to_the_period_propagator(self, lattice):
+        # the SU(2) product of the eight pieces of the period, later pieces on
+        # the left, is the one-piece propagator; at tol 1e-13 the two sides
+        # differ by at most 6.7e-15 over 1/F in [1.5, 12]
+        params = LatticeParams(*lattice)
+        fields = 1.0 / np.linspace(1.5, 12.0, 9)
+        a, b, _ = se._period_propagators(params, fields, 8, 1e-13)
+        one_a, one_b, _ = se._period_propagators(params, fields, 1, 1e-13)
+        prod_a, prod_b = a[:, 0], b[:, 0]
+        for j in range(1, 8):
+            prod_a, prod_b = se._su2_mul(a[:, j], b[:, j], prod_a, prod_b)
+        assert np.max(np.abs(prod_a - one_a[:, 0])) < 1e-13
+        assert np.max(np.abs(prod_b - one_b[:, 0])) < 1e-13
+
 
 class TestFloquetLadder:
     def test_trivial_single_ladder(self):
@@ -246,7 +270,7 @@ class TestFloquetLadder:
 
     def test_small_field_offsets_near_band_means(self):
         p = LatticeParams(1.0, 0.6, 0.0, 0.02)
-        c = band_mean_energy(p)
+        c = _tilted_band_mean(p.with_field(0.0))
         spec = se.ws_spectrum_floquet(p, range(-2, 3))
         o_minus, o_plus = spec.branch_offsets()
         assert abs(fold_interval(o_plus - c, 2 * p.f)) < 5e-3
@@ -276,14 +300,14 @@ class TestFloquetSweep:
         # indices of its own integration; only the kernel's block split differs
         p = LatticeParams(0.76, 0.76, 0.4, 0.0)
         fields = 1.0 / np.linspace(0.2, 40.0, 40)
-        batches, kernel = [], se._converged_propagators
+        batches, kernel = [], se._period_propagators
 
-        def record(params, f_values, tol):
-            result = kernel(params, f_values, tol)
-            batches.append(result[2])
+        def record(params, fields, n_pieces, tol):
+            result = kernel(params, fields, n_pieces, tol)
+            batches.append(result[2][:, 0])
             return result
 
-        monkeypatch.setattr(se, "_converged_propagators", record)
+        monkeypatch.setattr(se, "_period_propagators", record)
         sweep = se.floquet_ladders(p, fields, range(-3, 4))
         (steps,) = batches
         for f, n_steps, spec in zip(fields, steps, sweep):
@@ -295,7 +319,7 @@ class TestFloquetSweep:
             assert np.max(np.abs(spec.energies - alone.energies)) <= 1e-14 * max(1.0, f)
 
     def test_fields_are_checked_before_any_integration(self, monkeypatch):
-        monkeypatch.setattr(se, "_converged_propagators", None)
+        monkeypatch.setattr(se, "_period_propagators", None)
         with pytest.raises(ValueError, match="positive field"):
             se.floquet_ladders(LatticeParams(1.0, 0.6, 0.0, 0.0), [0.5, 0.0])
 
@@ -359,7 +383,7 @@ class TestTruncated:
             raise AssertionError("the truncated route must not integrate the monodromy")
 
         monkeypatch.setattr(se, "monodromy", unavailable)
-        monkeypatch.setattr(se, "_converged_propagators", unavailable)
+        monkeypatch.setattr(se, "_period_propagators", unavailable)
         trunc = se.ws_spectrum_truncated(p, window=(-2, 2))
         assert trunc.energies.size > 0 and trunc.converged.all()
         assert trunc.branch_offsets() == pytest.approx(floq.branch_offsets(), abs=1e-9)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from starkladder.errors import DegeneracyError
-from starkladder.model import (LatticeParams, _tilted_band_mean, _zak_plus,
-                               band_mean_energy, bloch_dispersion, fold_interval)
+from starkladder.model import (LatticeParams, _tilted_band_mean, _two_level_eigen, _zak_plus,
+                               bloch_dispersion, fold_interval)
 from starkladder import spectra_exact as se
 from starkladder import weak_field as wf
 
@@ -71,20 +71,25 @@ def generating_matrix(params, theta):
     return np.array([[dz, np.conj(h)], [h, -dz]])
 
 
+def instantaneous_arguments(params, theta):
+    """(dz, h) of ``generating_matrix`` for ``model._two_level_eigen``."""
+    return params.delta + 0.5 * params.f, params.j1 + params.j2 * np.exp(1j * theta)
+
+
 class TestInstantaneousEigen:
+    # model._two_level_eigen is the one eigensystem of the generating matrix;
+    # its eigenvalues are -+r
     def test_diagonal_limit(self):
         p = LatticeParams(0.0, 0.0, 0.3, 0.2)
-        e_minus, e_plus, y_minus, y_plus = wf.instantaneous_eigen(p, 1.1)
-        assert e_plus == pytest.approx(0.4, abs=1e-15)
-        assert e_minus == pytest.approx(-0.4, abs=1e-15)
+        r, y_minus, y_plus = _two_level_eigen(*instantaneous_arguments(p, 1.1))
+        assert r == pytest.approx(0.4, abs=1e-15)
         assert abs(y_plus[0]) == pytest.approx(1.0, abs=1e-15)
         assert abs(y_minus[1]) == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_bloch_dispersion_at_zero_field(self):
         p = LatticeParams(1.0, 0.6, 0.0, 0.0)
-        e_minus, e_plus, _, _ = wf.instantaneous_eigen(p, 0.0)
-        assert e_plus == pytest.approx(1.6, abs=1e-14)
-        assert e_minus == pytest.approx(-1.6, abs=1e-14)
+        r, _, _ = _two_level_eigen(*instantaneous_arguments(p, 0.0))
+        assert r == pytest.approx(1.6, abs=1e-14)
 
     def test_eigen_residual_random_parameters(self):
         rng = np.random.default_rng(5)
@@ -92,24 +97,19 @@ class TestInstantaneousEigen:
             p = LatticeParams(rng.uniform(0.2, 1.2), rng.uniform(0.2, 1.2),
                               rng.uniform(0, 0.5), rng.uniform(0, 0.5))
             theta = rng.uniform(0, 2 * math.pi)
-            e_minus, e_plus, y_minus, y_plus = wf.instantaneous_eigen(p, theta)
+            r, y_minus, y_plus = _two_level_eigen(*instantaneous_arguments(p, theta))
             g = generating_matrix(p, theta)
-            assert np.linalg.norm(g @ y_plus - e_plus * y_plus) < 1e-12
-            assert np.linalg.norm(g @ y_minus - e_minus * y_minus) < 1e-12
+            assert np.linalg.norm(g @ y_plus - r * y_plus) < 1e-12
+            assert np.linalg.norm(g @ y_minus + r * y_minus) < 1e-12
             assert abs(np.vdot(y_plus, y_minus)) < 1e-13
 
     def test_theta_is_twice_kappa_at_zero_field(self):
         p = LatticeParams(0.9, 0.4, 0.2, 0.0)
         for theta in np.linspace(0, 2 * math.pi, 13):
-            e_minus, e_plus, _, _ = wf.instantaneous_eigen(p, theta)
+            r, _, _ = _two_level_eigen(*instantaneous_arguments(p, theta))
             d_minus, d_plus = bloch_dispersion(p, theta / 2)
-            assert e_plus == pytest.approx(d_plus, abs=1e-13)
-            assert e_minus == pytest.approx(d_minus, abs=1e-13)
-
-    def test_exact_degeneracy_reported(self):
-        p = LatticeParams(0.5, 0.5, 0.0, 0.0)
-        with pytest.raises(DegeneracyError):
-            wf.instantaneous_eigen(p, math.pi)
+            assert r == pytest.approx(d_plus, abs=1e-13)
+            assert -r == pytest.approx(d_minus, abs=1e-13)
 
 
 class TestAdiabaticConstants:
@@ -136,7 +136,7 @@ class TestAdiabaticConstants:
 
     def test_mean_energy_approaches_band_mean(self):
         p0 = LatticeParams(0.9, 0.5, 0.4, 0.0)
-        c0 = band_mean_energy(p0)
+        c0 = _tilted_band_mean(p0.with_field(0.0))
         gaps = []
         for f in (0.1, 0.05, 0.025):
             plus, _ = wf.adiabatic_constants(p0.with_field(f))

@@ -6,7 +6,9 @@ bands and their tight-binding reduction).
 Every sweep runs in the calling process: a Floquet ladder sweep, the gaps of
 a crossing search and a resonance scan each integrate all their fields in one
 batch, and every other method solves field by field.  A plain
-``key = value`` config file can seed any flag; explicit flags win.  Importing
+``key = value`` config file can seed any flag; explicit flags win.  Every
+subcommand hands its named columns to one writer, ``_write_csv``, which owns
+the number format (%.17g) and refuses a non-finite float (exit 3).  Importing
 this module loads numpy alone: scipy is loaded by the solver that needs it.
 """
 
@@ -26,18 +28,24 @@ from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
 from .model import LatticeParams, bloch_dispersion
 
 
-@functools.cache
-def _row_template(kinds: tuple) -> str:
-    """%-template of a CSV row whose values have the types ``kinds``: %.17g for
-    floats (np.float64 is one), str for the rest (ints, names, np.float32)."""
-    return ",".join("%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
+def _write_csv(path: str, columns: dict) -> None:
+    """Write ``columns``, header name -> 1-D values of one length, as a CSV.
 
-
-def _write_csv(path: str, header: list[str], rows) -> None:
+    A float column (numpy kind f) must be finite: a non-finite value raises a
+    FloatingPointError naming its column before the file is opened.  Floats
+    print %.17g, which reads back exactly; any other column prints through str.
+    """
+    columns = {name: np.asarray(values) for name, values in columns.items()}
+    for name, values in columns.items():
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise FloatingPointError(f"non-finite {name} in the result")
+    template = ",".join("%.17g" if values.dtype.kind == "f" else "%s"
+                        for values in columns.values()) + "\n"
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(_row_template(tuple(map(type, row))) % tuple(row) for row in rows)
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(template % row for row in
+                          zip(*(values.tolist() for values in columns.values()), strict=True))
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 
@@ -86,18 +94,9 @@ def _count(value: int, flag: str) -> int:
     return value
 
 
-def _finite(values):
-    if not np.isfinite(values).all():  # one array test, not one per written value
-        raise FloatingPointError("non-finite result: the energy scale overflows")
-    return values
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
-
-_BRANCH_NAME = {1: "plus", -1: "minus"}
-
 
 # the per-field solver of every --method but floquet and truncated
 _LADDERS = {"wu-yang": strong_field.spectrum_wu_yang,
@@ -121,23 +120,12 @@ def _ladder(ns: argparse.Namespace, params, inv_f, n_range, window):
     return spectrum
 
 
-def _spectrum_rows(inv_f, spectrum, method):
-    _finite(spectrum.energies)
-    rows = []
-    for idx in np.lexsort((spectrum.indices, -spectrum.branches)):
-        e = float(spectrum.energies[idx])
-        rows.append((inv_f, e, e * inv_f, _BRANCH_NAME[int(spectrum.branches[idx])],
-                     int(spectrum.indices[idx]), method))
-    return rows
-
-
 def _cmd_bands(ns: argparse.Namespace) -> None:
     params = _lattice(ns)
     kappa = np.linspace(-np.pi / 2, np.pi / 2, _count(ns.points, "--points"),
                         endpoint=False)
-    e_minus, e_plus = _finite(bloch_dispersion(params, kappa))
-    _write_csv(ns.out, ["kappa", "e_minus", "e_plus"],
-               zip(kappa, e_minus, e_plus))
+    e_minus, e_plus = bloch_dispersion(params, kappa)
+    _write_csv(ns.out, {"kappa": kappa, "e_minus": e_minus, "e_plus": e_plus})
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> None:
@@ -165,9 +153,15 @@ def _cmd_spectrum(ns: argparse.Namespace) -> None:
         spectra = spectra_exact.floquet_ladders(params, [1.0 / z for z in inv_fs], n_range)
     else:
         spectra = [_ladder(ns, params, z, n_range, window) for z in inv_fs]
-    rows = [row for z, spectrum in zip(inv_fs, spectra)
-            for row in _spectrum_rows(z, spectrum, ns.method)]
-    _write_csv(ns.out, ["inv_f", "energy", "scaled_energy", "branch", "n", "method"], rows)
+    # each field's levels by branch (plus first), then by index
+    orders = [np.lexsort((s.indices, -s.branches)) for s in spectra]
+    inv_f = np.repeat(inv_fs, [order.size for order in orders])
+    energy, branch, n = (np.concatenate([getattr(s, key)[order]
+                                         for s, order in zip(spectra, orders)])
+                         for key in ("energies", "branches", "indices"))
+    _write_csv(ns.out, {"inv_f": inv_f, "energy": energy, "scaled_energy": energy * inv_f,
+                        "branch": np.where(branch > 0, "plus", "minus"), "n": n,
+                        "method": [ns.method] * energy.size})
 
 
 def _cmd_crossings(ns: argparse.Namespace) -> None:
@@ -178,18 +172,16 @@ def _cmd_crossings(ns: argparse.Namespace) -> None:
                           f"got {sweep.size}")
     found = spectra_exact.find_avoided_crossings(
         params, (float(sweep[0]), float(sweep[-1])), resolution=sweep.size)
-    rows = [(c.inv_f_star, c.gap, "minus-plus") for c in found]
-    _write_csv(ns.out, ["inv_f_star", "gap", "branch_pair"], rows)
+    _write_csv(ns.out, {"inv_f_star": [c.inv_f_star for c in found],
+                        "gap": [c.gap for c in found],
+                        "branch_pair": ["minus-plus"] * len(found)})
 
 
 def _cmd_gap_estimate(ns: argparse.Namespace) -> None:
     sweep = _inv_f_sweep(ns.inv_f)
-    rows = []
-    for z in sweep:
-        params = _lattice(ns, f=1.0 / float(z))
-        est = weak_field.gap_estimate(params)
-        rows.append((float(z), est.ratio / z, est.theta0))
-    _write_csv(ns.out, ["inv_f", "gap", "theta0"], rows)
+    estimates = [weak_field.gap_estimate(_lattice(ns, f=1.0 / z)) for z in sweep.tolist()]
+    _write_csv(ns.out, {"inv_f": sweep, "gap": [e.ratio for e in estimates] / sweep,
+                        "theta0": [e.theta0 for e in estimates]})
 
 
 def _cmd_resonances(ns: argparse.Namespace) -> None:
@@ -201,8 +193,8 @@ def _cmd_resonances(ns: argparse.Namespace) -> None:
     traces = dynamics.mean_upper_populations(
         params, 1.0 / sweep, n_bloch_periods=periods, kappa_grid=kappa_grid,
         sigma_cells=sigma_cells, n_sites=ns.n_sites, n_time_samples=0)
-    rows = [(z, trace.p_upper_mean) for z, trace in zip(sweep.tolist(), traces)]
-    _write_csv(ns.out, ["inv_f", "p_upper_mean"], _finite(rows))
+    _write_csv(ns.out, {"inv_f": sweep,
+                        "p_upper_mean": [trace.p_upper_mean for trace in traces]})
 
 
 def _cmd_transfer(ns: argparse.Namespace) -> None:
@@ -213,13 +205,14 @@ def _cmd_transfer(ns: argparse.Namespace) -> None:
         params, inv_f_start=ns.inv_f_start, inv_f_stop=ns.inv_f_stop, duration=duration,
         packet_sigma=_positive(ns.sigma_cells, "--sigma-cells"), n_sites=ns.n_sites,
         n_samples=_count(ns.samples, "--samples"), tol=_positive(ns.tol, "--tol"))
-    rows = ((t, site, d) for t, row in zip(result.times.tolist(), result.density.tolist())
-            for site, d in enumerate(row))
-    _write_csv(ns.out, ["time", "site", "density"], rows)
+    n_samples, n_sites = result.density.shape
+    _write_csv(ns.out, {"time": np.repeat(result.times, n_sites),
+                        "site": np.tile(np.arange(n_sites), n_samples),
+                        "density": result.density.ravel()})
     stem, ext = os.path.splitext(ns.out)
     companion = f"{stem}_observables{ext or '.csv'}"
-    _write_csv(companion, ["time", "mean_kappa", "p_upper"],
-               zip(result.times, result.mean_kappa, result.p_upper))
+    _write_csv(companion, {"time": result.times, "mean_kappa": result.mean_kappa,
+                           "p_upper": result.p_upper})
 
 
 def _continuum_bands(ns: argparse.Namespace, n_bands: int) -> continuum.ContinuumBands:
@@ -237,15 +230,16 @@ def _cmd_continuum_bands(ns: argparse.Namespace) -> None:
         raise ConfigError(f"--n-bands must lie in [1, --cutoff = {ns.cutoff}], "
                           f"got {ns.n_bands}")
     bands = _continuum_bands(ns, ns.n_bands)
-    _write_csv(ns.out, ["k", "band_index", "energy"],
-               ((k, band, e) for k, row in zip(bands.k_grid, bands.energies)
-                for band, e in enumerate(row)))
+    n_k, n_bands = bands.energies.shape
+    _write_csv(ns.out, {"k": np.repeat(bands.k_grid, n_bands),
+                        "band_index": np.tile(np.arange(n_bands), n_k),
+                        "energy": bands.energies.ravel()})
 
 
 def _cmd_tb_fit(ns: argparse.Namespace) -> None:
     fit = continuum.fit_tight_binding(_continuum_bands(ns, 2))
-    _write_csv(ns.out, ["j1", "j2", "delta", "offset", "residual"],
-               [(fit.j1, fit.j2, fit.delta, fit.offset, fit.residual)])
+    _write_csv(ns.out, {key: [getattr(fit, key)]
+                        for key in ("j1", "j2", "delta", "offset", "residual")})
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ import numpy as np
 from .errors import EdgeContaminationError, NonConvergedError
 from .model import (LatticeParams, _check_gap, _excursion_sites, _two_level_eigen,
                     site_positions)
-from .spectra_exact import (_START_STEPS, _converged, _magnus_product, _period_propagators,
-                            _su2_mul)
+from .spectra_exact import _converged, _magnus_product, _period_propagators, _su2_mul
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
@@ -262,9 +261,9 @@ def propagate(state: ChainState, params: LatticeParams,
         return _magnus_product(coupling, 1.0, -params.delta, h[inverse], n_steps,
                                index.size)
 
-    bloch_periods = float(np.max(np.diff(phi_edges))) / math.pi
-    start = 1 << math.ceil(math.log2(max(1.0, _START_STEPS * bloch_periods)))
-    a, b, _ = _converged(propagators, dt.size * kept.size, tol, start)
+    # the longest piece spans max(dPhi) / pi Bloch periods
+    a, b, _ = _converged(propagators, dt.size * kept.size, tol,
+                         float(np.max(np.diff(phi_edges))) / math.pi)
     a, b = a.reshape(dt.size, kept.size), b.reshape(dt.size, kept.size)
 
     c_a, c_b = c_0[kept].T

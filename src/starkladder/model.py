@@ -69,17 +69,13 @@ class ChainHamiltonian:
 
     ``diagonal`` holds the on-site energies in site order A,B,A,B,...;
     ``off_diagonal`` the N-1 bond amplitudes alternating j1 (intracell) and
-    j2 (intercell).  Cells run symmetrically about l = 0.
+    j2 (intercell).  Cells run symmetrically about l = 0, at the coordinates
+    ``site_positions(size)``.
     """
 
     size: int
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-
-    @property
-    def positions(self) -> np.ndarray:
-        """Site coordinates x_i; the potential energy is f * x_i."""
-        return site_positions(self.size)
 
 
 def site_positions(n_sites: int) -> np.ndarray:

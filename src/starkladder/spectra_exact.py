@@ -85,7 +85,7 @@ class AvoidedCrossing:
 
 # fields x steps of SU(2) step matrices held at once by the Magnus kernel
 _BLOCK_MATRICES = 8192
-_START_STEPS = 64  # first step count of every doubling sequence
+_START_STEPS = 64  # first step count per Bloch period of every doubling sequence
 _ASYMPTOTIC = 1e-3  # changes below this must fall 4x per doubling
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
 
@@ -151,16 +151,18 @@ def _magnus_product(coupling, scale, diagonal, h, n_steps: int, batch: int):
     return a_tot, b_tot
 
 
-def _converged(propagators, size: int, tol: float, n: int):
+def _converged(propagators, size: int, tol: float, periods: float):
     """Step-doubled propagators (a, b) and step counts for a batch of equations.
 
     ``propagators(index, n_steps)`` integrates the batch elements ``index``
-    with ``n_steps`` steps.  Every element starts at ``n`` steps in one
-    batch, and the batch doubles its step count; an element leaves it once
-    each entry changes by less than ``tol``.  Once the largest pending change
-    is below ``_ASYMPTOTIC``, a doubling that cuts it less than 4x (sixth
-    order gives 64x) raises.  A ``propagators`` call gets at most
-    ``_BLOCK_MATRICES`` elements, the kernel's bound along its step axis too.
+    with ``n_steps`` steps.  The longest element spans ``periods`` Bloch
+    periods; the whole batch starts at the power of two at or above
+    ``_START_STEPS`` steps per period of it (one step at least) and doubles
+    its step count, and an element leaves it once each entry changes by less
+    than ``tol``.  Once the largest pending change is below ``_ASYMPTOTIC``,
+    a doubling that cuts it less than 4x (sixth order gives 64x) raises.  A
+    ``propagators`` call gets at most ``_BLOCK_MATRICES`` elements, the
+    kernel's bound along its step axis too.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
@@ -175,6 +177,7 @@ def _converged(propagators, size: int, tol: float, n: int):
     b_out = np.empty(size, dtype=complex)
     steps = np.empty(size, dtype=int)
     pending = np.arange(size)
+    n = 1 << math.ceil(math.log2(max(1.0, _START_STEPS * periods)))
     prev = integrate(pending, n)
     last = np.inf
     while pending.size:
@@ -202,9 +205,9 @@ def _period_propagators(params: LatticeParams, fields: np.ndarray, n_pieces: int
     [g*, -(F/2 + delta)]] with g = j1 + j2 exp(-i theta), from U = 1 over
     theta in [2 pi j / P, 2 pi (j + 1) / P] for each piece j and each field F
     in ``fields``; P = ``n_pieces`` is a power of two.  All fields' pieces are
-    one batch of ``_converged`` (element field x P + piece), each starting at
-    max(1, 64 / P) steps, 64 per period, and doubled until its entries are
-    stable to ``tol``.  At P = 1 the propagators are the monodromies.
+    one batch of ``_converged`` (element field x P + piece), each spanning 1/P
+    Bloch periods, and doubled until its entries are stable to ``tol``.  At
+    P = 1 the propagators are the monodromies.
     """
     def propagators(index, n_steps):
         field, piece = np.divmod(index, n_pieces)
@@ -222,8 +225,7 @@ def _period_propagators(params: LatticeParams, fields: np.ndarray, n_pieces: int
         return _magnus_product(coupling, 0.5 / f, 0.5 * f + params.delta, h, n_steps,
                                index.size)
 
-    a, b, steps = _converged(propagators, fields.size * n_pieces, tol,
-                             max(1, _START_STEPS // n_pieces))
+    a, b, steps = _converged(propagators, fields.size * n_pieces, tol, 1.0 / n_pieces)
     shape = (fields.size, n_pieces)
     return a.reshape(shape), b.reshape(shape), steps.reshape(shape)
 

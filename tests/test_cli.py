@@ -157,7 +157,8 @@ def test_config_file_sets_negative_bounds(tmp_path, key, value, method):
 def test_write_csv_cells(tmp_path):
     out = tmp_path / "cells.csv"
     floats = [0.1, np.float64(1.0 / 3.0), -0.0, np.float64(-0.0), 5e-324, 2.5e17]
-    _write_csv(str(out), list("abcdefghi"), [("plus", 3, np.int64(-2), *floats)])
+    _write_csv(str(out), {"a": ["plus"], "b": [3], "c": [np.int64(-2)],
+                          **{name: [value] for name, value in zip("defghi", floats)}})
     header, line = out.read_text().splitlines()
     assert header == "a,b,c,d,e,f,g,h,i"
     assert line == ("plus,3,-2,0.10000000000000001,0.33333333333333331,-0,-0,"
@@ -167,19 +168,29 @@ def test_write_csv_cells(tmp_path):
         assert math.copysign(1.0, float(cell)) == math.copysign(1.0, value)
 
 
-def test_write_csv_bytes_follow_the_per_value_rule(tmp_path):
-    # rows of one and of mixed value types, edge values included; np.float32
-    # is no float subclass and prints through str
-    edge = [np.float64(0.1), np.float32(0.1), -0.0, math.inf, -math.inf, math.nan,
-            5e-324, 1e300, True, np.int64(-7), 10**17 + 1, "minus", np.float32(-0.0)]
-    rows = [tuple(edge), tuple(reversed(edge)), (0.5, 3, 0.25), (np.float64(0.5), 3, 0.25),
-            (0.5, np.int64(3), np.float32(0.25)), ("plus", False, 2.0 / 3.0)]
+def test_write_csv_bytes_follow_the_per_column_rule(tmp_path):
+    # a float column prints %.17g, whatever mix of float and np.float64 it
+    # holds; int, bool and name columns print through str
+    columns = {"x": [np.float64(0.1), 1.0 / 3.0, -0.0, np.float64(-0.0), 5e-324, 1e300, 2.5e17],
+               "n": [np.int64(-7), 10**17 + 1, 0, 3, -1, np.int64(2), 7],
+               "flag": [True, False, np.True_, False, True, False, True],
+               "name": ["minus", "plus", "minus-plus", "a", "b", "c", "d"]}
     out = tmp_path / "edge.csv"
-    _write_csv(str(out), ["x"], rows)
-    expected = "x\n" + "".join(
-        ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in rows)
+    _write_csv(str(out), columns)
+    expected = "x,n,flag,name\n" + "".join(
+        f"{format(x, '.17g')},{n},{flag},{name}\n" for x, n, flag, name in zip(*columns.values()))
     assert out.read_bytes() == expected.encode()
+    assert out.read_text().splitlines()[2] == "0.33333333333333331,100000000000000001,False,plus"
+    assert out.read_text().splitlines()[6] == "1.0000000000000001e+300,2,False,c"
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_write_csv_refuses_a_non_finite_float_column(tmp_path, bad):
+    # the check runs before the file is opened: nothing is written
+    out = tmp_path / "x.csv"
+    with pytest.raises(FloatingPointError, match="non-finite energy"):
+        _write_csv(str(out), {"n": [1, 2], "energy": [0.5, bad]})
+    assert not out.exists()
 
 
 def test_truncated_spectrum_with_an_empty_window_writes_only_the_header(tmp_path):
@@ -456,6 +467,42 @@ def test_non_finite_results_are_a_numerical_error(tmp_path, capsys, args):
     assert code == 3
     assert capsys.readouterr().err.startswith("error: numerical:")
     assert not out.exists()
+
+
+def test_underflowing_gap_estimate_is_a_numerical_error(tmp_path, capsys):
+    # q = 2 j1 j2 / (j1^2 + j2^2) is 2e-320, so theta0 = acosh(1/q) is inf
+    # without a RuntimeWarning; the writer refuses the column
+    out = tmp_path / "x.csv"
+    assert run_cli(["gap-estimate", "--j1", "1", "--j2", "1e-320", "--inv-f", "1:2:2",
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical:") and "theta0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config-last", "flag-first", "unreadable", "no-equals",
+                                  "out-is-a-directory"])
+def test_input_output_errors_are_config_errors(tmp_path, capsys, case):
+    good = tmp_path / "good.cfg"
+    good.write_text("j1 = 1\nj2 = 0.6\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("j1 = 1\nj2 0.6\n")
+    out = tmp_path / "x.csv"
+    bands = ["bands", "--j1", "1", "--j2", "0.6", "--points", "4"]
+    args, message = {
+        "config-last": (bands + ["--out", str(out), "--config"], "--config needs a file path"),
+        "flag-first": (["--points", "4", "bands", "--config", str(good), "--out", str(out)],
+                       "a subcommand is required before flags"),
+        "unreadable": (["bands", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)],
+                       "cannot read config file"),
+        "no-equals": (["bands", "--config", str(bad), "--out", str(out)],
+                      f"{bad}:2: expected key = value"),
+        "out-is-a-directory": (bands + ["--out", str(tmp_path)], "cannot write output file"),
+    }[case]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "good.cfg"]
 
 
 def test_parser_is_built_once_and_keeps_no_state(tmp_path):

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
 from starkladder.errors import DegeneracyError, EdgeContaminationError, NonConvergedError
-from starkladder.model import LatticeParams, build_chain, fold_interval
+from starkladder.model import LatticeParams, build_chain, fold_interval, site_positions
 from starkladder import dynamics as dyn
 from starkladder import spectra_exact as se
 
@@ -190,7 +190,7 @@ class TestPropagate:
         psi0 = dyn.lower_band_state(LatticeParams(1.0, 0.6, 0.2), 256, 0.3, 8.0).amplitudes
         ramp = dyn.RampProtocol(np.array([0.0, 4.0]), np.array([0.2, 0.24]))
         out = dyn.propagate(dyn.ChainState(psi0), params, ramp, [1.5, 4.0])
-        positions = build_chain(params, psi0.size).positions
+        positions = site_positions(psi0.size)
         stagger = np.tile([-params.delta, params.delta], psi0.size // 2)
         z0, z_dot = 1 / 0.2, (1 / 0.24 - 1 / 0.2) / 4.0
         for state in out:
@@ -213,10 +213,10 @@ class TestPropagate:
         ramp = dyn.RampProtocol(np.arange(5.0), np.array([0.2, 0.25, 0.22, 0.3, 0.2]))
         out = dyn.propagate(dyn.ChainState(psi0), params, ramp, [2.5, 4.0], tol=1e-10)
         chain = build_chain(params.with_field(0.0), psi0.size)
-        bonds = chain.off_diagonal
+        bonds, positions = chain.off_diagonal, site_positions(psi0.size)
 
         def rhs(t, psi):
-            h_psi = (chain.diagonal + ramp.field_at(t) * chain.positions) * psi
+            h_psi = (chain.diagonal + ramp.field_at(t) * positions) * psi
             h_psi[:-1] += bonds * psi[1:]
             h_psi[1:] += bonds * psi[:-1]
             return -1j * h_psi

@@ -10,7 +10,7 @@ import starkladder
 from starkladder import dynamics, weak_field
 from starkladder.errors import DegeneracyError
 from starkladder.model import (LatticeParams, _tilted_band_mean, _zak_plus, bloch_dispersion,
-                               build_chain, fold_interval, reduce_zone)
+                               build_chain, fold_interval, reduce_zone, site_positions)
 from starkladder.spectra_exact import eigenvalues_symmetric_tridiagonal
 
 # independent high-precision substitution for (0.76, 0.76, 0.4) at kappa = 0
@@ -131,8 +131,8 @@ def test_build_chain_matches_site_rule():
     diag[1::2] = 2 * p.f * (cells + 0.25) + p.delta
     assert np.allclose(chain.diagonal, diag, atol=1e-15)
     assert np.allclose(chain.off_diagonal, [1.0, 0.6, 1.0, 0.6, 1.0, 0.6, 1.0])
-    assert np.allclose(chain.positions * p.f - np.where(np.arange(8) % 2 == 0,
-                                                        p.delta, -p.delta),
+    assert np.allclose(site_positions(8) * p.f - np.where(np.arange(8) % 2 == 0,
+                                                          p.delta, -p.delta),
                        chain.diagonal, atol=1e-15)
 
 

@@ -4,8 +4,8 @@ One unitary cell transform (``_reduced_zone``) reads the chain as a ring of L
 cells on kappa_k = pi k / L, self-conjugate at kappa = 0 and (L even) pi / 2;
 band projectors hold the Bloch eigenvectors there and apply in O(N log N).
 Every time evolution works on that ring in the acceleration gauge: each
-kappa_k keeps its weight and follows a driven two-level equation, by the
-sixth-order Magnus step and step-doubling rule of ``spectra_exact``.
+kappa_k keeps its weight and follows a driven two-level equation, integrated by
+the one ring-frame integrator of ``spectra_exact`` (``_ring_propagators``).
 ``propagate`` integrates the occupied kappa_k under a (possibly ramped) field;
 at constant field all kappa_k share one set of Floquet modes, which give the
 population statistics in closed form.  Their equation is the monodromy's
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import EdgeContaminationError, NonConvergedError
 from .model import (LatticeParams, _check_gap, _excursion_sites, _two_level_eigen,
                     site_positions)
-from .spectra_exact import _converged, _magnus_product, _period_propagators, _su2_mul
+from .spectra_exact import _advance, _period_propagators, _ring_propagators, _su2_mul
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
@@ -182,12 +182,6 @@ def _check_edges(psi: np.ndarray, t: float, zone: int = _EDGE_ZONE) -> None:
                                      "enlarge the chain")
 
 
-def _gauge_phase(tau, z0, slope):
-    """Integral of F over [t_a, t_a + tau] where 1/F = z0 + slope (t - t_a)."""
-    x = slope * tau / z0
-    return tau / z0 * np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0)
-
-
 def propagate(state: ChainState, params: LatticeParams,
               field: RampProtocol | None, t_grid, tol: float = 1e-8) -> list[ChainState]:
     """Unitary evolution of ``state`` sampled at the times in ``t_grid``.
@@ -198,16 +192,16 @@ def propagate(state: ChainState, params: LatticeParams,
     of ``_reduced_zone`` obeys i dc/dt = [[-delta, g], [g*, delta]] c with
     g = j1 exp(-i Phi) + j2 exp(i (Phi - 2 kappa_k)).  The time axis is cut
     at the samples and the ramp's knots; 1/F is linear on each piece, so Phi is
-    integrated there in closed form (``_gauge_phase``).  Each k keeps its
-    weight |c_a|^2 + |c_b|^2, so the lightest k are dropped while their
-    summed weight stays at most (tol / 64)^2: that changes psi by exactly the
-    square root of the dropped weight, at most tol / 64, at every time.  Each
-    (piece, kept k) propagator takes the sixth-order Magnus steps of
-    ``spectra_exact._magnus_product``, from 64 per Bloch period (Phi advancing
-    by pi) of the longest piece, doubled until every entry changes by less than
-    ``tol``, so a piece errs by about tol / 63.  A sample thus errs in the
-    2-norm by at most tol / 64 from the cut plus about tol / 63 per piece before
-    it; the norm loses the dropped weight and is otherwise kept to roundoff.
+    integrated there in closed form.  Each k keeps its weight |c_a|^2 + |c_b|^2,
+    so the lightest k are dropped while their summed weight stays at most
+    (tol / 64)^2: that changes psi by exactly the square root of the dropped
+    weight, at most tol / 64, at every time.  The (piece, kept k) propagators
+    are one batch of ``spectra_exact._ring_propagators``: Magnus steps from 64
+    per Bloch period (Phi advancing by pi) of the longest piece, doubled until
+    every entry changes by less than ``tol``, so a piece errs by about tol / 63.
+    A sample thus errs in the 2-norm by at most tol / 64 from the cut plus about
+    tol / 63 per piece before it; the norm loses the dropped weight and is
+    otherwise kept to roundoff.
     ``tol`` bounds only these two errors.  Truncation of the chain is checked
     only by the edge guard: the ring acts as the open chain while the weight
     |psi|^2 in the 10-site edge zones stays at most 1e-8, checked at every
@@ -235,8 +229,8 @@ def propagate(state: ChainState, params: LatticeParams,
     edges = np.unique(np.concatenate([[t0], samples, breaks]))
     z_edges = np.interp(edges, field.times, 1.0 / field.fields)
     dt = np.diff(edges)
-    slope = np.diff(z_edges) / dt
-    phi_edges = np.concatenate([[0.0], np.cumsum(_gauge_phase(dt, z_edges[:-1], slope))])
+    span, curve = dt / z_edges[:-1], np.diff(z_edges) / z_edges[:-1]
+    phi_edges = np.concatenate([[0.0], np.cumsum(_advance(span, curve, 1.0))])
 
     # the k cut of the docstring; the heaviest k always stays, so no batch is empty
     kappa, c_0 = _reduced_zone(state.amplitudes)
@@ -244,27 +238,9 @@ def propagate(state: ChainState, params: LatticeParams,
     order = np.argsort(weight)
     cut = np.searchsorted(np.cumsum(weight[order]), (tol / 64.0) ** 2, side="right")
     kept = np.sort(order[min(cut, kappa.size - 1):])
-    hop = params.j2 * np.exp(-2j * kappa[kept])
-
-    def propagators(index, n_steps):
-        piece, k = np.divmod(index, kept.size)
-        # the gauge phase depends on the piece alone: one per distinct piece
-        pieces, inverse = np.unique(piece, return_inverse=True)
-        h = dt[pieces, None] / n_steps
-        phi0, z0, dz = (x[pieces, None, None] for x in (phi_edges, z_edges, slope))
-        hop_k = hop[k, None, None]
-
-        def coupling(s):
-            e = np.exp(1j * (phi0 + _gauge_phase(h[:, :, None] * s, z0, dz)))
-            return (params.j1 * e.conj())[inverse] + hop_k * e[inverse]
-
-        return _magnus_product(coupling, 1.0, -params.delta, h[inverse], n_steps,
-                               index.size)
-
-    # the longest piece spans max(dPhi) / pi Bloch periods
-    a, b, _ = _converged(propagators, dt.size * kept.size, tol,
-                         float(np.max(np.diff(phi_edges))) / math.pi)
-    a, b = a.reshape(dt.size, kept.size), b.reshape(dt.size, kept.size)
+    a, b, _ = (x.reshape(dt.size, kept.size) for x in _ring_propagators(
+        params, (phi_edges[:-1], span, curve), np.arange(dt.size), dt,
+        params.j2 * np.exp(-2j * kappa[kept]), tol))
 
     c_a, c_b = c_0[kept].T
     c_t = np.zeros_like(c_0)  # the dropped k stay zero
@@ -317,9 +293,9 @@ def _floquet_overlaps(params: LatticeParams, fields: np.ndarray, n_pieces: int):
     i dV/ds = [[-(delta + F/2), g], [g*, delta + F/2]] V, g = j1 + j2 exp(2i F s),
     at s = t - kappa_k / F for every k.  At theta = 2 F s this is the
     generating-function ODE of ``_period_propagators`` under X -> sigma_z X*
-    sigma_z, so its pieces (step-doubled to 1e-14) give those of V by
-    (a, b) -> (a*, -b*), and their prefix products U(s_j, 0); the eigenvectors
-    of W = U(T_B, 0), W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
+    sigma_z, so its pieces (mapped from the ring's at kappa = 0, to 1e-14) give
+    those of V by (a, b) -> (a*, -b*), and their prefix products U(s_j, 0); the
+    eigenvectors of W = U(T_B, 0), W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
     """
     t_b = math.pi / fields
     a, b, _ = _period_propagators(params, fields, n_pieces, _PIECE_TOL)

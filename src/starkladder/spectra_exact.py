@@ -10,12 +10,12 @@ close.  Both give the same ladders; the truncated route carries per-level
 convergence flags and labels its branches from its own levels; the monodromy
 route is free of truncation error and is the workhorse for field sweeps and
 avoided-crossing searches, which locate the splitting's minima on one
-Chebyshev series of the monodromy entries over the whole 1/F interval.  The
-ODE is written once (``_period_propagators``): the monodromy is its one-piece
-case, and the resonance scan of ``dynamics`` reads the ring's Floquet modes
-off its pieces.  A field sweep (``floquet_ladders``) and the gaps at a
-search's minima each take one batched integration, every field to its own
-step count.
+Chebyshev series of the monodromy entries over the whole 1/F interval.  Every
+time evolution runs on one integrator of the ring's acceleration-gauge
+equation (``_ring_propagators``): ``dynamics.propagate`` directly, and the
+generating ODE's pieces (one per period: the monodromy) through an exact frame
+map (``_period_propagators``).  A field sweep and the gaps at a search's
+minima each take one batched integration, every field to its own step count.
 """
 
 from __future__ import annotations
@@ -100,10 +100,10 @@ def _cross(x, y):
     return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
 
 
-def _magnus_product(coupling, scale, diagonal, h, n_steps: int, batch: int):
+def _magnus_product(coupling, diagonal, h, n_steps: int, batch: int):
     """Sixth-order Magnus propagators of a batch of traceless 2x2 equations.
 
-    Integrates i dU/dt = scale [[d, g(t)], [g*, -d]] U over ``n_steps`` steps
+    Integrates i dU/dt = [[d, g(t)], [g*, -d]] U over ``n_steps`` steps
     of length ``h`` from U = 1, with a constant diagonal d = ``diagonal``;
     ``coupling(s)`` gives g at t = h s for an array s of step coordinates
     (steps x 3 Gauss nodes), broadcastable to (batch, steps, 3).  Writing the
@@ -121,7 +121,7 @@ def _magnus_product(coupling, scale, diagonal, h, n_steps: int, batch: int):
     ``_BLOCK_MATRICES``; ``n_steps`` is a power of two, so every block is.
     Returns (a, b) arrays with U = [[a, b], [-b*, a*]].
     """
-    z = h * scale * diagonal
+    z = h * diagonal
     a_tot = np.ones(batch, dtype=complex)
     b_tot = np.zeros(batch, dtype=complex)
     per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // max(batch, 1)).bit_length() - 1))
@@ -132,9 +132,9 @@ def _magnus_product(coupling, scale, diagonal, h, n_steps: int, batch: int):
         u2 = (math.sqrt(15.0) * h / 3.0) * (g3 - g1)
         u3 = (10.0 * h / 3.0) * (g3 - 2.0 * g2 + g1)
         # the sigma_z part of a is constant: alpha2 and alpha3 lie in the xy plane
-        alpha1 = (scale * u1.real, -scale * u1.imag, z)
-        alpha2 = (scale * u2.real, -scale * u2.imag, 0.0)
-        alpha3 = (scale * u3.real, -scale * u3.imag, 0.0)
+        alpha1 = (u1.real, -u1.imag, z)
+        alpha2 = (u2.real, -u2.imag, 0.0)
+        alpha3 = (u3.real, -u3.imag, 0.0)
         c1 = [2.0 * c for c in _cross(alpha1, alpha2)]
         c2 = [-c / 30.0 for c in _cross(alpha1, [2.0 * p + q for p, q in zip(alpha3, c1)])]
         left = [-20.0 * p - q + r for p, q, r in zip(alpha1, alpha3, c1)]
@@ -196,38 +196,60 @@ def _converged(propagators, size: int, tol: float, periods: float):
     return a_out, b_out, steps
 
 
-def _period_propagators(params: LatticeParams, fields: np.ndarray, n_pieces: int,
-                        tol: float):
-    """Propagators (a, b) and step counts, each of shape (fields, n_pieces), of
-    the generating-function ODE over the pieces of its period.
+def _advance(span, curve, sigma):
+    """Integral of F over the fraction sigma of a piece whose 1/F rises by ``curve``
+    times its start z0: span sigma log1p(curve sigma) / (curve sigma), span = duration / z0."""
+    x = curve * sigma
+    return span * sigma * np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0)
 
-    Integrates dU/dtheta = -i H(theta) U, H = (1/2F)[[F/2 + delta, g],
-    [g*, -(F/2 + delta)]] with g = j1 + j2 exp(-i theta), from U = 1 over
-    theta in [2 pi j / P, 2 pi (j + 1) / P] for each piece j and each field F
-    in ``fields``; P = ``n_pieces`` is a power of two.  All fields' pieces are
-    one batch of ``_converged`` (element field x P + piece), each spanning 1/P
-    Bloch periods, and doubled until its entries are stable to ``tol``.  At
-    P = 1 the propagators are the monodromies.
+
+def _ring_propagators(params: LatticeParams, phases, key, duration, hops, tol: float):
+    """Propagators (a, b) and step counts of i dc/dt = [[-delta, g], [g*, delta]] c,
+    g = j1 exp(-i Phi) + hop exp(i Phi), one per (piece p, hop) pair, piece-major.
+
+    A ring cell wavevector kappa in the acceleration gauge: hop = j2 exp(-2i kappa),
+    Phi the time integral of F, from c = 1 over ``duration[p]``; at its fraction
+    sigma Phi = start + ``_advance(span, curve, sigma)``, the phase sequence
+    (start, span, curve) being ``phases[:, key[p]]``.  A kernel call takes
+    exp(i Phi) once per sequence and g once per (sequence, hop), broadcast if
+    one of each; all pairs are one ``_converged`` batch from the longest Phi / pi.
     """
+    start, span, curve = np.asarray(phases, dtype=float)[:, :, None, None]
+
     def propagators(index, n_steps):
-        field, piece = np.divmod(index, n_pieces)
-        h = 2.0 * math.pi / (n_pieces * n_steps)
-        # the coupling depends on the piece alone: one per distinct piece, and
-        # at one piece per period (the monodromies) one for the whole batch
-        first, inverse = (np.unique(n_steps * piece, return_inverse=True) if n_pieces > 1
-                          else (np.zeros(1), slice(None)))
+        piece, hop = np.divmod(index, hops.size)
+        pairs, inverse = ((np.zeros(1, int), slice(None)) if start.shape[0] * hops.size == 1
+                          else np.unique(key[piece] * hops.size + hop, return_inverse=True))
+        seqs, at = np.unique(pairs // hops.size, return_inverse=True)
 
         def coupling(s):  # s counts steps from the start of each piece
-            theta = h * (first[:, None, None] + s)
-            return (params.j1 + params.j2 * np.exp(-1j * theta))[inverse]
+            e = np.exp(1j * (start[seqs] + _advance(span[seqs], curve[seqs], s / n_steps)))[at]
+            return (params.j1 * e.conj() + hops[pairs % hops.size, None, None] * e)[inverse]
 
-        f = fields[field, None]
-        return _magnus_product(coupling, 0.5 / f, 0.5 * f + params.delta, h, n_steps,
-                               index.size)
+        return _magnus_product(coupling, -params.delta, duration[piece, None] / n_steps,
+                               n_steps, index.size)
 
-    a, b, steps = _converged(propagators, fields.size * n_pieces, tol, 1.0 / n_pieces)
-    shape = (fields.size, n_pieces)
-    return a.reshape(shape), b.reshape(shape), steps.reshape(shape)
+    return _converged(propagators, key.size * hops.size, tol,
+                      float(np.max(_advance(span, curve, 1.0))) / math.pi)
+
+
+def _period_propagators(params: LatticeParams, fields: np.ndarray, n_pieces: int, tol: float):
+    """Propagators (a, b) and step counts, each of shape (fields, n_pieces), of
+    dU/ds = -i [[F/2 + delta, g], [g*, -(F/2 + delta)]] U, g = j1 + j2 exp(-2i F s),
+    the generating-function ODE at theta = 2 F s, over s in [pi j, pi (j + 1)] / (F P)
+    for each piece j and field F; P = ``n_pieces`` is a power of two (1: the
+    monodromies).  With D(s) = diag(exp(-i F s / 2), exp(i F s / 2)) and C the
+    ``_ring_propagators`` piece at kappa = 0, Phi = F s (element field x P + j),
+    U(s1, s0) = D(s1) sigma_z C* sigma_z D(s0)^H: a -> a* exp(-i pi / 2P) and
+    b -> -b* exp(-i pi (2j + 1) / 2P).
+    """
+    piece = np.arange(n_pieces)
+    phases = np.array([piece, np.ones(n_pieces), np.zeros(n_pieces)]) * math.pi / n_pieces
+    a, b, steps = (x.reshape(fields.size, n_pieces) for x in _ring_propagators(
+        params, phases, np.tile(piece, fields.size),
+        np.repeat(math.pi / (n_pieces * fields), n_pieces), np.array([params.j2]), tol))
+    return (np.conj(a) * np.exp(-0.5j * math.pi / n_pieces),
+            -np.conj(b) * np.exp(-0.5j * math.pi * (2 * piece + 1) / n_pieces), steps)
 
 
 def _eigenphase(a, b):
@@ -244,9 +266,8 @@ def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
 
     Integrates dU/dtheta = -i/(2F) G0(theta) U over one period at trial
     energy E = 0: the one-field, one-piece case of ``_period_propagators``,
-    doubling the step count until every entry is stable to ``tol``.  Each
-    step is an exact SU(2) exponential, so U is unitary to roundoff without
-    any projection.
+    step-doubled until every entry is stable to ``tol``.  Exact SU(2) steps
+    and a unitary frame map keep U unitary to roundoff without projection.
     """
     params.require_field()
     a, b, steps = (x.item() for x in _period_propagators(params, np.array([params.f]), 1, tol))

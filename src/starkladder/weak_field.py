@@ -141,5 +141,7 @@ def gap_estimate(params: LatticeParams) -> GapEstimate:
     params.require_field()
     q = 2.0 * params.j1 * params.j2 / (params.j1**2 + params.j2**2)
     theta0 = math.acosh(1.0 / q) if q < 1.0 else 0.0
+    if not math.isfinite(theta0):  # q subnormal: n of ``_gap_action`` overflows too
+        raise OutOfValidityError(f"theta0 overflows at j2/j1 = {params.j2 / params.j1:.3g}")
     action = _gap_action(params.j1, params.j2)
     return GapEstimate(theta0=theta0, ratio=2.0 / math.pi * math.exp(-action / params.f))

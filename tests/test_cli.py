@@ -471,7 +471,7 @@ def test_non_finite_results_are_a_numerical_error(tmp_path, capsys, args):
 
 def test_underflowing_gap_estimate_is_a_numerical_error(tmp_path, capsys):
     # q = 2 j1 j2 / (j1^2 + j2^2) is 2e-320, so theta0 = acosh(1/q) is inf
-    # without a RuntimeWarning; the writer refuses the column
+    # without a RuntimeWarning; gap_estimate refuses it
     out = tmp_path / "x.csv"
     assert run_cli(["gap-estimate", "--j1", "1", "--j2", "1e-320", "--inv-f", "1:2:2",
                     "--out", str(out)]) == 3

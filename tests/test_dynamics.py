@@ -241,7 +241,7 @@ class TestPropagate:
                 a, b = propagators(np.arange(size), n)
                 return a, b, np.full(size, n)
 
-            monkeypatch.setattr(dyn, "_converged", fixed)
+            monkeypatch.setattr(se, "_converged", fixed)
             return dyn.propagate(dyn.ChainState(psi0), params, ramp, [4.0])[-1].amplitudes
 
         reference = at_steps(256)
@@ -330,7 +330,7 @@ class TestPropagate:
             sizes.append(size)
             return np.ones(size, dtype=complex), np.zeros(size, dtype=complex), np.full(size, n)
 
-        monkeypatch.setattr(dyn, "_converged", record)
+        monkeypatch.setattr(se, "_converged", record)
         params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 9.4)
         duration = periods * math.pi * 9.4
         ramp = dyn.RampProtocol.linear_inv_f(9.4, 8.7, duration)
@@ -356,13 +356,13 @@ class TestPropagate:
     def test_cut_keeps_every_k_of_a_site_localized_state(self, monkeypatch):
         # one site puts weight 1/L on every k, far above (tol / 64)^2: every k
         # is propagated and the norm stays 1 to roundoff
-        sizes, converged = [], dyn._converged
+        sizes, converged = [], se._converged
 
         def record(propagators, size, tol, n):
             sizes.append(size)
             return converged(propagators, size, tol, n)
 
-        monkeypatch.setattr(dyn, "_converged", record)
+        monkeypatch.setattr(se, "_converged", record)
         params = LatticeParams(1.0, 0.6, 0.0, 0.2)
         psi0 = np.eye(128, dtype=complex)[64]
         out = dyn.propagate(dyn.ChainState(psi0), params, None, [1.0, 2.0])
@@ -376,14 +376,14 @@ class TestPropagate:
         params = LatticeParams(1.0, 0.6, 0.0, 0.2)
         state = dyn.ChainState(np.eye(128, dtype=complex)[64])
         reference = dyn.propagate(state, params, None, [1.0, 2.0])
-        batches, kernel = [], dyn._magnus_product
+        batches, kernel = [], se._magnus_product
 
         def spy(*args):
             batches.append(args[-1])
             return kernel(*args)
 
         monkeypatch.setattr(se, "_BLOCK_MATRICES", 64)
-        monkeypatch.setattr(dyn, "_magnus_product", spy)
+        monkeypatch.setattr(se, "_magnus_product", spy)
         out = dyn.propagate(state, params, None, [1.0, 2.0])
         assert 0 < max(batches) <= 64
         for x, y in zip(out, reference):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from starkladder.errors import DegeneracyError
+from starkladder.errors import DegeneracyError, OutOfValidityError
 from starkladder.model import (LatticeParams, _tilted_band_mean, _two_level_eigen, _zak_plus,
                                bloch_dispersion, fold_interval)
 from starkladder import spectra_exact as se
@@ -329,6 +329,14 @@ class TestGapEstimate:
         def exponent(gaps):
             return -(math.log(gaps[1] * z[1]) - math.log(gaps[0] * z[0])) / (z[1] - z[0])
         assert abs(exponent(exact) - exponent(estimate)) < 1e-3
+
+    @pytest.mark.parametrize("j2", [1e-320, 5e-324])
+    def test_overflowing_turning_point_is_out_of_validity(self, j2):
+        # q = 2 j2 is subnormal: theta0 = acosh(1/q) is inf and the action's
+        # n = (j1 - j2)^2 / (4 j1 j2) too, where the action would read 0 and
+        # the ratio the j1 = j2 value 2/pi
+        with pytest.raises(OutOfValidityError, match="theta0.*j2/j1"):
+            wf.gap_estimate(LatticeParams(1.0, j2, 0.0, 1.0))
 
     def test_requires_ssh_lattice(self):
         with pytest.raises(ValueError):

@@ -293,7 +293,8 @@ def _floquet_overlaps(params: LatticeParams, fields: np.ndarray, n_pieces: int):
     i dV/ds = [[-(delta + F/2), g], [g*, delta + F/2]] V, g = j1 + j2 exp(2i F s),
     at s = t - kappa_k / F for every k.  At theta = 2 F s this is the
     generating-function ODE of ``_period_propagators`` under X -> sigma_z X*
-    sigma_z, so its pieces (mapped from the ring's at kappa = 0, to 1e-14) give
+    sigma_z, so its pieces (mapped from the ring's at kappa = 0, to 1e-14; the
+    second half of the period is the first half's time-reversed mirror) give
     those of V by (a, b) -> (a*, -b*), and their prefix products U(s_j, 0); the
     eigenvectors of W = U(T_B, 0), W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
     """

@@ -14,8 +14,11 @@ Chebyshev series of the monodromy entries over the whole 1/F interval.  Every
 time evolution runs on one integrator of the ring's acceleration-gauge
 equation (``_ring_propagators``): ``dynamics.propagate`` directly, and the
 generating ODE's pieces (one per period: the monodromy) through an exact frame
-map (``_period_propagators``).  A field sweep and the gaps at a search's
-minima each take one batched integration, every field to its own step count.
+map (``_period_propagators``).  At constant field the ring's equation is
+time-reversal symmetric about the middle of each Bloch period, so those pieces
+integrate only the first half of the period and mirror the second.  A field
+sweep and the gaps at a search's minima each take one batched integration,
+every field to its own step count.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ class Monodromy:
 
     matrix: np.ndarray
     eigenphase: float  # principal eigenphase phi in [0, pi]
+    # Magnus steps per period; the kernel integrates half of them (the half
+    # period) and mirrors the rest
     integration_steps: int
 
 
@@ -203,17 +208,9 @@ def _advance(span, curve, sigma):
     return span * sigma * np.divide(np.log1p(x), x, out=np.ones_like(x), where=x != 0)
 
 
-def _ring_propagators(params: LatticeParams, phases, key, duration, hops, tol: float):
-    """Propagators (a, b) and step counts of i dc/dt = [[-delta, g], [g*, delta]] c,
-    g = j1 exp(-i Phi) + hop exp(i Phi), one per (piece p, hop) pair, piece-major.
-
-    A ring cell wavevector kappa in the acceleration gauge: hop = j2 exp(-2i kappa),
-    Phi the time integral of F, from c = 1 over ``duration[p]``; at its fraction
-    sigma Phi = start + ``_advance(span, curve, sigma)``, the phase sequence
-    (start, span, curve) being ``phases[:, key[p]]``.  A kernel call takes
-    exp(i Phi) once per sequence and g once per (sequence, hop), broadcast if
-    one of each; all pairs are one ``_converged`` batch from the longest Phi / pi.
-    """
+def _ring_kernel(params: LatticeParams, phases, key, duration, hops):
+    """The kernel callback ``propagators(index, n_steps)`` that ``_ring_propagators``
+    step-doubles with the same arguments: the (piece, hop) pairs ``index``."""
     start, span, curve = np.asarray(phases, dtype=float)[:, :, None, None]
 
     def propagators(index, n_steps):
@@ -229,8 +226,23 @@ def _ring_propagators(params: LatticeParams, phases, key, duration, hops, tol: f
         return _magnus_product(coupling, -params.delta, duration[piece, None] / n_steps,
                                n_steps, index.size)
 
-    return _converged(propagators, key.size * hops.size, tol,
-                      float(np.max(_advance(span, curve, 1.0))) / math.pi)
+    return propagators
+
+
+def _ring_propagators(params: LatticeParams, phases, key, duration, hops, tol: float):
+    """Propagators (a, b) and step counts of i dc/dt = [[-delta, g], [g*, delta]] c,
+    g = j1 exp(-i Phi) + hop exp(i Phi), one per (piece p, hop) pair, piece-major.
+
+    A ring cell wavevector kappa in the acceleration gauge: hop = j2 exp(-2i kappa),
+    Phi the time integral of F, from c = 1 over ``duration[p]``; at its fraction
+    sigma Phi = start + ``_advance(span, curve, sigma)``, the phase sequence
+    (start, span, curve) being ``phases[:, key[p]]``.  A kernel call takes
+    exp(i Phi) once per sequence and g once per (sequence, hop), broadcast if
+    one of each; all pairs are one ``_converged`` batch from the longest Phi / pi.
+    """
+    periods = float(np.max(_advance(*np.asarray(phases, dtype=float)[1:], 1.0))) / math.pi
+    return _converged(_ring_kernel(params, phases, key, duration, hops),
+                      key.size * hops.size, tol, periods)
 
 
 def _period_propagators(params: LatticeParams, fields: np.ndarray, n_pieces: int, tol: float):
@@ -239,15 +251,47 @@ def _period_propagators(params: LatticeParams, fields: np.ndarray, n_pieces: int
     the generating-function ODE at theta = 2 F s, over s in [pi j, pi (j + 1)] / (F P)
     for each piece j and field F; P = ``n_pieces`` is a power of two (1: the
     monodromies).  With D(s) = diag(exp(-i F s / 2), exp(i F s / 2)) and C the
-    ``_ring_propagators`` piece at kappa = 0, Phi = F s (element field x P + j),
+    ring piece at kappa = 0, Phi = F s over [pi j, pi (j + 1)] / P,
     U(s1, s0) = D(s1) sigma_z C* sigma_z D(s0)^H: a -> a* exp(-i pi / 2P) and
     b -> -b* exp(-i pi (2j + 1) / 2P).
+
+    Only the ring pieces with Phi in [0, pi / 2] are integrated.  With real j1,
+    j2 and delta, kappa = 0 and a constant F the ring Hamiltonian obeys
+    H(T - t) = sigma_z H(t)* sigma_z over the period T = pi / F, so
+    C(T - t0, T - t1) = sigma_z C(t1, t0)^T sigma_z, (a, b) -> (a, b*): piece
+    P - 1 - j is piece j mirrored, and at P = 1 the period is the half period
+    followed by its mirror.  The Gauss-Magnus step is time-symmetric, so a
+    mirrored step is the step of the mirrored interval to roundoff and the step
+    counts (per period at P = 1) are those of integrating every piece.  The
+    step doubling still compares the P pieces (at P = 1 the closed period).
+    The mirror needs each condition: a complex hop (j2 exp(-2i kappa) at
+    kappa != 0) turns g(T - t) into something other than -g(t)*, and a
+    ramped F makes Phi(T - t) differ from pi - Phi(t).  ``dynamics.propagate``
+    runs at kappa != 0 and under ramps, so it integrates every piece.
     """
+    if n_pieces < 1 or n_pieces & (n_pieces - 1):  # odd P > 1 has a self-mirrored middle piece
+        raise ValueError(f"n_pieces must be a power of two, got {n_pieces}")
+    halves = max(n_pieces // 2, 1)  # integrated ring pieces per field
+    width = math.pi / max(n_pieces, 2)
+    half = np.arange(halves)
+    kernel = _ring_kernel(params, np.array([half, np.ones(halves), np.zeros(halves)]) * width,
+                          np.tile(half, fields.size), np.repeat(width / fields, halves),
+                          np.array([params.j2]))
+
+    def propagators(index, n_steps):
+        if n_pieces == 1:
+            a, b = kernel(index, n_steps // 2)
+            return _su2_mul(a, np.conj(b), a, b)
+        # element field x P + 2 j + m: piece j (m = 0) or its mirror P - 1 - j (m = 1),
+        # side by side, so each of _converged's batch parts splits at most one pair
+        integrated, inverse = np.unique(index // 2, return_inverse=True)
+        a, b = (x[inverse] for x in kernel(integrated, n_steps))
+        return a, np.where(index % 2, np.conj(b), b)
+
     piece = np.arange(n_pieces)
-    phases = np.array([piece, np.ones(n_pieces), np.zeros(n_pieces)]) * math.pi / n_pieces
-    a, b, steps = (x.reshape(fields.size, n_pieces) for x in _ring_propagators(
-        params, phases, np.tile(piece, fields.size),
-        np.repeat(math.pi / (n_pieces * fields), n_pieces), np.array([params.j2]), tol))
+    slot = np.argsort(np.stack([half, n_pieces - 1 - half], axis=1).ravel()[:n_pieces])
+    a, b, steps = (x.reshape(fields.size, n_pieces)[:, slot] for x in _converged(
+        propagators, fields.size * n_pieces, tol, 1.0 / n_pieces))
     return (np.conj(a) * np.exp(-0.5j * math.pi / n_pieces),
             -np.conj(b) * np.exp(-0.5j * math.pi * (2 * piece + 1) / n_pieces), steps)
 
@@ -266,8 +310,11 @@ def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
 
     Integrates dU/dtheta = -i/(2F) G0(theta) U over one period at trial
     energy E = 0: the one-field, one-piece case of ``_period_propagators``,
-    step-doubled until every entry is stable to ``tol``.  Exact SU(2) steps
-    and a unitary frame map keep U unitary to roundoff without projection.
+    which integrates the first half period and closes the period with its
+    time-reversed mirror, step-doubled until every entry of the period
+    propagator is stable to ``tol``.  Exact SU(2) steps, an exact SU(2)
+    product and a unitary frame map keep U unitary to roundoff without
+    projection.
     """
     params.require_field()
     a, b, steps = (x.item() for x in _period_propagators(params, np.array([params.f]), 1, tol))

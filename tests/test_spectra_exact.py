@@ -158,17 +158,19 @@ class TestMonodromy:
         assert np.max(np.abs(mono.matrix - ref)) < 1e-9
 
     def test_unitary_and_batch_consistent_across_memory_blocks(self):
-        # 1/F = 150 needs 16384 steps, several blocks of the Magnus kernel
-        params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 150.0)
+        # 1/F = 300 needs 32768 steps: the half period the kernel integrates
+        # spans several of its blocks
+        params = LatticeParams(1.0, 0.6, 0.0, 1.0 / 300.0)
         mono = se.monodromy(params)
-        assert mono.integration_steps > se._BLOCK_MATRICES
+        assert mono.integration_steps // 2 > se._BLOCK_MATRICES
         u = mono.matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-13
         # a batch of three fields splits the steps into other blocks
-        fields = np.array([params.f, 1.0 / 149.0, 1.0 / 151.0])
+        fields = np.array([params.f, 1.0 / 299.0, 1.0 / 301.0])
         a, b, _ = se._period_propagators(params, fields, 1, se._PHASE_TOL)
         assert abs(mono.eigenphase - se._eigenphase(a[0, 0], b[0, 0])) < 1e-14
-        assert np.max(np.abs(u - midpoint_monodromy(params))) < 1e-9
+        # the midpoint reference errs by 1.3e-9 at its default steps here
+        assert np.max(np.abs(u - midpoint_monodromy(params, 2 * MIDPOINT_STEPS))) < 1e-9
 
     def test_field_required(self):
         with pytest.raises(ValueError):
@@ -194,7 +196,8 @@ class TestMonodromy:
 
     def test_step_doubling_fails_fast_below_roundoff(self, monkeypatch):
         # at 1/F = 20 the entries cannot settle to 1e-15: once the truncation
-        # error is gone each doubling adds roundoff instead of removing it
+        # error is gone each doubling adds roundoff instead of removing it.
+        # The message counts steps per period; the kernel integrates half of it
         kernel = se._magnus_product
         calls = []
 
@@ -208,7 +211,7 @@ class TestMonodromy:
         with pytest.raises(NonConvergedError) as info:
             se.monodromy(LatticeParams(1.0, 0.6, 0.0, 1.0 / 20.0), tol=1e-15)
         message = str(info.value)
-        assert f"{calls[-1]} steps" in message and "tol = 1e-15" in message
+        assert f"{2 * calls[-1]} steps" in message and "tol = 1e-15" in message
 
     @pytest.mark.parametrize("inv_f", [150.0, 300.0, 600.0])
     def test_weak_fields_converge_through_pre_asymptotic_doublings(self, inv_f):
@@ -244,6 +247,15 @@ class TestMonodromy:
         assert np.max(np.abs(se.monodromy(params, tol=1e-13).matrix
                              - mpmath_monodromy(params))) < 1e-12
 
+    @pytest.mark.parametrize("lattice", [(0.76, 0.76, 0.4, 1.0 / 3.1524),
+                                         (1.0, 0.6, -0.3, 0.2)])
+    def test_matches_mpmath_taylor_integration_at_nonzero_delta(self, lattice):
+        # crossing_b and a negative stagger, where the half-period mirror
+        # carries the on-site energies too: 3.6e-15 and 1.0e-15
+        params = LatticeParams(*lattice)
+        assert np.max(np.abs(se.monodromy(params, tol=1e-13).matrix
+                             - mpmath_monodromy(params))) < 1e-12
+
     @pytest.mark.parametrize("lattice", [(1.0, 0.6, 0.0), (1.0, 0.6, 0.3),
                                          (0.76, 0.76, 0.4), (1.0, 0.4, 0.1)])
     def test_pieces_multiply_to_the_period_propagator(self, lattice):
@@ -259,6 +271,47 @@ class TestMonodromy:
             prod_a, prod_b = se._su2_mul(a[:, j], b[:, j], prod_a, prod_b)
         assert np.max(np.abs(prod_a - one_a[:, 0])) < 1e-13
         assert np.max(np.abs(prod_b - one_b[:, 0])) < 1e-13
+
+
+class TestHalfPeriod:
+    @pytest.mark.parametrize("n_pieces", [0, 3, 6, 12, -2])
+    def test_piece_count_must_be_a_power_of_two(self, monkeypatch, n_pieces):
+        # the mirror pairs piece j with piece P - 1 - j of the period
+        monkeypatch.setattr(se, "_converged", None)
+        with pytest.raises(ValueError, match="power of two"):
+            se._period_propagators(LatticeParams(1.0, 0.6, 0.0, 0.2), np.array([0.2]),
+                                   n_pieces, se._PHASE_TOL)
+
+    @pytest.mark.parametrize("lattice", [(1.0, 0.6, 0.0), (0.76, 0.76, 0.4), (1.0, 0.6, -0.3),
+                                         (1.0, 0.0, 0.3), (0.0, 0.8, 0.3)])
+    @pytest.mark.parametrize("n_pieces", [1, 2, 8, 256])
+    def test_mirrored_half_matches_the_whole_period(self, monkeypatch, lattice, n_pieces):
+        # every piece of the period integrated directly on the ring and put
+        # through the same frame map: the same entries to roundoff (worst
+        # 1.8e-15) and step counts, from half the kernel's step matrices
+        params = LatticeParams(*lattice)
+        fields = 1.0 / np.array([1.5, 3.1524, 9.0957])
+        matrices, kernel = [], se._magnus_product
+
+        def counted(coupling, diagonal, h, n_steps, batch):
+            matrices.append(n_steps * batch)
+            return kernel(coupling, diagonal, h, n_steps, batch)
+
+        monkeypatch.setattr(se, "_magnus_product", counted)
+        a, b, steps = se._period_propagators(params, fields, n_pieces, 1e-13)
+        half = sum(matrices)
+        matrices.clear()
+        piece = np.arange(n_pieces)
+        phases = np.array([piece, np.ones(n_pieces), np.zeros(n_pieces)]) * math.pi / n_pieces
+        ring = se._ring_propagators(params, phases, np.tile(piece, fields.size),
+                                    np.repeat(math.pi / (n_pieces * fields), n_pieces),
+                                    np.array([params.j2]), 1e-13)
+        ring_a, ring_b, ring_steps = (x.reshape(fields.size, n_pieces) for x in ring)
+        assert 2 * half == sum(matrices)
+        assert np.array_equal(steps, ring_steps)
+        assert np.max(np.abs(a - np.conj(ring_a) * np.exp(-0.5j * math.pi / n_pieces))) <= 1e-14
+        assert np.max(np.abs(b + np.conj(ring_b) * np.exp(
+            -0.5j * math.pi * (2 * piece + 1) / n_pieces))) <= 1e-14
 
 
 class TestFloquetLadder:
@@ -561,11 +614,12 @@ class TestCrossings:
         found = se.find_avoided_crossings(p, (1.0, 6.0))
         z_stars = [c.inv_f_star for c in found]
         assert batches == [z_stars]
-        # the proxy's minima from the ring-frame integrator; each lies within
-        # 1.2e-9 (relative) of a Brent minimum of the direct gap at tol 1e-13
-        assert z_stars == pytest.approx([1.727163974383504, 2.63092440333005,
-                                         3.5531888199801003, 4.4786012628951966,
-                                         5.403930371018811], rel=1e-12)
+        # the proxy's minima from the half-period integration; each lies within
+        # 1.2e-9 (relative) of a Brent minimum of the direct gap at tol 1e-13,
+        # as the full-period integration's minima lay within 1.6e-9 of theirs
+        assert z_stars == pytest.approx([1.7271639764998161, 2.630924402788878,
+                                         3.5531888218966206, 4.478601265726743,
+                                         5.403930373709818], rel=1e-12)
         for c in found:
             alone = gaps(p, [c.inv_f_star])[0]
             assert abs(c.gap - alone) <= 1e-12 * alone

@@ -8,12 +8,12 @@ kappa_k keeps its weight and follows a driven two-level equation, integrated by
 the one ring-frame integrator of ``spectra_exact`` (``_ring_propagators``).
 ``propagate`` integrates the occupied kappa_k under a (possibly ramped) field;
 at constant field all kappa_k share one set of Floquet modes, which give the
-population statistics in closed form.  Their equation is the monodromy's
-generating-function ODE, conjugated: a resonance scan
-(``mean_upper_populations``) takes every field's modes from one batch of
-``spectra_exact._period_propagators`` pieces and builds its packets once per
-chain size.  Edge guards keep the packets off the ring's seam, where the ring
-and the open chain differ.
+population statistics in closed form.  Their equation is the ring's at
+kappa = 0 in the lab frame, the frame ``spectra_exact._period_propagators``
+returns its pieces in: a resonance scan (``mean_upper_populations``) takes
+every field's modes from one batch of those pieces and builds its packets
+once per chain size.  Edge guards keep the packets off the ring's seam, where
+the ring and the open chain differ.
 """
 
 from __future__ import annotations
@@ -291,16 +291,14 @@ def _floquet_overlaps(params: LatticeParams, fields: np.ndarray, n_pieces: int):
     V = diag(exp(i F t / 2), exp(-i F t / 2)) c, c the ring amplitudes of
     ``propagate`` at kappa_k, is the lab-frame amplitude at kappa = -F s and obeys
     i dV/ds = [[-(delta + F/2), g], [g*, delta + F/2]] V, g = j1 + j2 exp(2i F s),
-    at s = t - kappa_k / F for every k.  At theta = 2 F s this is the
-    generating-function ODE of ``_period_propagators`` under X -> sigma_z X*
-    sigma_z, so its pieces (mapped from the ring's at kappa = 0, to 1e-14; the
-    second half of the period is the first half's time-reversed mirror) give
-    those of V by (a, b) -> (a*, -b*), and their prefix products U(s_j, 0); the
-    eigenvectors of W = U(T_B, 0), W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
+    at s = t - kappa_k / F for every k.  ``_period_propagators`` returns the
+    pieces of V (mapped from the ring's at kappa = 0, to 1e-14; the second half
+    of the period is the first half's time-reversed mirror), and their prefix
+    products give U(s_j, 0); the eigenvectors of W = U(T_B, 0),
+    W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
     """
     t_b = math.pi / fields
     a, b, _ = _period_propagators(params, fields, n_pieces, _PIECE_TOL)
-    a, b = np.conj(a), -np.conj(b)
     shift = 1  # element j becomes U(s_j+1, 0) in log2(n_pieces) passes
     while shift < n_pieces:
         a[:, shift:], b[:, shift:] = _su2_mul(a[:, shift:], b[:, shift:],

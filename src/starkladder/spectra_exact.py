@@ -10,15 +10,15 @@ close.  Both give the same ladders; the truncated route carries per-level
 convergence flags and labels its branches from its own levels; the monodromy
 route is free of truncation error and is the workhorse for field sweeps and
 avoided-crossing searches, which locate the splitting's minima on one
-Chebyshev series of the monodromy entries over the whole 1/F interval.  Every
-time evolution runs on one integrator of the ring's acceleration-gauge
-equation (``_ring_propagators``): ``dynamics.propagate`` directly, and the
-generating ODE's pieces (one per period: the monodromy) through an exact frame
-map (``_period_propagators``).  At constant field the ring's equation is
-time-reversal symmetric about the middle of each Bloch period, so those pieces
-integrate only the first half of the period and mirror the second.  A field
-sweep and the gaps at a search's minima each take one batched integration,
-every field to its own step count.
+Chebyshev series of the period propagator's entries over the whole 1/F
+interval.  Every time evolution runs on one integrator of the ring's
+acceleration-gauge equation (``_ring_propagators``): ``dynamics.propagate``
+directly, and the lab-frame pieces of a Bloch period (``_period_propagators``;
+one piece: the period propagator, which ``monodromy`` alone maps to the
+generating ODE's frame) at kappa = 0, where the ring's equation at constant
+field is time-reversal symmetric about the middle of each Bloch period, so
+they integrate only its first half.  A field sweep and the gaps at a search's
+minima each take one batched integration, every field to its own step count.
 """
 
 from __future__ import annotations
@@ -246,54 +246,52 @@ def _ring_propagators(params: LatticeParams, phases, key, duration, hops, tol: f
 
 
 def _period_propagators(params: LatticeParams, fields: np.ndarray, n_pieces: int, tol: float):
-    """Propagators (a, b) and step counts, each of shape (fields, n_pieces), of
-    dU/ds = -i [[F/2 + delta, g], [g*, -(F/2 + delta)]] U, g = j1 + j2 exp(-2i F s),
-    the generating-function ODE at theta = 2 F s, over s in [pi j, pi (j + 1)] / (F P)
-    for each piece j and field F; P = ``n_pieces`` is a power of two (1: the
-    monodromies).  With D(s) = diag(exp(-i F s / 2), exp(i F s / 2)) and C the
-    ring piece at kappa = 0, Phi = F s over [pi j, pi (j + 1)] / P,
-    U(s1, s0) = D(s1) sigma_z C* sigma_z D(s0)^H: a -> a* exp(-i pi / 2P) and
-    b -> -b* exp(-i pi (2j + 1) / 2P).
+    """Lab-frame propagators (a, b) and step counts, each of shape (fields, n_pieces),
+    of i dV/ds = [[-(delta + F/2), g], [g*, delta + F/2]] V, g = j1 + j2 exp(2i F s),
+    over s in [pi j, pi (j + 1)] / (F P) for each piece j and field F; P =
+    ``n_pieces`` is a power of two (1: the monodromies).  V is the ring amplitude
+    at kappa = 0 in the lab frame: with E(s) = diag(exp(i F s / 2), exp(-i F s / 2))
+    and C the ring piece, Phi = F s, V(s1, s0) = E(s1) C E(s0)^H, so
+    a -> a exp(i pi / 2P) and b -> b exp(i pi (2j + 1) / 2P).
 
     Only the ring pieces with Phi in [0, pi / 2] are integrated.  With real j1,
     j2 and delta, kappa = 0 and a constant F the ring Hamiltonian obeys
     H(T - t) = sigma_z H(t)* sigma_z over the period T = pi / F, so
-    C(T - t0, T - t1) = sigma_z C(t1, t0)^T sigma_z, (a, b) -> (a, b*): piece
-    P - 1 - j is piece j mirrored, and at P = 1 the period is the half period
-    followed by its mirror.  The Gauss-Magnus step is time-symmetric, so a
-    mirrored step is the step of the mirrored interval to roundoff and the step
-    counts (per period at P = 1) are those of integrating every piece.  The
-    step doubling still compares the P pieces (at P = 1 the closed period).
-    The mirror needs each condition: a complex hop (j2 exp(-2i kappa) at
-    kappa != 0) turns g(T - t) into something other than -g(t)*, and a
-    ramped F makes Phi(T - t) differ from pi - Phi(t).  ``dynamics.propagate``
-    runs at kappa != 0 and under ramps, so it integrates every piece.
+    C(T - t0, T - t1) = sigma_z C(t1, t0)^T sigma_z, (a, b) -> (a, b*).  For
+    P >= 2 all fields' P / 2 first-half pieces are one batch of
+    ``_ring_propagators``; once converged, piece P - 1 - j is piece j mirrored,
+    which changes by as much at each doubling, so the step counts are those of
+    comparing all P pieces.  At P = 1 the doubling compares the closed period,
+    the half period followed by its mirror, and counts steps per period.  The
+    Gauss-Magnus step is time-symmetric, so a mirrored step is the step of the
+    mirrored interval to roundoff.  The mirror needs each condition: a complex
+    hop (j2 exp(-2i kappa) at kappa != 0) turns g(T - t) into something other
+    than -g(t)*, and a ramped F makes Phi(T - t) differ from pi - Phi(t).
+    ``dynamics.propagate`` runs at kappa != 0 and under ramps, so it
+    integrates every piece.
     """
     if n_pieces < 1 or n_pieces & (n_pieces - 1):  # odd P > 1 has a self-mirrored middle piece
         raise ValueError(f"n_pieces must be a power of two, got {n_pieces}")
     halves = max(n_pieces // 2, 1)  # integrated ring pieces per field
     width = math.pi / max(n_pieces, 2)
     half = np.arange(halves)
-    kernel = _ring_kernel(params, np.array([half, np.ones(halves), np.zeros(halves)]) * width,
-                          np.tile(half, fields.size), np.repeat(width / fields, halves),
-                          np.array([params.j2]))
+    ring = (params, np.array([half, np.ones(halves), np.zeros(halves)]) * width,
+            np.tile(half, fields.size), np.repeat(width / fields, halves),
+            np.array([params.j2]))
+    if n_pieces == 1:
+        kernel = _ring_kernel(*ring)
 
-    def propagators(index, n_steps):
-        if n_pieces == 1:
+        def period(index, n_steps):
             a, b = kernel(index, n_steps // 2)
             return _su2_mul(a, np.conj(b), a, b)
-        # element field x P + 2 j + m: piece j (m = 0) or its mirror P - 1 - j (m = 1),
-        # side by side, so each of _converged's batch parts splits at most one pair
-        integrated, inverse = np.unique(index // 2, return_inverse=True)
-        a, b = (x[inverse] for x in kernel(integrated, n_steps))
-        return a, np.where(index % 2, np.conj(b), b)
 
-    piece = np.arange(n_pieces)
-    slot = np.argsort(np.stack([half, n_pieces - 1 - half], axis=1).ravel()[:n_pieces])
-    a, b, steps = (x.reshape(fields.size, n_pieces)[:, slot] for x in _converged(
-        propagators, fields.size * n_pieces, tol, 1.0 / n_pieces))
-    return (np.conj(a) * np.exp(-0.5j * math.pi / n_pieces),
-            -np.conj(b) * np.exp(-0.5j * math.pi * (2 * piece + 1) / n_pieces), steps)
+        a, b, steps = (x[:, None] for x in _converged(period, fields.size, tol, 1.0))
+    else:
+        a, b, steps = (x.reshape(fields.size, halves) for x in _ring_propagators(*ring, tol))
+        a, b, steps = (np.concatenate([x, mirror[:, ::-1]], axis=1)
+                       for x, mirror in ((a, a), (b, np.conj(b)), (steps, steps)))
+    return (a * np.exp(0.5j * math.pi / n_pieces),
+            b * np.exp(0.5j * math.pi * (2 * np.arange(n_pieces) + 1) / n_pieces), steps)
 
 
 def _eigenphase(a, b):
@@ -309,16 +307,16 @@ def monodromy(params: LatticeParams, tol: float = _PHASE_TOL) -> Monodromy:
     """Time-ordered period propagator of the tilted-lattice generating ODE.
 
     Integrates dU/dtheta = -i/(2F) G0(theta) U over one period at trial
-    energy E = 0: the one-field, one-piece case of ``_period_propagators``,
-    which integrates the first half period and closes the period with its
-    time-reversed mirror, step-doubled until every entry of the period
-    propagator is stable to ``tol``.  Exact SU(2) steps, an exact SU(2)
-    product and a unitary frame map keep U unitary to roundoff without
+    energy E = 0: U = sigma_z W* sigma_z, (a, b) -> (a*, -b*), at theta = 2 F s
+    for W the one-field, one-piece case of ``_period_propagators``, which
+    closes the first half period with its time-reversed mirror, step-doubled
+    until every entry of W is stable to ``tol``.  Exact SU(2) steps, an exact
+    SU(2) product and unitary frame maps keep U unitary to roundoff without
     projection.
     """
     params.require_field()
     a, b, steps = (x.item() for x in _period_propagators(params, np.array([params.f]), 1, tol))
-    u = np.array([[a, b], [-np.conj(b), np.conj(a)]])
+    u = np.array([[np.conj(a), -np.conj(b)], [b, a]])  # sigma_z W* sigma_z
     return Monodromy(matrix=u, eigenphase=float(_eigenphase(a, b)), integration_steps=steps)
 
 
@@ -477,7 +475,7 @@ def ws_spectrum_truncated(params: LatticeParams, n_sites: int | None = None,
 
 def _splitting(inv_f, a, b) -> np.ndarray:
     """Minimal inter-ladder splitting (2F/pi) min(phi, pi - phi) at fields
-    1/inv_f from the monodromy entries (a, b) there."""
+    1/inv_f from the period propagator's entries (a, b) there."""
     phi = _eigenphase(a, b)
     return (2.0 / (math.pi * inv_f)) * np.minimum(phi, math.pi - phi)
 
@@ -497,9 +495,10 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
                            resolution: int = 200) -> list[AvoidedCrossing]:
     """Locate minima of the inter-ladder splitting over a 1/F interval.
 
-    The monodromy entries a and b are analytic in 1/F, so one batched
-    integration at first-kind Chebyshev points gives a series (the proxy) of
-    Re a, Im a, Re b and Im b over the whole interval.  The node count starts
+    The entries a and b of the period propagator (``_period_propagators`` at
+    one piece per period) are analytic in 1/F, so one batched integration at
+    first-kind Chebyshev points gives a series (the proxy) of Re a, Im a,
+    Re b and Im b over the whole interval.  The node count starts
     at 16 and doubles until the last eighth of the coefficients is below
     1e-13 of the largest; past 4096 nodes NonConvergedError is raised.  The
     splitting formula on the proxy's entries is scanned at ``resolution``
@@ -510,11 +509,11 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
     must meet at any interval width, and it resolves the corner of an exact
     crossing too.  The reported gaps come from one batched direct integration
     at all the minima; splittings below 1e-12 * F are reported as exact
-    crossings (gap 0).
+    crossings (gap 0).  Every input is checked before any integration.
     """
     z_lo, z_hi = float(inv_f_interval[0]), float(inv_f_interval[1])
-    if not (0.0 < z_lo < z_hi):
-        raise ValueError("inv_f_interval must satisfy 0 < lo < hi")
+    if not (0.0 < z_lo < z_hi < math.inf):  # NaN fails here too
+        raise ValueError("inv_f_interval must satisfy 0 < lo < hi < inf")
     if resolution < 100:
         raise ValueError("resolution must be at least 100 samples")
 

@@ -135,7 +135,7 @@ def wu_yang_propagator(epsilon: float, omega: float, t: float) -> np.ndarray:
 
 
 def _require_equal_hoppings(params: LatticeParams) -> float:
-    if abs(params.j1 - params.j2) > 1e-12:
+    if abs(params.j1 - params.j2) > 1e-12 * max(params.j1, params.j2):
         raise ValueError("this spectrum requires j1 = j2")
     return params.j1
 

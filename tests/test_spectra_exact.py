@@ -286,9 +286,9 @@ class TestHalfPeriod:
                                          (1.0, 0.0, 0.3), (0.0, 0.8, 0.3)])
     @pytest.mark.parametrize("n_pieces", [1, 2, 8, 256])
     def test_mirrored_half_matches_the_whole_period(self, monkeypatch, lattice, n_pieces):
-        # every piece of the period integrated directly on the ring and put
-        # through the same frame map: the same entries to roundoff (worst
-        # 1.8e-15) and step counts, from half the kernel's step matrices
+        # every piece of the period integrated directly on the ring and taken
+        # to the lab frame: the same entries to roundoff (worst 1.8e-15) and
+        # step counts, from half the kernel's step matrices
         params = LatticeParams(*lattice)
         fields = 1.0 / np.array([1.5, 3.1524, 9.0957])
         matrices, kernel = [], se._magnus_product
@@ -309,9 +309,24 @@ class TestHalfPeriod:
         ring_a, ring_b, ring_steps = (x.reshape(fields.size, n_pieces) for x in ring)
         assert 2 * half == sum(matrices)
         assert np.array_equal(steps, ring_steps)
-        assert np.max(np.abs(a - np.conj(ring_a) * np.exp(-0.5j * math.pi / n_pieces))) <= 1e-14
-        assert np.max(np.abs(b + np.conj(ring_b) * np.exp(
-            -0.5j * math.pi * (2 * piece + 1) / n_pieces))) <= 1e-14
+        assert np.max(np.abs(a - ring_a * np.exp(0.5j * math.pi / n_pieces))) <= 1e-14
+        assert np.max(np.abs(b - ring_b * np.exp(
+            0.5j * math.pi * (2 * piece + 1) / n_pieces))) <= 1e-14
+
+    @pytest.mark.parametrize("n_pieces", [1, 2, 8, 256])
+    def test_one_doubling_pass_over_the_integrated_pieces(self, monkeypatch, n_pieces):
+        # P >= 2: only the P / 2 integrated pieces of each field are step-doubled,
+        # and their mirrors are built once; P = 1: the closed period of each field
+        fields = 1.0 / np.array([1.5, 3.1524, 9.0957])
+        sizes, converged = [], se._converged
+
+        def record(propagators, size, tol, periods):
+            sizes.append(size)
+            return converged(propagators, size, tol, periods)
+
+        monkeypatch.setattr(se, "_converged", record)
+        se._period_propagators(LatticeParams(1.0, 0.6, 0.3), fields, n_pieces, 1e-13)
+        assert sizes == [fields.size * max(n_pieces // 2, 1)]
 
 
 class TestFloquetLadder:
@@ -642,9 +657,12 @@ class TestCrossings:
         with pytest.raises(NonConvergedError):
             se.find_avoided_crossings(LatticeParams(1.0, 0.6, 0.0, 1.0), (4.0, 30.0))
 
-    def test_input_validation(self):
+    def test_input_validation(self, monkeypatch):
+        # checked before any integration; an infinite bound would integrate
+        # NaN fields and end as a roundoff error
+        monkeypatch.setattr(se, "_period_propagators", None)
         p = LatticeParams(1.0, 0.6, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            se.find_avoided_crossings(p, (2.0, 1.0), resolution=150)
-        with pytest.raises(ValueError):
-            se.find_avoided_crossings(p, (1.0, 2.0), resolution=50)
+        for interval, resolution in [((2.0, 1.0), 150), ((1.0, 2.0), 50),
+                                     ((1.0, math.inf), 200), ((1.0, math.nan), 200)]:
+            with pytest.raises(ValueError):
+                se.find_avoided_crossings(p, interval, resolution=resolution)

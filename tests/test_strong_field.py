@@ -118,10 +118,14 @@ class TestSpectra:
         assert np.max(np.abs(steps - np.rint(steps))) < 1e-10
 
     def test_requires_equal_hoppings(self):
-        with pytest.raises(ValueError):
-            sf.spectrum_wu_yang(LatticeParams(1.0, 0.6, 0.2, 0.5))
-        with pytest.raises(ValueError):
-            sf.spectrum_expansion(LatticeParams(1.0, 0.6, 0.2, 0.5))
+        # the tolerance scales with the hoppings: tiny unequal hoppings are
+        # refused, large ones a few ulp apart are accepted
+        equal = LatticeParams(1e6, 1e6 * (1.0 + 4e-16), 0.0, 2e6)
+        for spectrum in (sf.spectrum_wu_yang, sf.spectrum_expansion):
+            for unequal in [(1.0, 0.6, 0.2, 0.5), (1e-13, 3e-13, 4e-14, 2e-13)]:
+                with pytest.raises(ValueError, match="requires j1 = j2"):
+                    spectrum(LatticeParams(*unequal))
+            assert spectrum(equal, range(-1, 2)).energies.size == 6
 
     def test_expansion_trivial_ladder(self):
         p = LatticeParams(0.76, 0.76, 0.0, 0.5)

@@ -8,8 +8,12 @@ a crossing search and a resonance scan each integrate all their fields in one
 batch, and every other method solves field by field.  A plain
 ``key = value`` config file can seed any flag; explicit flags win.  Every
 subcommand hands its named columns to one writer, ``_write_csv``, which owns
-the number format (%.17g) and refuses a non-finite float (exit 3).  Importing
-this module loads numpy alone: scipy is loaded by the solver that needs it.
+the number format (%.17g) and refuses a non-finite float (exit 3).  A column
+holds bools, ints, floats or strs; the writer formats each column's distinct
+values once (a trajectory's repeated sample times are printed once each),
+gathers them back row by row and writes the rows in blocks of a fixed row
+count.  Importing this module loads numpy alone: scipy is loaded by the
+solver that needs it.
 """
 
 from __future__ import annotations
@@ -28,24 +32,59 @@ from .errors import (ConfigError, DegeneracyError, EdgeContaminationError,
 from .model import LatticeParams, bloch_dispersion
 
 
+# rows joined into one string per write: the cells of one block are the only
+# per-row objects alive at a time, whatever the row count
+_BLOCK_ROWS = 8192
+
+
+def _cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The text of each distinct value of a column, formatted once, and the
+    index of every row's value among them."""
+    if values.dtype.kind == "f":
+        # told apart by bit pattern, so -0.0 is not 0.0; a narrower float
+        # prints as the float64 it widens to
+        distinct, index = np.unique(values.astype(np.float64, copy=False).view(np.uint64),
+                                    return_inverse=True)
+        text = ["%.17g" % value for value in distinct.view(np.float64).tolist()]
+    else:
+        distinct, index = np.unique(values, return_inverse=True)
+        text = [str(value) for value in distinct.tolist()]
+    return np.array(text, dtype=object), index
+
+
 def _write_csv(path: str, columns: dict) -> None:
     """Write ``columns``, header name -> 1-D values of one length, as a CSV.
 
-    A float column (numpy kind f) must be finite: a non-finite value raises a
-    FloatingPointError naming its column before the file is opened.  Floats
-    print %.17g, which reads back exactly; any other column prints through str.
+    A column holds bools, ints, floats or strs (numpy kind b, i, u, f or U).
+    Floats print %.17g, which reads back exactly; every other kind prints
+    through str.  Each column's distinct values (floats told apart by bit
+    pattern) are formatted once and gathered back row by row, and the rows
+    are written in blocks of ``_BLOCK_ROWS``.  Everything is checked before
+    the file is opened: a column that is not 1-D, of another kind or of
+    another length raises ValueError, and a non-finite float a
+    FloatingPointError naming its column.
     """
     columns = {name: np.asarray(values) for name, values in columns.items()}
     for name, values in columns.items():
+        if values.ndim != 1:
+            raise ValueError(f"column {name} is not 1-D: shape {values.shape}")
+        if values.dtype.kind not in "biufU":
+            raise ValueError(f"column {name} holds {values.dtype}, not bools, ints, "
+                             f"floats or strs")
         if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise FloatingPointError(f"non-finite {name} in the result")
-    template = ",".join("%.17g" if values.dtype.kind == "f" else "%s"
-                        for values in columns.values()) + "\n"
+    lengths = {name: values.size for name, values in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"columns of unequal lengths: {lengths}")
+    n_rows = max(lengths.values(), default=0)
+    cells = [_cells(values) for values in columns.values()]
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(columns) + "\n")
-            fh.writelines(template % row for row in
-                          zip(*(values.tolist() for values in columns.values()), strict=True))
+            for start in range(0, n_rows, _BLOCK_ROWS):
+                block = [text[index[start:start + _BLOCK_ROWS]].tolist()
+                         for text, index in cells]
+                fh.write("\n".join(map(",".join, zip(*block))) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output file {path}: {exc}") from exc
 

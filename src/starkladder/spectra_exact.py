@@ -124,6 +124,9 @@ def _magnus_product(coupling, diagonal, h, n_steps: int, batch: int):
     cos|v| - i sin|v| v^ . sigma is unitary by construction.  Step matrices
     are multiplied pairwise (later steps on the left) in blocks of about
     ``_BLOCK_MATRICES``; ``n_steps`` is a power of two, so every block is.
+    The block's step count, and with it the order of the products, is taken
+    from ``batch``: the same equation rounds differently in batches of
+    different sizes.
     Returns (a, b) arrays with U = [[a, b], [-b*, a*]].
     """
     z = h * diagonal
@@ -369,7 +372,10 @@ def floquet_ladders(params: LatticeParams, fields, n_range=range(-8, 9),
 
     All fields are step-doubled to ``tol`` in one batch of
     ``_period_propagators`` at one piece per period; each leaves the batch at
-    the step count it takes when integrated alone.
+    the step count it takes when integrated alone, except where an entry's
+    change at a doubling lies within roundoff of ``tol``: ``_magnus_product``
+    orders its products by the batch size, so there the step count depends on
+    which fields share the batch.
     ``floquet_branch_offsets`` labels each field's pair.  Exact degeneracies of
     the eigenphase pair produce coincident levels of the two branches rather
     than an error.

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import starkladder
-from starkladder.cli import _write_csv, build_parser, main
+from starkladder import dynamics
+from starkladder.cli import _BLOCK_ROWS, _write_csv, build_parser, main
+from starkladder.model import LatticeParams
 
 SUBCOMMANDS = ["bands", "spectrum", "crossings", "gap-estimate", "resonances",
                "transfer", "continuum-bands", "tb-fit"]
@@ -191,6 +193,62 @@ def test_write_csv_refuses_a_non_finite_float_column(tmp_path, bad):
     with pytest.raises(FloatingPointError, match="non-finite energy"):
         _write_csv(str(out), {"n": [1, 2], "energy": [0.5, bad]})
     assert not out.exists()
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({"a": [1.0, 2.0, 3.0], "b": [1, 2]}, "unequal lengths"),
+    ({"a": [1.0, 2.0], "b": np.zeros((2, 2))}, "b is not 1-D"),
+    ({"a": 1.0}, "a is not 1-D"),
+    ({"a": [1 + 2j]}, "complex128"),
+    ({"a": [None, 1]}, "object"),
+])
+def test_write_csv_refuses_a_bad_column_before_opening(tmp_path, columns, message):
+    out = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=message):
+        _write_csv(str(out), columns)
+    assert not out.exists()
+
+
+def test_write_csv_repeated_values_across_write_blocks(tmp_path):
+    # each distinct value is formatted once and gathered back: repeats, -0.0
+    # beside 0.0, a float32 column and the rows on both sides of every block
+    # edge print as a row-by-row writer prints them
+    n = 20_000
+    assert n > 2 * _BLOCK_ROWS
+    columns = {"x": np.tile([0.0, -0.0, 0.1, 1.0 / 3.0, 5e-324], n // 5),
+               "n": np.repeat(np.arange(-2, 2), n // 4),
+               "flag": np.tile([True, False], n // 2),
+               "name": np.tile(["minus", "plus", "minus-plus", "a"], n // 4),
+               "x32": np.tile(np.float32([0.1, -0.0, 3.4028235e38, 1e-45]), n // 4)}
+    out = tmp_path / "blocks.csv"
+    _write_csv(str(out), columns)
+    expected = "x,n,flag,name,x32\n" + "".join(
+        f"{format(x, '.17g')},{k},{flag},{name},{format(x32, '.17g')}\n"
+        for x, k, flag, name, x32 in zip(*(v.tolist() for v in columns.values())))
+    assert out.read_bytes() == expected.encode()
+
+
+def test_write_csv_with_no_rows_writes_only_the_header(tmp_path):
+    out = tmp_path / "empty.csv"
+    _write_csv(str(out), {"x": [], "n": np.array([], dtype=int),
+                          "name": np.array([], dtype=str)})
+    assert out.read_bytes() == b"x,n,name\n"
+
+
+def test_transfer_density_csv_matches_the_experiment_row_by_row(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert run_cli(["transfer", "--j1", "1", "--j2", "0.6", "--inv-f-start", "2",
+                    "--inv-f-stop", "1.9", "--periods", "0.1", "--n-sites", "96",
+                    "--sigma-cells", "3", "--samples", "3", "--tol", "1e-4",
+                    "--out", str(out)]) == 0
+    result = dynamics.bloch_transfer_experiment(
+        LatticeParams(1.0, 0.6, 0.0, 1.0 / 2.0), inv_f_start=2.0, inv_f_stop=1.9,
+        duration=0.1 * math.pi * 2.0, packet_sigma=3.0, n_sites=96, n_samples=3, tol=1e-4)
+    expected = "time,site,density\n" + "".join(
+        f"{format(t, '.17g')},{site},{format(d, '.17g')}\n"
+        for t, row in zip(result.times.tolist(), result.density.tolist())
+        for site, d in enumerate(row))
+    assert out.read_bytes() == expected.encode()
 
 
 def test_truncated_spectrum_with_an_empty_window_writes_only_the_header(tmp_path):

@@ -11,9 +11,10 @@ at constant field all kappa_k share one set of Floquet modes, which give the
 population statistics in closed form.  Their equation is the ring's at
 kappa = 0 in the lab frame, the frame ``spectra_exact._period_propagators``
 returns its pieces in: a resonance scan (``mean_upper_populations``) takes
-every field's modes from one batch of those pieces and builds its packets
-once per chain size.  Edge guards keep the packets off the ring's seam, where
-the ring and the open chain differ.
+every field's modes from one batch of those pieces, builds its packets once
+per chain size and takes the populations of the fields sharing a chain size
+and a piece count in one array pass.  Edge guards keep the packets off the
+ring's seam, where the ring and the open chain differ.
 """
 
 from __future__ import annotations
@@ -346,25 +347,31 @@ def _floquet_harmonics(params: LatticeParams, fields: np.ndarray):
         pending, n_pieces = np.concatenate(unresolved), 2 * n_pieces
 
 
-def _population_trace(params: LatticeParams, eps, y, m, weight, n_bloch_periods: float,
-                      n_time_samples: int) -> PopulationTrace:
-    """The population of ``mean_upper_population`` at the field ``params.f`` from
-    its modes (``_floquet_harmonics``) and the ring weights w_k of the packets."""
+def _population_traces(fields: np.ndarray, eps, y, m, weight, n_bloch_periods: float,
+                       n_time_samples: int) -> list[PopulationTrace]:
+    """The populations of ``mean_upper_populations`` at the constant fields
+    ``fields`` from their modes (``_floquet_harmonics``: eps of shape
+    (fields, 2), y of shape (fields, harmonics, 2, 2), one set of harmonic
+    numbers m) and the ring weights w_k of the packets they share."""
     # M_ba(s_k) at s_k = -T_B k / L: the harmonics folded onto the L cells
-    at_start = np.zeros((weight.size, 2, 2), dtype=complex)
-    np.add.at(at_start, m % weight.size, y)
-    at_start = np.fft.fft(at_start, axis=0)
+    fold = m % weight.size
+    at_start = np.zeros((fields.size, weight.size, 2, 2), dtype=complex)
+    np.add.at(at_start, (slice(None), fold), y)
+    at_start = np.fft.fft(at_start, axis=1)
     # sum_k w_k (delta_ab - M_ab(s_k)) exp(2i F m s_k), per harmonic m
-    h = y * np.fft.fft(weight[:, None, None] * (np.eye(2) - at_start.conj()),
-                       axis=0)[m % weight.size]
-    omega = 2.0 * params.f * m[:, None, None] - (eps[:, None] - eps[None, :])
-    t_total = n_bloch_periods * math.pi / params.f
-    half = 0.5 * t_total * omega
-    mean = float(np.sum(h * np.exp(1j * half) * np.sinc(half / math.pi)).real)
-    times = np.linspace(0.0, t_total, n_time_samples)
-    trace = np.concatenate([(np.exp(1j * np.outer(t, omega)) @ h.ravel()).real  # <= 2^20 values
-                            for t in np.array_split(times, 1 + (times.size * m.size >> 18))])
-    return PopulationTrace(times=times, p_upper=trace, p_upper_mean=mean)
+    h = y * np.fft.fft(weight[:, None, None] * (np.eye(2) - at_start.conj()), axis=1)[:, fold]
+    omega = (2.0 * fields[:, None, None, None] * m[:, None, None]
+             - (eps[:, None, :, None] - eps[:, None, None, :]))
+    t_total = n_bloch_periods * math.pi / fields
+    half = 0.5 * t_total[:, None, None, None] * omega
+    means = np.sum(h * np.exp(1j * half) * np.sinc(half / math.pi), axis=(1, 2, 3)).real
+    traces = []
+    for t_end, w, c, mean in zip(t_total.tolist(), omega, h, means.tolist()):
+        times = np.linspace(0.0, t_end, n_time_samples)
+        trace = np.concatenate([(np.exp(1j * np.outer(t, w)) @ c.ravel()).real  # <= 2^20 values
+                                for t in np.array_split(times, 1 + (times.size * m.size >> 18))])
+        traces.append(PopulationTrace(times=times, p_upper=trace, p_upper_mean=mean))
+    return traces
 
 
 def mean_upper_populations(params: LatticeParams, fields, n_bloch_periods: float = 20.0,
@@ -382,8 +389,10 @@ def mean_upper_populations(params: LatticeParams, fields, n_bloch_periods: float
     From M_ba(s) = sum_m y_m exp(2i F m s), its trace and window mean are sums
     over w = 2 F m - eps_a + eps_b; exp(i w t) has window mean exp(i h) sin(h) / h
     with h = w t_total / 2.  Every field's modes come from one batch of pieces
-    per piece count (``_floquet_harmonics``), and the packets and their w_k are
-    built once per distinct chain size.
+    per piece count (``_floquet_harmonics``), the packets and their w_k are
+    built once per distinct chain size, and the fields sharing a chain size and
+    a piece count take their populations in one array pass
+    (``_population_traces``), edge-checked once at the group's widest zone.
 
     Error budget: each piece errs by about 1e-14 / 63 (step-doubled to
     1e-14), the modes by n_pieces times that.  The piece count doubles from
@@ -416,20 +425,28 @@ def mean_upper_populations(params: LatticeParams, fields, n_bloch_periods: float
     # near band touching (xi above about 4000) before a chain of 24 xi sites is
     # built: a field's packets are looked up only once its modes are resolved
     kappas = -np.pi / 2 + np.pi * (np.arange(kappa_grid) + 0.5) / kappa_grid
-    packets = {}  # chain size -> (packets, ring weights w_k)
-    traces = [None] * fields.size
-    for i, eps, y, m in _floquet_harmonics(params, fields):
-        lattice = lattices[i]
+    groups = {}  # (chain size, piece count) -> the fields' (i, eps, y, m)
+    for mode in _floquet_harmonics(params, fields):
+        lattice = lattices[mode[0]]
         size = n_sites if n_sites is not None else _chain_size_for_population(lattice,
                                                                             sigma_cells)
+        groups.setdefault((size, mode[3].size), []).append(mode)
+    packets = {}  # chain size -> (packets, ring weights w_k)
+    traces = [None] * fields.size
+    for (size, _), group in groups.items():
+        index, eps, y, m = zip(*group)
+        index = list(index)
         if size not in packets:
-            psi0 = lower_band_states(lattice, size, kappas, sigma_cells)
+            psi0 = lower_band_states(lattices[index[0]], size, kappas, sigma_cells)
             _, tilde = _reduced_zone(psi0)
             packets[size] = psi0, np.sum(np.abs(tilde) ** 2, axis=(1, 2)) / kappa_grid
         psi0, weight = packets[size]
-        _check_edges(psi0, 0.0, _EDGE_ZONE + math.ceil(_excursion_sites(lattice)))
-        traces[i] = _population_trace(lattice, eps, y, m, weight, n_bloch_periods,
-                                      n_time_samples)
+        excursion = max(_excursion_sites(lattices[i]) for i in index)
+        _check_edges(psi0, 0.0, _EDGE_ZONE + math.ceil(excursion))
+        for i, trace in zip(index, _population_traces(fields[index], np.array(eps), np.array(y),
+                                                      m[0], weight, n_bloch_periods,
+                                                      n_time_samples)):
+            traces[i] = trace
     return traces
 
 

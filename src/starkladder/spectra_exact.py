@@ -4,21 +4,23 @@ Route one truncates the tilted chain and keeps the eigenvalues of the real
 symmetric tridiagonal matrix inside an energy window (all eigenvalues from one
 LAPACK call via scipy).  Route two integrates the 2x2 generating-function ODE
 over one period with a sixth-order Magnus scheme (exact SU(2) steps, pairwise
-product, fields as a batch axis) and quantizes the eigenphase of the unitary
-monodromy, read by one formula that stays accurate where the crossing gaps
-close.  Both give the same ladders; the truncated route carries per-level
-convergence flags and labels its branches from its own levels; the monodromy
-route is free of truncation error and is the workhorse for field sweeps and
-avoided-crossing searches, which locate the splitting's minima on one
-Chebyshev series of the period propagator's entries over the whole 1/F
-interval.  Every time evolution runs on one integrator of the ring's
-acceleration-gauge equation (``_ring_propagators``): ``dynamics.propagate``
-directly, and the lab-frame pieces of a Bloch period (``_period_propagators``;
-one piece: the period propagator, which ``monodromy`` alone maps to the
-generating ODE's frame) at kappa = 0, where the ring's equation at constant
-field is time-reversal symmetric about the middle of each Bloch period, so
-they integrate only its first half.  A field sweep and the gaps at a search's
-minima each take one batched integration, every field to its own step count.
+product, fields as a batch axis; the step exponent is a polynomial in the step
+length, built once per coupling sequence, which the fields of a sweep share)
+and quantizes the eigenphase of the unitary monodromy, read by one formula
+that stays accurate where the crossing gaps close.  Both give the same
+ladders; the truncated route carries per-level convergence flags and labels
+its branches from its own levels; the monodromy route is free of truncation
+error and is the workhorse for field sweeps and avoided-crossing searches,
+which locate the splitting's minima on one Chebyshev series of the period
+propagator's entries over the whole 1/F interval.  Every time evolution runs
+on one integrator of the ring's acceleration-gauge equation
+(``_ring_propagators``): ``dynamics.propagate`` directly, and the lab-frame
+pieces of a Bloch period (``_period_propagators``; one piece: the period
+propagator, which ``monodromy`` alone maps to the generating ODE's frame) at
+kappa = 0, where the ring's equation at constant field is time-reversal
+symmetric about the middle of each Bloch period, so they integrate only its
+first half.  A field sweep and the gaps at a search's minima each take one
+batched integration, every field to its own step count.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ _BLOCK_MATRICES = 8192
 _START_STEPS = 64  # first step count per Bloch period of every doubling sequence
 _ASYMPTOTIC = 1e-3  # changes below this must fall 4x per doubling
 _GAUSS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+# a2 and a3 of a step are these multiples of g3 - g1 and g1 - 2 g2 + g3
+_C2, _C3 = math.sqrt(15.0) / 3.0, 10.0 / 3.0
 
 
 def _su2_mul(a1, b1, a2, b2):
@@ -100,62 +104,135 @@ def _su2_mul(a1, b1, a2, b2):
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
-def _cross(x, y):
-    """x cross y for Pauli vectors stored as (x, y, z) component tuples."""
-    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+def _step_exponents(g, diagonal, h, index):
+    """Exponents of the Magnus steps of ``_magnus_product``: an array of shape
+    (3, steps, batch) holding the components of each step's v.
+
+    ``g`` holds the coupling at the three Gauss nodes of every step of every
+    distinct coupling sequence, shape (3, steps, sequences), and is
+    overwritten.  Batch element j steps by ``h[j]`` through sequence
+    ``index[j]``; ``index`` is slice(None) if there is one sequence, or one
+    per element in order.
+
+    Vectors are held turned by pi about x, (x, y, z) -> (x, -y, -z): the
+    Hamiltonian [[d, g], [g*, -d]] is then (Re g, Im g, -d), and cross
+    products keep their form.  With the field-free a1 (at the middle node),
+    a2 = _C2 (g3 - g1) and a3 = _C3 (g1 - 2 g2 + g3), alpha_i = h a_i and the
+    Blanes formula of ``_magnus_product`` is v = h V1 + h^2 V2 + ... + h^5 V5:
+    with c1 = 2 a1 x a2, and a1 . c1 = 0 reducing each double cross product,
+    V1 = a1 + a3 / 12,  V2 = (a2 x a3 - 10 c1) / 120,
+    V3 = (k1 a1 - k3 a3 + 2 (a1 . a2) a2) / 120,
+    V4 = -(lam c1 + (a3 . c1 / 30) a1) / 120,  V5 = -|c1|^2 a1 / 3600,
+    k1 = 4 a1 . a3 / 3 + |a3|^2 / 15 - 2 |a2|^2, k3 = 4 |a1|^2 / 3 + a1 . a3 / 15,
+    lam = 2 |a1|^2 / 3 + a1 . a3 / 30.  a2 and a3 lie in the xy plane and the
+    z of a1 is a constant.  Each V_k is built once per sequence and taken into a
+    Horner evaluation in each element's own h, from V5 down.
+    """
+    pick = (lambda x: x) if isinstance(index, slice) else (lambda x: np.take(x, index, -1))
+    e = -diagonal
+    g[2] -= g[0]  # g3 - g1, in place: a fresh array costs more than the arithmetic
+    g[0] += g[0]
+    g[0] += g[2]
+    g[0] -= g[1]
+    g[0] -= g[1]  # g1 - 2 g2 + g3
+    # a1 = (x1, y1, e), a2 = _C2 (x2, y2, 0), a3 = _C3 (x3, y3, 0)
+    x1, y1, x2, y2, x3, y3 = g[1].real, g[1].imag, g[2].real, g[2].imag, g[0].real, g[0].imag
+    a1a1 = x1 * x1 + y1 * y1 + e * e
+    a2a2 = _C2 * _C2 * (x2 * x2 + y2 * y2)
+    a12 = _C2 * _C2 / 60.0 * (x1 * x2 + y1 * y2)  # 2 (a1 . a2) _C2 / 120
+    a13 = _C3 * (x1 * x3 + y1 * y3)
+    c1z = 2.0 * _C2 * (x1 * y2 - y1 * x2)  # c1 = (-2 e _C2 y2, 2 e _C2 x2, c1z)
+    a23 = _C2 * _C3 * (x2 * y3 - y2 * x3)  # (a2 x a3)_z; a3 . c1 = 2 e a23
+    coef = np.empty((3, *x1.shape))
+    cx, cy, cz = coef
+
+    # V5 = m a1, m = -|c1|^2 / 3600
+    m = (-e * e / 900.0) * a2a2 - c1z * c1z / 3600.0
+    np.multiply(m, x1, out=cx)
+    np.multiply(m, y1, out=cy)
+    np.multiply(m, e, out=cz)
+    v = pick(coef) * h
+    # V4 = -lam c1 / 120 - q a1, q = a3 . c1 / 3600
+    lam = (2.0 / 3.0) * a1a1 + a13 / 30.0
+    q = (e / 1800.0) * a23
+    np.subtract(lam * c1z / -120.0, q * e, out=cz)
+    lam *= e * _C2 / 60.0
+    np.subtract(lam * y2, q * x1, out=cx)
+    np.add(lam * x2, q * y1, out=cy)
+    np.negative(cy, out=cy)
+    v += pick(coef)
+    v *= h
+    # V3 = (k1 a1 - k3 a3 + 2 (a1 . a2) a2) / 120
+    k1 = (_C3 * _C3 / 1800.0 * (x3 * x3 + y3 * y3) + a13 / 90.0 - a2a2 / 60.0)
+    k3 = _C3 / 90.0 * a1a1 + _C3 / 1800.0 * a13
+    np.add(k1 * x1 - k3 * x3, a12 * x2, out=cx)
+    np.add(k1 * y1 - k3 * y3, a12 * y2, out=cy)
+    np.multiply(k1, e, out=cz)
+    v += pick(coef)
+    v *= h
+    # V2 = (a2 x a3 - 10 c1) / 120
+    np.multiply(y2, e * _C2 / 6.0, out=cx)
+    np.multiply(x2, -e * _C2 / 6.0, out=cy)
+    np.subtract(a23 / 120.0, c1z / 12.0, out=cz)
+    v += pick(coef)
+    v *= h
+    # V1 = a1 + a3 / 12
+    np.add(x1, _C3 / 12.0 * x3, out=cx)
+    np.add(y1, _C3 / 12.0 * y3, out=cy)
+    cz.fill(e)
+    v += pick(coef)
+    v *= h
+    return v
 
 
 def _magnus_product(coupling, diagonal, h, n_steps: int, batch: int):
     """Sixth-order Magnus propagators of a batch of traceless 2x2 equations.
 
-    Integrates i dU/dt = [[d, g(t)], [g*, -d]] U over ``n_steps`` steps
-    of length ``h`` from U = 1, with a constant diagonal d = ``diagonal``;
-    ``coupling(s)`` gives g at t = h s for an array s of step coordinates
-    (steps x 3 Gauss nodes), broadcastable to (batch, steps, 3).  Writing the
-    Hamiltonian as a . sigma, dU/dt = A U with A = -i a . sigma, and a
-    commutator [-i x . sigma, -i y . sigma] is -i (2 x cross y) . sigma.
-    With A1, A2, A3 at the Gauss points 1/2 -+ sqrt(15)/10 and 1/2 of a step,
-    the step exponent is
+    Integrates i dU/dt = [[d, g(t)], [g*, -d]] U over ``n_steps`` steps of
+    length ``h[j]`` for batch element j from U = 1, with a constant diagonal
+    d = ``diagonal``.  ``coupling(s)`` gives (g, index) for an array s of step
+    coordinates (3 Gauss nodes x steps x 1): g at t = h s for each distinct
+    coupling sequence, shape (3, steps, sequences), and the sequence of each
+    element as in ``_step_exponents``.  Writing the Hamiltonian as
+    a . sigma, dU/dt = A U with A = -i a . sigma, and a commutator
+    [-i x . sigma, -i y . sigma] is -i (2 x cross y) . sigma.  With A1, A2,
+    A3 at the Gauss points 1/2 -+ sqrt(15)/10 and 1/2 of a step, the step
+    exponent is
     Omega = alpha1 + alpha3/12 + (1/240)[-20 alpha1 - alpha3 + C1, alpha2 + C2]
     with alpha1 = h A2, alpha2 = (sqrt(15) h/3)(A3 - A1),
     alpha3 = (10h/3)(A3 - 2A2 + A1), C1 = [alpha1, alpha2] and
     C2 = -(1/60)[alpha1, 2 alpha3 + C1] (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470, 151 (2009)).  For Omega = -i v . sigma the step matrix
+    470, 151 (2009)).  Every alpha is h times a field-free vector, so
+    ``_step_exponents`` expands Omega in powers of h once per sequence and
+    evaluates it in each element's h: the fields of a sweep share one
+    sequence.  For Omega = -i v . sigma the step matrix
     cos|v| - i sin|v| v^ . sigma is unitary by construction.  Step matrices
     are multiplied pairwise (later steps on the left) in blocks of about
     ``_BLOCK_MATRICES``; ``n_steps`` is a power of two, so every block is.
     The block's step count, and with it the order of the products, is taken
     from ``batch``: the same equation rounds differently in batches of
-    different sizes.
+    different sizes.  The exponents do not depend on the batch.
     Returns (a, b) arrays with U = [[a, b], [-b*, a*]].
     """
-    z = h * diagonal
     a_tot = np.ones(batch, dtype=complex)
     b_tot = np.zeros(batch, dtype=complex)
     per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // max(batch, 1)).bit_length() - 1))
     for start in range(0, n_steps, per_block):
-        g1, g2, g3 = np.moveaxis(
-            coupling(np.arange(start, start + per_block)[:, None] + _GAUSS_NODES), -1, 0)
-        u1 = h * g2
-        u2 = (math.sqrt(15.0) * h / 3.0) * (g3 - g1)
-        u3 = (10.0 * h / 3.0) * (g3 - 2.0 * g2 + g1)
-        # the sigma_z part of a is constant: alpha2 and alpha3 lie in the xy plane
-        alpha1 = (u1.real, -u1.imag, z)
-        alpha2 = (u2.real, -u2.imag, 0.0)
-        alpha3 = (u3.real, -u3.imag, 0.0)
-        c1 = [2.0 * c for c in _cross(alpha1, alpha2)]
-        c2 = [-c / 30.0 for c in _cross(alpha1, [2.0 * p + q for p, q in zip(alpha3, c1)])]
-        left = [-20.0 * p - q + r for p, q, r in zip(alpha1, alpha3, c1)]
-        right = [p + q for p, q in zip(alpha2, c2)]
-        vx, vy, vz = (p + q / 12.0 + r / 120.0
-                      for p, q, r in zip(alpha1, alpha3, _cross(left, right)))
-        norm = np.sqrt(vx * vx + vy * vy + vz * vz)
-        sinc = np.sinc(norm / math.pi)
-        a = np.cos(norm) - 1j * sinc * vz
-        b = -sinc * (vy + 1j * vx)
-        while a.shape[1] > 1:
-            a, b = _su2_mul(a[:, 1::2], b[:, 1::2], a[:, ::2], b[:, ::2])
-        a_tot, b_tot = _su2_mul(a[:, 0], b[:, 0], a_tot, b_tot)
+        g, index = coupling(_GAUSS_NODES[:, None, None]
+                            + np.arange(start, start + per_block)[:, None])
+        x, y, z = _step_exponents(g, diagonal, h, index)  # v turned by pi about x
+        norm = np.sqrt(x * x + y * y + z * z)
+        sinc = np.divide(np.sin(norm), norm, out=np.ones_like(norm), where=norm > 0.0)
+        a = np.empty(norm.shape, dtype=complex)
+        b = np.empty(norm.shape, dtype=complex)
+        np.cos(norm, out=a.real)
+        np.multiply(sinc, z, out=a.imag)
+        np.multiply(sinc, y, out=b.real)
+        np.multiply(sinc, x, out=b.imag)
+        np.negative(b.imag, out=b.imag)
+        while a.shape[0] > 1:
+            a, b = _su2_mul(a[1::2], b[1::2], a[::2], b[::2])
+        a_tot, b_tot = _su2_mul(a[0], b[0], a_tot, b_tot)
     return a_tot, b_tot
 
 
@@ -213,20 +290,33 @@ def _advance(span, curve, sigma):
 
 def _ring_kernel(params: LatticeParams, phases, key, duration, hops):
     """The kernel callback ``propagators(index, n_steps)`` that ``_ring_propagators``
-    step-doubles with the same arguments: the (piece, hop) pairs ``index``."""
-    start, span, curve = np.asarray(phases, dtype=float)[:, :, None, None]
+    step-doubles with the same arguments: the (piece, hop) pairs ``index``.
+
+    Its coupling callback takes exp(i Phi) once per phase sequence and returns g
+    once per distinct (sequence, hop) pair with each element's pair as an
+    index, slice(None) where one pair serves all or each element has its own
+    in order; ``_magnus_product`` builds a step exponent once per pair."""
+    start, span, curve = np.asarray(phases, dtype=float)
 
     def propagators(index, n_steps):
         piece, hop = np.divmod(index, hops.size)
-        pairs, inverse = ((np.zeros(1, int), slice(None)) if start.shape[0] * hops.size == 1
-                          else np.unique(key[piece] * hops.size + hop, return_inverse=True))
+        if start.size * hops.size == 1:
+            pairs, inverse = np.zeros(1, int), slice(None)
+        else:
+            keys = key[piece] * hops.size + hop
+            pairs, inverse = np.unique(keys, return_inverse=True)
+            if pairs.size == 1 or np.array_equal(pairs, keys):
+                inverse = slice(None)
         seqs, at = np.unique(pairs // hops.size, return_inverse=True)
 
         def coupling(s):  # s counts steps from the start of each piece
-            e = np.exp(1j * (start[seqs] + _advance(span[seqs], curve[seqs], s / n_steps)))[at]
-            return (params.j1 * e.conj() + hops[pairs % hops.size, None, None] * e)[inverse]
+            e = np.exp(1j * (start[seqs] + _advance(span[seqs], curve[seqs], s / n_steps)))
+            g = np.take(e, at, axis=-1)
+            g *= hops[pairs % hops.size]
+            g += np.take(np.conj(e, out=e), at, axis=-1) * params.j1
+            return g, inverse
 
-        return _magnus_product(coupling, -params.delta, duration[piece, None] / n_steps,
+        return _magnus_product(coupling, -params.delta, duration[piece] / n_steps,
                                n_steps, index.size)
 
     return propagators
@@ -240,8 +330,9 @@ def _ring_propagators(params: LatticeParams, phases, key, duration, hops, tol: f
     Phi the time integral of F, from c = 1 over ``duration[p]``; at its fraction
     sigma Phi = start + ``_advance(span, curve, sigma)``, the phase sequence
     (start, span, curve) being ``phases[:, key[p]]``.  A kernel call takes
-    exp(i Phi) once per sequence and g once per (sequence, hop), broadcast if
-    one of each; all pairs are one ``_converged`` batch from the longest Phi / pi.
+    exp(i Phi) once per sequence and g and its step exponents once per
+    (sequence, hop) (``_ring_kernel``); all pairs are one ``_converged`` batch
+    from the longest Phi / pi.
     """
     periods = float(np.max(_advance(*np.asarray(phases, dtype=float)[1:], 1.0))) / math.pi
     return _converged(_ring_kernel(params, phases, key, duration, hops),
@@ -373,9 +464,10 @@ def floquet_ladders(params: LatticeParams, fields, n_range=range(-8, 9),
     All fields are step-doubled to ``tol`` in one batch of
     ``_period_propagators`` at one piece per period; each leaves the batch at
     the step count it takes when integrated alone, except where an entry's
-    change at a doubling lies within roundoff of ``tol``: ``_magnus_product``
-    orders its products by the batch size, so there the step count depends on
-    which fields share the batch.
+    change at a doubling lies within roundoff of ``tol``: the step exponents
+    do not depend on the batch, but ``_magnus_product`` orders its products by
+    the batch size, so there the step count depends on which fields share the
+    batch.
     ``floquet_branch_offsets`` labels each field's pair.  Exact degeneracies of
     the eigenphase pair produce coincident levels of the two branches rather
     than an error.

@@ -538,6 +538,8 @@ class TestMeanUpperPopulation:
         (LatticeParams(1.0, 0.97, 0.0), np.linspace(5.0, 5.1, 3)),
         # resolved at 256 and 512 pieces (the next test)
         (LatticeParams(1.0, 0.79, 0.0), np.array([0.5, 0.7077, 2.0, 3.0])),
+        # one array pass per chain size: 40 fields on the 428- and 432-site chains
+        (LatticeParams(0.76, 0.76, 0.4), np.linspace(3.0, 3.3, 40)),
     ])
     def test_sweep_matches_each_field_alone(self, params, inv_f):
         traces = dyn.mean_upper_populations(params, 1.0 / inv_f, n_time_samples=16)

@@ -5,10 +5,13 @@ cells on kappa_k = pi k / L, self-conjugate at kappa = 0 and (L even) pi / 2;
 band projectors hold the Bloch eigenvectors there and apply in O(N log N).
 Every time evolution works on that ring in the acceleration gauge: each
 kappa_k keeps its weight and follows a driven two-level equation, integrated by
-the one ring-frame integrator of ``spectra_exact`` (``_ring_propagators``).
-``propagate`` integrates the occupied kappa_k under a (possibly ramped) field;
-at constant field all kappa_k share one set of Floquet modes, which give the
-population statistics in closed form.  Their equation is the ring's at
+the one ring-frame integrator of ``spectra_exact`` (``_ring_propagators``),
+whose pieces reach each sample time through one prefix-product kernel
+(``spectra_exact._prefix_products``).  ``propagate`` integrates the occupied
+kappa_k under a (possibly ramped) field and takes its samples from the prefix
+products of the pieces; at constant field all kappa_k share one set of Floquet
+modes, built from the same prefix products, which give the population
+statistics in closed form.  Their equation is the ring's at
 kappa = 0 in the lab frame, the frame ``spectra_exact._period_propagators``
 returns its pieces in: a resonance scan (``mean_upper_populations``) takes
 every field's modes from one batch of those pieces, builds its packets once
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import EdgeContaminationError, NonConvergedError
 from .model import (LatticeParams, _check_gap, _excursion_sites, _two_level_eigen,
                     site_positions)
-from .spectra_exact import _advance, _period_propagators, _ring_propagators, _su2_mul
+from .spectra_exact import _advance, _period_propagators, _prefix_products, _ring_propagators
 
 _EDGE_ZONE = 10
 _EDGE_WEIGHT = 1e-8
@@ -200,7 +203,10 @@ def propagate(state: ChainState, params: LatticeParams,
     are one batch of ``spectra_exact._ring_propagators``: Magnus steps from 64
     per Bloch period (Phi advancing by pi) of the longest piece, doubled until
     every entry changes by less than ``tol``, so a piece errs by about tol / 63.
-    A sample thus errs in the 2-norm by at most tol / 64 from the cut plus about
+    Each sample takes the prefix product of the pieces before it
+    (``spectra_exact._prefix_products``), applied to every kept k at once, and
+    all samples return to the sites in one inverse cell transform.  A sample
+    thus errs in the 2-norm by at most tol / 64 from the cut plus about
     tol / 63 per piece before it; the norm loses the dropped weight and is
     otherwise kept to roundoff.
     ``tol`` bounds only these two errors.  Truncation of the chain is checked
@@ -239,22 +245,20 @@ def propagate(state: ChainState, params: LatticeParams,
     order = np.argsort(weight)
     cut = np.searchsorted(np.cumsum(weight[order]), (tol / 64.0) ** 2, side="right")
     kept = np.sort(order[min(cut, kappa.size - 1):])
-    a, b, _ = (x.reshape(dt.size, kept.size) for x in _ring_propagators(
+    a, b, _ = (x.reshape(dt.size, kept.size).T for x in _ring_propagators(
         params, (phi_edges[:-1], span, curve), np.arange(dt.size), dt,
         params.j2 * np.exp(-2j * kappa[kept]), tol))
 
-    c_a, c_b = c_0[kept].T
-    c_t = np.zeros_like(c_0)  # the dropped k stay zero
-    states, edge = [], 0
-    for t, stop in zip(t_grid, np.searchsorted(edges, samples)):
-        for p in range(edge, stop):
-            c_a, c_b = a[p] * c_a + b[p] * c_b, np.conj(a[p]) * c_b - np.conj(b[p]) * c_a
-        edge = stop
-        c_t[kept, 0], c_t[kept, 1] = c_a, c_b
-        psi = np.exp(-1j * phi_edges[stop] * positions) * _from_reduced_zone(c_t)
-        states.append(ChainState(psi, float(t)))
-        _check_edges(psi, float(t))
-    return states
+    # U(t, t0) of each sample at each kept k, applied to its c(t0)
+    stops = np.searchsorted(edges, samples)
+    a, b = (x[:, stops] for x in _prefix_products(a, b))
+    c_a, c_b = c_0[kept, 0, None], c_0[kept, 1, None]
+    c_t = np.zeros((kappa.size, 2, stops.size), dtype=complex)  # the dropped k stay zero
+    c_t[kept, 0], c_t[kept, 1] = a * c_a + b * c_b, np.conj(a) * c_b - np.conj(b) * c_a
+    psi = np.exp(-1j * np.outer(phi_edges[stops], positions)) * _from_reduced_zone(c_t).T
+    for t, amplitudes in zip(t_grid.tolist(), psi):  # the first bad sample raises
+        _check_edges(amplitudes, t)
+    return [ChainState(amplitudes, t) for t, amplitudes in zip(t_grid.tolist(), psi)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +299,19 @@ def _floquet_overlaps(params: LatticeParams, fields: np.ndarray, n_pieces: int):
     at s = t - kappa_k / F for every k.  ``_period_propagators`` returns the
     pieces of V (mapped from the ring's at kappa = 0, to 1e-14; the second half
     of the period is the first half's time-reversed mirror), and their prefix
-    products give U(s_j, 0); the eigenvectors of W = U(T_B, 0),
-    W v = exp(-i eps T_B) v, give Phi = U v exp(i eps s).
+    products (``spectra_exact._prefix_products``) give U(s_j, 0); the
+    eigenvectors of W = U(T_B, 0), W v = exp(-i eps T_B) v, give
+    Phi = U v exp(i eps s).
     """
     t_b = math.pi / fields
     a, b, _ = _period_propagators(params, fields, n_pieces, _PIECE_TOL)
-    shift = 1  # element j becomes U(s_j+1, 0) in log2(n_pieces) passes
-    while shift < n_pieces:
-        a[:, shift:], b[:, shift:] = _su2_mul(a[:, shift:], b[:, shift:],
-                                              a[:, :-shift], b[:, :-shift])
-        shift *= 2
+    a, b = _prefix_products(a, b)  # U(s_j, 0), j = 0, ..., n_pieces
     # W = Re a - i K, K Hermitian: eigh keeps the modes orthonormal at degeneracy too
     w_a, w_b = a[:, -1], b[:, -1]
     mu, v = np.linalg.eigh(np.moveaxis(np.array([[-w_a.imag, 1j * w_b],
                                                  [-1j * np.conj(w_b), w_a.imag]]), -1, 0))
     eps = np.arctan2(mu, w_a.real[:, None]) / t_b[:, None]
-    a = np.concatenate([np.ones((fields.size, 1)), a[:, :-1]], axis=1)
-    b = np.concatenate([np.zeros((fields.size, 1)), b[:, :-1]], axis=1)
+    a, b = a[:, :-1], b[:, :-1]
     s = t_b[:, None] * np.arange(n_pieces) / n_pieces
     u_a, u_b = _bloch_eigenvectors(params, -fields[:, None] * s)[1].conj()  # <u_up| U(s, 0)
     q = (np.stack([u_a * a - u_b * np.conj(b), u_a * b + u_b * np.conj(a)], axis=-1) @ v
@@ -365,9 +365,11 @@ def _population_traces(fields: np.ndarray, eps, y, m, weight, n_bloch_periods: f
     t_total = n_bloch_periods * math.pi / fields
     half = 0.5 * t_total[:, None, None, None] * omega
     means = np.sum(h * np.exp(1j * half) * np.sinc(half / math.pi), axis=(1, 2, 3)).real
+    if n_time_samples == 0:  # the means alone, as a resonance scan asks
+        return [PopulationTrace(np.zeros(0), np.zeros(0), mean) for mean in means.tolist()]
     traces = []
     for t_end, w, c, mean in zip(t_total.tolist(), omega, h, means.tolist()):
-        times = np.linspace(0.0, t_end, n_time_samples)
+        times = np.linspace(0.0, t_end, int(n_time_samples))
         trace = np.concatenate([(np.exp(1j * np.outer(t, w)) @ c.ravel()).real  # <= 2^20 values
                                 for t in np.array_split(times, 1 + (times.size * m.size >> 18))])
         traces.append(PopulationTrace(times=times, p_upper=trace, p_upper_mean=mean))
@@ -413,8 +415,11 @@ def mean_upper_populations(params: LatticeParams, fields, n_bloch_periods: float
     lattices = [params.with_field(f) for f in fields.tolist()]
     for lattice in lattices:
         lattice.require_field()
-    if kappa_grid < 1:
-        raise ValueError("kappa_grid must be at least 1")
+    if not (kappa_grid >= 1 and kappa_grid % 1 == 0):
+        raise ValueError(f"kappa_grid must be a whole number of at least 1, got {kappa_grid}")
+    if not (n_time_samples >= 0 and n_time_samples % 1 == 0):
+        raise ValueError(f"n_time_samples must be a whole number of at least 0, "
+                         f"got {n_time_samples}")
     if not all(math.isfinite(v) and v > 0 for v in (n_bloch_periods, sigma_cells)):
         raise ValueError("n_bloch_periods and sigma_cells must be positive and finite")
     _check_gap(params)

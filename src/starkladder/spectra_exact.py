@@ -104,6 +104,20 @@ def _su2_mul(a1, b1, a2, b2):
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
+def _prefix_products(a, b):
+    """U_0 = 1, U_1, ..., U_P along the last axis, U_j = u_j ... u_1 the product
+    of the first j pieces u of (a, b), shape (..., P); leading axes are batch
+    axes.  A scan of ceil(log2(P + 1)) passes (Hillis & Steele, CACM 29, 1170 (1986))."""
+    start = np.ones(a.shape[:-1] + (1,))
+    a, b = np.concatenate([start, a], axis=-1), np.concatenate([0 * start, b], axis=-1)
+    shift = 1  # element j becomes U_j
+    while shift < a.shape[-1]:
+        a[..., shift:], b[..., shift:] = _su2_mul(a[..., shift:], b[..., shift:],
+                                                  a[..., :-shift], b[..., :-shift])
+        shift *= 2
+    return a, b
+
+
 def _step_exponents(g, diagonal, h, index):
     """Exponents of the Magnus steps of ``_magnus_product``: an array of shape
     (3, steps, batch) holding the components of each step's v.

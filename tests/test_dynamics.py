@@ -319,6 +319,18 @@ class TestPropagate:
             state = dyn.lower_band_state(params, 64, 0.0, 12.0)
             dyn.propagate(state, params, None, np.array([1.0]))
 
+    def test_edge_guard_names_the_first_bad_sample(self):
+        # the 192-site packet at F = 0.05 spreads toward the ends: its edge
+        # weight is 1.3e-9 at 4/8 of the Bloch period, then 4.4e-8, 1.3e-6,
+        # 9.4e-6 and 1.7e-5 at 5/8 to 8/8; the guard stops at 5/8, not at the worst
+        params = LatticeParams(1.0, 0.6, 0.0, 0.05)
+        state = dyn.lower_band_state(params, 192, 0.0, 5.0)
+        t_b = math.pi / params.f
+        dyn.propagate(state, params, None, np.linspace(0.0, 0.5 * t_b, 5))
+        with pytest.raises(EdgeContaminationError, match=f"^edge occupation 4.38e-08 at "
+                                                         f"t = {0.625 * t_b:.3f};"):
+            dyn.propagate(state, params, None, np.linspace(0.0, t_b, 9))
+
     @pytest.mark.parametrize("periods,samples,pieces", [(120.0, 161, 160), (1.0, 33, 32)])
     def test_linear_inv_f_ramp_cuts_only_at_the_samples(self, monkeypatch, periods,
                                                         samples, pieces):
@@ -608,7 +620,43 @@ class TestMeanUpperPopulation:
             dyn.mean_upper_populations(params, [0.3, 0.0, 0.2])
         with pytest.raises(ValueError, match="^n_sites must be even"):
             dyn.mean_upper_populations(params, [0.3, 0.2], n_sites=255)
+        for n_time_samples in (-1, 2.5):
+            with pytest.raises(ValueError, match="^n_time_samples must be a whole number"):
+                dyn.mean_upper_populations(params, [0.3, 0.2], n_time_samples=n_time_samples)
         assert dyn.mean_upper_populations(params, []) == []
+
+    def test_means_alone_match_the_traced_run(self):
+        # without samples the traces are empty and the means are the same bits
+        params = LatticeParams(0.76, 0.76, 0.4)
+        fields = 1.0 / np.linspace(3.0, 3.3, 6)
+        bare = dyn.mean_upper_populations(params, fields, kappa_grid=2, n_time_samples=0)
+        traced = dyn.mean_upper_populations(params, fields, kappa_grid=2, n_time_samples=5)
+        for trace, full in zip(bare, traced):
+            assert trace.times.shape == trace.p_upper.shape == (0,)
+            assert trace.times.dtype == trace.p_upper.dtype == np.float64
+            assert trace.p_upper_mean == full.p_upper_mean
+            assert full.p_upper.shape == (5,)
+
+    def test_modes_are_the_same_bits_as_a_scan_over_the_pieces_alone(self, monkeypatch):
+        # the benchmark scan at 256 pieces: prefix products that start from the
+        # identity multiply the same blocks as a scan over the pieces alone
+        params = LatticeParams(0.76, 0.76, 0.4)
+        fields = 1.0 / np.linspace(3.0, 3.3, 48)
+        eps, overlaps = dyn._floquet_overlaps(params, fields, 256)
+
+        def pieces_alone(a, b):
+            a, b, shift = a.copy(), b.copy(), 1
+            while shift < a.shape[-1]:
+                a[:, shift:], b[:, shift:] = se._su2_mul(a[:, shift:], b[:, shift:],
+                                                         a[:, :-shift], b[:, :-shift])
+                shift *= 2
+            one = np.ones((a.shape[0], 1))
+            return np.concatenate([one, a], axis=1), np.concatenate([0 * one, b], axis=1)
+
+        monkeypatch.setattr(dyn, "_prefix_products", pieces_alone)
+        scan_eps, scan_overlaps = dyn._floquet_overlaps(params, fields, 256)
+        assert np.array_equal(eps, scan_eps)
+        assert np.array_equal(overlaps, scan_overlaps)
 
     def test_near_band_touching_the_default_chain_does_not_set_the_answer(self,
                                                                            monkeypatch):
@@ -686,6 +734,15 @@ class TestMeanUpperPopulation:
     def test_empty_kappa_grid_rejected(self):
         with pytest.raises(ValueError, match="kappa_grid"):
             dyn.mean_upper_population(LatticeParams(0.76, 0.76, 0.4), 0.25, kappa_grid=0)
+
+    @pytest.mark.parametrize("kappa_grid", [1.5, math.nan, math.inf])
+    def test_non_integral_kappa_grid_rejected(self, monkeypatch, kappa_grid):
+        # 1.5 would build two packets and divide their weights by 1.5: 0.6515 at
+        # 1/F = 3.15, against 0.4928 for one packet and 0.4933 for two
+        monkeypatch.setattr(dyn, "_period_propagators", None)
+        with pytest.raises(ValueError, match="^kappa_grid must be a whole number"):
+            dyn.mean_upper_population(LatticeParams(0.76, 0.76, 0.4), 1.0 / 3.15,
+                                      kappa_grid=kappa_grid)
 
     @pytest.mark.parametrize("option", [
         {"n_bloch_periods": 0.0}, {"n_bloch_periods": -2.0},

@@ -199,7 +199,7 @@ def _step_exponents(g, diagonal, h, index):
     return v
 
 
-def _magnus_product(coupling, diagonal, h, n_steps: int, batch: int):
+def _magnus_product(coupling, diagonal, h, n_steps: int):
     """Sixth-order Magnus propagators of a batch of traceless 2x2 equations.
 
     Integrates i dU/dt = [[d, g(t)], [g*, -d]] U over ``n_steps`` steps of
@@ -222,16 +222,14 @@ def _magnus_product(coupling, diagonal, h, n_steps: int, batch: int):
     sequence.  For Omega = -i v . sigma the step matrix
     cos|v| - i sin|v| v^ . sigma is unitary by construction.  Step matrices
     are multiplied pairwise (later steps on the left) in blocks of about
-    ``_BLOCK_MATRICES``; ``n_steps`` is a power of two, so every block is.
-    The block's step count, and with it the order of the products, is taken
-    from ``batch``: the same equation rounds differently in batches of
-    different sizes.  The exponents do not depend on the batch.
+    ``_BLOCK_MATRICES``, and the blocks likewise by a binary counter; as
+    ``n_steps`` and the blocks are powers of two, that is one binary tree
+    whatever the block size, so no batch changes an element's bits.
     Returns (a, b) arrays with U = [[a, b], [-b*, a*]].
     """
-    a_tot = np.ones(batch, dtype=complex)
-    b_tot = np.zeros(batch, dtype=complex)
-    per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // max(batch, 1)).bit_length() - 1))
-    for start in range(0, n_steps, per_block):
+    done = []  # products of the earlier whole subtrees, largest first
+    per_block = min(n_steps, 1 << max(0, (_BLOCK_MATRICES // max(h.size, 1)).bit_length() - 1))
+    for block, start in enumerate(range(0, n_steps, per_block), 1):
         g, index = coupling(_GAUSS_NODES[:, None, None]
                             + np.arange(start, start + per_block)[:, None])
         x, y, z = _step_exponents(g, diagonal, h, index)  # v turned by pi about x
@@ -246,8 +244,11 @@ def _magnus_product(coupling, diagonal, h, n_steps: int, batch: int):
         np.negative(b.imag, out=b.imag)
         while a.shape[0] > 1:
             a, b = _su2_mul(a[1::2], b[1::2], a[::2], b[::2])
-        a_tot, b_tot = _su2_mul(a[0], b[0], a_tot, b_tot)
-    return a_tot, b_tot
+        a, b = a[0], b[0]  # 1-D: numpy rounds a (1,) x (1, 1) complex product in another loop
+        for _ in range((block & -block).bit_length() - 1):  # one merge per trailing zero
+            a, b = _su2_mul(a, b, *done.pop())
+        done.append((a, b))
+    return done[0]
 
 
 def _converged(propagators, size: int, tol: float, periods: float):
@@ -267,9 +268,7 @@ def _converged(propagators, size: int, tol: float, periods: float):
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
 
     def integrate(index, n_steps):
-        if index.size <= _BLOCK_MATRICES:
-            return propagators(index, n_steps)
-        parts = np.array_split(index, -(-index.size // _BLOCK_MATRICES))
+        parts = np.array_split(index, max(1, -(-index.size // _BLOCK_MATRICES)))
         return tuple(map(np.concatenate, zip(*(propagators(p, n_steps) for p in parts))))
 
     a_out = np.empty(size, dtype=complex)
@@ -330,8 +329,7 @@ def _ring_kernel(params: LatticeParams, phases, key, duration, hops):
             g += np.take(np.conj(e, out=e), at, axis=-1) * params.j1
             return g, inverse
 
-        return _magnus_product(coupling, -params.delta, duration[piece] / n_steps,
-                               n_steps, index.size)
+        return _magnus_product(coupling, -params.delta, duration[piece] / n_steps, n_steps)
 
     return propagators
 
@@ -476,12 +474,8 @@ def floquet_ladders(params: LatticeParams, fields, n_range=range(-8, 9),
     (``params.f`` is ignored), from the monodromy eigenphases.
 
     All fields are step-doubled to ``tol`` in one batch of
-    ``_period_propagators`` at one piece per period; each leaves the batch at
-    the step count it takes when integrated alone, except where an entry's
-    change at a doubling lies within roundoff of ``tol``: the step exponents
-    do not depend on the batch, but ``_magnus_product`` orders its products by
-    the batch size, so there the step count depends on which fields share the
-    batch.
+    ``_period_propagators`` at one piece per period; each gets the bits and
+    step count it gets when integrated alone.
     ``floquet_branch_offsets`` labels each field's pair.  Exact degeneracies of
     the eigenphase pair produce coincident levels of the two branches rather
     than an error.
@@ -626,8 +620,8 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
     z_lo, z_hi = float(inv_f_interval[0]), float(inv_f_interval[1])
     if not (0.0 < z_lo < z_hi < math.inf):  # NaN fails here too
         raise ValueError("inv_f_interval must satisfy 0 < lo < hi < inf")
-    if resolution < 100:
-        raise ValueError("resolution must be at least 100 samples")
+    if not (resolution >= 100 and float(resolution).is_integer()):  # NaN fails here too
+        raise ValueError(f"resolution must be a whole number of at least 100, got {resolution}")
 
     mid, half = 0.5 * (z_hi + z_lo), 0.5 * (z_hi - z_lo)
 
@@ -641,10 +635,10 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
         re_a, im_a, re_b, im_b = chebval((z - mid) / half, coef)
         return _splitting(z, re_a + 1j * im_a, re_b + 1j * im_b)
 
-    z = np.linspace(z_lo, z_hi, resolution)
+    z = np.linspace(z_lo, z_hi, int(resolution))
     gaps = proxy_gaps(z)
     z_stars = []
-    for i in range(1, resolution - 1):
+    for i in range(1, z.size - 1):
         if not (gaps[i] < gaps[i - 1] and gaps[i] <= gaps[i + 1]):
             continue
         lo, hi = z[i - 1], z[i + 1]

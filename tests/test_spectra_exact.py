@@ -165,10 +165,11 @@ class TestMonodromy:
         assert mono.integration_steps // 2 > se._BLOCK_MATRICES
         u = mono.matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-13
-        # a batch of three fields splits the steps into other blocks
+        # a batch of three fields splits the steps into other blocks, which
+        # multiply as the same binary tree
         fields = np.array([params.f, 1.0 / 299.0, 1.0 / 301.0])
         a, b, _ = se._period_propagators(params, fields, 1, se._PHASE_TOL)
-        assert abs(mono.eigenphase - se._eigenphase(a[0, 0], b[0, 0])) < 1e-14
+        assert mono.eigenphase == se._eigenphase(a[0, 0], b[0, 0])
         # the midpoint reference errs by 1.3e-9 at its default steps here
         assert np.max(np.abs(u - midpoint_monodromy(params, 2 * MIDPOINT_STEPS))) < 1e-9
 
@@ -201,11 +202,11 @@ class TestMonodromy:
         kernel = se._magnus_product
         calls = []
 
-        def counted(coupling, diagonal, h, n_steps, batch):
+        def counted(coupling, diagonal, h, n_steps):
             calls.append(n_steps)
             if len(calls) > 10:
                 pytest.fail(f"step doubling kept going: {calls}")
-            return kernel(coupling, diagonal, h, n_steps, batch)
+            return kernel(coupling, diagonal, h, n_steps)
 
         monkeypatch.setattr(se, "_magnus_product", counted)
         with pytest.raises(NonConvergedError) as info:
@@ -329,9 +330,9 @@ class TestHalfPeriod:
         fields = 1.0 / np.array([1.5, 3.1524, 9.0957])
         matrices, kernel = [], se._magnus_product
 
-        def counted(coupling, diagonal, h, n_steps, batch):
-            matrices.append(n_steps * batch)
-            return kernel(coupling, diagonal, h, n_steps, batch)
+        def counted(coupling, diagonal, h, n_steps):
+            matrices.append(n_steps * h.size)
+            return kernel(coupling, diagonal, h, n_steps)
 
         monkeypatch.setattr(se, "_magnus_product", counted)
         a, b, steps = se._period_propagators(params, fields, n_pieces, 1e-13)
@@ -411,18 +412,36 @@ class TestMagnusKernel:
         x, y, z = se._step_exponents(g[..., index], diagonal, h, slice(None))
         assert np.max(np.abs(np.array([x, -y, -z]) - v)) <= 1e-15
 
+    @pytest.mark.parametrize("lattice, inv_f, n_pieces, tol", [
+        # crossing_a's window, one piece per period
+        ((1.0, 0.6, 0.0), np.linspace(8.9, 9.3, 34), 1, se._PHASE_TOL),
+        # the benchmark's resonance scan
+        ((0.76, 0.76, 0.4), np.linspace(3.0, 3.3, 48), 256, 1e-14),
+    ])
+    def test_the_block_size_changes_no_number(self, monkeypatch, lattice, inv_f, n_pieces, tol):
+        # blocks and batch parts of any power-of-two size multiply as one
+        # binary tree, so every entry and step count keeps its bits
+        params = LatticeParams(*lattice)
+        results = []
+        for bound in (se._BLOCK_MATRICES, 512, 64):
+            monkeypatch.setattr(se, "_BLOCK_MATRICES", bound)
+            results.append(se._period_propagators(params, 1.0 / inv_f, n_pieces, tol))
+        for result in results[1:]:
+            for x, reference in zip(result, results[0]):
+                assert np.array_equal(x, reference)
+
     @staticmethod
     def spy_on_couplings(monkeypatch):
         """(sequences, batch, index) of every coupling call the kernel makes."""
         calls, kernel = [], se._magnus_product
 
-        def spy(coupling, diagonal, h, n_steps, batch):
+        def spy(coupling, diagonal, h, n_steps):
             def spied(s):
                 g, index = coupling(s)
-                calls.append((g.shape[-1], batch, index))
+                calls.append((g.shape[-1], h.size, index))
                 return g, index
 
-            return kernel(spied, diagonal, h, n_steps, batch)
+            return kernel(spied, diagonal, h, n_steps)
 
         monkeypatch.setattr(se, "_magnus_product", spy)
         return calls
@@ -506,8 +525,8 @@ class TestFloquetLadder:
 
 class TestFloquetSweep:
     def test_one_batch_matches_each_field_alone(self, monkeypatch):
-        # 40 fields, 1/F from 0.2 to 40: each keeps the step count, labels and
-        # indices of its own integration; only the kernel's block split differs
+        # 40 fields, 1/F from 0.2 to 40: each keeps the bits and step count of
+        # its own integration; only the kernel's block split differs
         p = LatticeParams(0.76, 0.76, 0.4, 0.0)
         fields = 1.0 / np.linspace(0.2, 40.0, 40)
         batches, kernel = [], se._period_propagators
@@ -526,7 +545,7 @@ class TestFloquetSweep:
             assert spec.field == f
             assert np.array_equal(spec.branches, alone.branches)
             assert np.array_equal(spec.indices, alone.indices)
-            assert np.max(np.abs(spec.energies - alone.energies)) <= 1e-14 * max(1.0, f)
+            assert np.array_equal(spec.energies, alone.energies)
 
     def test_fields_are_checked_before_any_integration(self, monkeypatch):
         monkeypatch.setattr(se, "_period_propagators", None)
@@ -784,10 +803,14 @@ class TestCrossings:
 
     def test_input_validation(self, monkeypatch):
         # checked before any integration; an infinite bound would integrate
-        # NaN fields and end as a roundoff error
+        # NaN fields and end as a roundoff error, and a fractional or NaN
+        # resolution would reach np.linspace only after the proxy
         monkeypatch.setattr(se, "_period_propagators", None)
         p = LatticeParams(1.0, 0.6, 0.0, 0.1)
         for interval, resolution in [((2.0, 1.0), 150), ((1.0, 2.0), 50),
                                      ((1.0, math.inf), 200), ((1.0, math.nan), 200)]:
             with pytest.raises(ValueError):
                 se.find_avoided_crossings(p, interval, resolution=resolution)
+        for resolution in (150.5, math.nan):
+            with pytest.raises(ValueError, match="resolution"):
+                se.find_avoided_crossings(p, (1.0, 2.0), resolution=resolution)

@@ -152,11 +152,14 @@ def band_projectors(params: LatticeParams, n_sites: int):
 def lower_band_states(params: LatticeParams, n_sites: int, kappas,
                       sigma_cells: float) -> np.ndarray:
     """Gaussian-envelope Bloch states about the middle cell, projected onto the
-    lower band: one normalized column per kappa in ``kappas``."""
+    lower band: one normalized column per kappa in ``kappas``.  A non-finite
+    kappa or ``sigma_cells`` raises ValueError before any state is built."""
     p_low, _ = band_projectors(params, n_sites)  # checks n_sites before the reshape
     if not (math.isfinite(sigma_cells) and sigma_cells > 0):
         raise ValueError("sigma_cells must be positive and finite")
     kappas = np.asarray(kappas, dtype=float)
+    if not np.all(np.isfinite(kappas)):
+        raise ValueError("kappas must be finite")
     lower, _ = _bloch_eigenvectors(params, kappas)
     cells = (site_positions(n_sites)[0::2] + 0.5) / 2  # A of cell l sits at 2l - 1/2
     envelope = np.exp(-(cells**2) / (4.0 * sigma_cells**2))
@@ -216,12 +219,16 @@ def propagate(state: ChainState, params: LatticeParams,
     can thus end much further than tol from the infinite-chain answer: the
     256-site, sigma = 8 cell packet at (j1, j2, F) = (1, 0.6, 1/9) ends one
     Bloch period 1.5e-6 from the same packet in 1024 sites at tol 1e-8.
+    A non-finite time in ``t_grid`` or amplitude in ``state`` raises
+    ValueError before any integration, and so does an invalid ``tol``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a non-empty 1D array of times")
+    if t_grid.ndim != 1 or t_grid.size < 1 or not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be a non-empty 1D array of finite times")
+    if not np.all(np.isfinite(state.amplitudes)):
+        raise ValueError("state amplitudes must be finite")
     if t_grid[0] < state.time - 1e-12 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be non-decreasing and start at/after state.time")
     positions = site_positions(state.amplitudes.size)

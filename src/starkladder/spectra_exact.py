@@ -611,11 +611,14 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
     equally spaced points, which cost no integration, so minima closer than
     one step merge.  Each interior local minimum is refined on the proxy: a
     grid of 65 points zooms onto its smallest sample until the bracket is
-    below 1e-13 of 1/F.  That is far inside the relative 1e-6 the location
-    must meet at any interval width, and it resolves the corner of an exact
-    crossing too.  The reported gaps come from one batched direct integration
-    at all the minima; splittings below 1e-12 * F are reported as exact
-    crossings (gap 0).  Every input is checked before any integration.
+    below 1e-13 of 1/F.  All open brackets zoom together, with one proxy
+    evaluation per level; the proxy and the splitting act elementwise, so
+    each point gets the bits it gets alone.  The bracket is far inside the
+    relative 1e-6 the location must meet at any interval width, and it
+    resolves the corner of an exact crossing too.  The reported gaps come
+    from one batched direct integration at all the minima; splittings below
+    1e-12 * F are reported as exact crossings (gap 0).  Every input is
+    checked before any integration.
     """
     z_lo, z_hi = float(inv_f_interval[0]), float(inv_f_interval[1])
     if not (0.0 < z_lo < z_hi < math.inf):  # NaN fails here too
@@ -637,15 +640,16 @@ def find_avoided_crossings(params: LatticeParams, inv_f_interval: tuple[float, f
 
     z = np.linspace(z_lo, z_hi, int(resolution))
     gaps = proxy_gaps(z)
-    z_stars = []
-    for i in range(1, z.size - 1):
-        if not (gaps[i] < gaps[i - 1] and gaps[i] <= gaps[i + 1]):
-            continue
-        lo, hi = z[i - 1], z[i + 1]
-        while hi - lo > 1e-13 * hi:
-            grid = np.linspace(lo, hi, _ZOOM_POINTS)
-            j = int(np.argmin(proxy_gaps(grid)))
-            lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, _ZOOM_POINTS - 1)]
-        z_stars.append(float(0.5 * (lo + hi)))
+    i = np.flatnonzero((gaps[1:-1] < gaps[:-2]) & (gaps[1:-1] <= gaps[2:])) + 1
+    lo, hi = z[i - 1], z[i + 1]
+    while (zoom := np.flatnonzero(hi - lo > 1e-13 * hi)).size:
+        # np.linspace's own arithmetic (so its bits), one row per open bracket
+        step = (hi[zoom] - lo[zoom]) / (_ZOOM_POINTS - 1)
+        grid = np.arange(_ZOOM_POINTS) * step[:, None] + lo[zoom, None]
+        grid[:, -1] = hi[zoom]
+        j, rows = np.argmin(proxy_gaps(grid), axis=1), np.arange(zoom.size)
+        lo[zoom] = grid[rows, np.maximum(j - 1, 0)]
+        hi[zoom] = grid[rows, np.minimum(j + 1, _ZOOM_POINTS - 1)]
+    z_stars = (0.5 * (lo + hi)).tolist()
     return [AvoidedCrossing(inv_f_star=z_star, gap=0.0 if gap < 1e-12 / z_star else gap)
             for z_star, gap in zip(z_stars, _gaps(params, z_stars).tolist())]

@@ -437,6 +437,33 @@ class TestPropagate:
         with pytest.raises(ValueError):
             dyn.propagate(state, params, None, np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("t_grid", [[math.nan], [1.0, math.nan], [math.inf], [1.0, math.inf]])
+    @pytest.mark.parametrize("ramped", [False, True])
+    def test_non_finite_times_rejected_before_any_integration(self, monkeypatch, t_grid,
+                                                              ramped):
+        # NaN passes the ordering test, and under a ramp it used to reach the
+        # integrator (NonConvergedError) and inf to overflow; without a ramp
+        # the refusal came from RampProtocol, naming its times
+        params = LatticeParams(1.0, 0.6, 0.0, 0.2)
+        state = dyn.lower_band_state(params, 256, 0.0, 8.0)
+        field = dyn.RampProtocol.linear_inv_f(5.0, 4.0, 10.0) if ramped else None
+        monkeypatch.setattr(dyn, "_ring_propagators", None)
+        with pytest.raises(ValueError, match="^t_grid must be .* finite times$"):
+            dyn.propagate(state, params, field, t_grid)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_amplitudes_rejected_before_any_integration(self, monkeypatch, bad):
+        # an all-NaN packet passes the edge guard (NaN > 1e-8 is false), so it
+        # would come back as NaN samples; it is an input fault, not an edge one
+        params = LatticeParams(1.0, 0.6, 0.0, 0.2)
+        amplitudes = dyn.lower_band_state(params, 256, 0.0, 8.0).amplitudes
+        amplitudes[128] = bad
+        monkeypatch.setattr(dyn, "_ring_propagators", None)
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            dyn.propagate(dyn.ChainState(amplitudes), params, None, [1.0])
+        with pytest.raises(ValueError, match="^state amplitudes must be finite$"):
+            dyn.propagate(dyn.ChainState(np.full(256, math.nan)), params, None, [1.0])
+
 
 class TestRampProtocol:
     def test_linear_inv_f_endpoints(self):
@@ -760,6 +787,12 @@ class TestMeanUpperPopulation:
     def test_envelope_must_be_positive_and_finite(self, sigma):
         with pytest.raises(ValueError, match="sigma_cells"):
             dyn.lower_band_states(LatticeParams(0.76, 0.76, 0.4), 256, [0.0], sigma)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_kappas_must_be_finite(self, kappa):
+        # a NaN kappa used to give an all-NaN packet, with only a RuntimeWarning
+        with pytest.raises(ValueError, match="^kappas must be finite$"):
+            dyn.lower_band_states(LatticeParams(0.76, 0.76, 0.4), 256, [0.0, kappa], 8.0)
 
 
 class TestResonanceWidth:

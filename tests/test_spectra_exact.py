@@ -795,6 +795,65 @@ class TestCrossings:
         (found,) = se.find_avoided_crossings(p, (3.0, 3.3), resolution=100)
         assert found.gap == se._gaps(p, [found.inv_f_star])[0]
 
+    @staticmethod
+    def per_minimum_search(params, z_lo, z_hi, resolution):
+        # the search with its zoom run one minimum at a time, as a reference
+        mid, half = 0.5 * (z_hi + z_lo), 0.5 * (z_hi - z_lo)
+
+        def entries(s):
+            a, b, _ = se._period_propagators(params, 1.0 / (mid + half * s), 1, se._PHASE_TOL)
+            return np.array([a.real, a.imag, b.real, b.imag])[..., 0]
+
+        coef = sf._chebyshev_series(entries, 16, se._PROXY_MAX_NODES, 1e-13).T
+
+        def proxy_gaps(z):
+            re_a, im_a, re_b, im_b = se.chebval((z - mid) / half, coef)
+            return se._splitting(z, re_a + 1j * im_a, re_b + 1j * im_b)
+
+        z = np.linspace(z_lo, z_hi, resolution)
+        gaps = proxy_gaps(z)
+        z_stars = []
+        for i in range(1, z.size - 1):
+            if not (gaps[i] < gaps[i - 1] and gaps[i] <= gaps[i + 1]):
+                continue
+            lo, hi = z[i - 1], z[i + 1]
+            while hi - lo > 1e-13 * hi:
+                grid = np.linspace(lo, hi, se._ZOOM_POINTS)
+                j = int(np.argmin(proxy_gaps(grid)))
+                lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, se._ZOOM_POINTS - 1)]
+            z_stars.append(float(0.5 * (lo + hi)))
+        return [se.AvoidedCrossing(z_star, 0.0 if gap < 1e-12 / z_star else gap)
+                for z_star, gap in zip(z_stars, se._gaps(params, z_stars).tolist())]
+
+    @pytest.mark.parametrize("lattice, window, resolution, count", [
+        ((1.0, 0.6, 0.3), (1.0, 30.0), 2000, 33),
+        ((0.0, 0.0, 0.5), (0.55, 5.5), 500, 3),  # exact crossings at 1/F = 1, 3, 5
+    ])
+    def test_batched_zoom_matches_a_per_minimum_zoom_bit_for_bit(self, lattice, window,
+                                                                 resolution, count):
+        p = LatticeParams(*lattice, 1.0)
+        found = se.find_avoided_crossings(p, window, resolution=resolution)
+        assert len(found) == count
+        assert found == self.per_minimum_search(p, *window, resolution)
+        if lattice[0] == 0.0:
+            assert [c.gap for c in found] == [0.0] * 3
+            assert np.allclose([c.inv_f_star for c in found], [1.0, 3.0, 5.0], rtol=1e-6)
+
+    def test_zoom_takes_one_proxy_evaluation_per_level(self, monkeypatch):
+        # one for the scan and one per zoom level, whatever the number of
+        # minima: a per-minimum zoom makes 240 calls here
+        calls, chebval = [], se.chebval
+
+        def count(x, c):
+            calls.append(np.shape(x))
+            return chebval(x, c)
+
+        monkeypatch.setattr(se, "chebval", count)
+        found = se.find_avoided_crossings(LatticeParams(1.0, 0.6, 0.3, 1.0), (1.0, 30.0),
+                                          resolution=2000)
+        assert len(found) == 33
+        assert calls[0] == (2000,) and len(calls) <= 9
+
     def test_unresolved_proxy_raises(self, monkeypatch):
         # [4, 30] needs 128 nodes
         monkeypatch.setattr(se, "_PROXY_MAX_NODES", 64)
